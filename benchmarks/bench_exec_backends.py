@@ -1,6 +1,6 @@
 """Benchmark: per-backend inference throughput of the execution engine.
 
-Four acceptance bars, measured on a small trained CNN:
+Three acceptance bars, measured on a small trained CNN:
 
 * every registered backend clears a sanity accuracy bound on the same
   workload (throughput table),
@@ -8,20 +8,12 @@ Four acceptance bars, measured on a small trained CNN:
   per-sample full-array readout path (the PR-1 gate),
 * the compiled execution plan is >= 2x faster than the generic
   ``BatchRunner`` path on the analog backend while producing
-  **bit-identical** logits on every registered backend (the PR-3 plan
-  gate),
-* code-domain planned execution (FP8 codes threaded between the layer
-  boundary and the fused code→voltage tables, allocation-free arena
-  kernels) is >= 1.5x faster than the PR-3 float-domain plan — again with
-  bit-identical logits and conversion counts on every registered backend
-  (the PR-4 gate).  The measured numbers land in ``BENCH_exec.json`` so
-  future changes can track the performance trajectory, and the CI
-  regression gate diffs the speedup ratios against the committed baseline.
+  **bit-identical** logits and conversion counts on every registered
+  backend.  The measured numbers land in ``BENCH_exec.json`` so future
+  changes can track the performance trajectory, and the CI regression
+  gate diffs the speedup ratio against the committed baseline.
 
-Timing uses the shared best-of-N helpers in :mod:`_timing`; steady-state
-comparisons interleave the contenders round by round (each on its own model
-replica — compiled plans patch layer forwards, so two live plans must not
-share a model) so load drift on a shared runner cannot bias one side.
+Timing uses the shared best-of-N helpers in :mod:`_timing`.
 ``BENCH_SMOKE=1`` selects the reduced-size CI configuration.
 
 Run with::
@@ -29,33 +21,18 @@ Run with::
     pytest benchmarks/bench_exec_backends.py --benchmark-only -s
 """
 
-import copy
-import dataclasses
-import time
-
 import numpy as np
 import pytest
 
 from _timing import best_metric, smoke_mode, write_bench_json
 from repro.core import MacroConfig
-from repro.exec import (
-    AnalogBackend,
-    BatchRunner,
-    ExecutionContext,
-    available_backends,
-    compare_backends,
-    run_model,
-)
+from repro.exec import AnalogBackend, available_backends, compare_backends, run_model
 from repro.nn import DatasetConfig, SGD, SyntheticImageDataset, Trainer, build_resnet_lite
 from repro.nn.quantize import CIMNonidealities
 from repro.rram.device import RRAMStatistics
 
 SAMPLES = 32 if smoke_mode() else 64
 ROUNDS = 2 if smoke_mode() else 3
-
-#: Results stashed across the module's tests; the last test writes the
-#: consolidated ``BENCH_exec.json`` trajectory from whatever ran.
-_RESULTS = {}
 
 
 @pytest.fixture(scope="module")
@@ -159,19 +136,22 @@ def test_compiled_plan_beats_batchrunner_2x_bit_identical(benchmark, workload):
     Bit identity is checked with a *fresh* backend per path so both consume
     identical random streams (programming noise at prepare, read noise per
     forward) from the same seeds — the plan's LUT kernels then reproduce the
-    generic arithmetic exactly.
+    generic arithmetic exactly.  The identity check maps every matmul layer,
+    so each one runs analog and is compared bit for bit.
     """
     model, x_train, x_test, y_test, macro_config = workload
     kwargs = dict(calibration=x_train[:16], macro_config=macro_config,
                   max_mapped_layers=2, seed=0)
+    all_mapped = dict(kwargs, max_mapped_layers=None)
 
     def check_identity():
         outcomes = {}
         for backend in available_backends():
             planned = run_model(model, x_test, backend=backend,
-                                batch_size=SAMPLES, **kwargs)
+                                batch_size=SAMPLES, **all_mapped)
             generic = run_model(model, x_test, backend=backend,
-                                batch_size=SAMPLES, compile_plan=False, **kwargs)
+                                batch_size=SAMPLES, compile_plan=False,
+                                **all_mapped)
             outcomes[backend] = bool(
                 np.array_equal(planned.logits, generic.logits)
                 and planned.conversions == generic.conversions)
@@ -210,7 +190,8 @@ def test_compiled_plan_beats_batchrunner_2x_bit_identical(benchmark, workload):
               f"ADC {profile['adc_s'] * 1e3:.1f} ms, "
               f"digital {profile['digital_s'] * 1e3:.1f} ms")
 
-    _RESULTS.update({
+    path = write_bench_json("exec", {
+        "samples": SAMPLES,
         "planned_s": planned_time,
         "generic_s": generic_time,
         "plan_speedup": speedup,
@@ -218,81 +199,6 @@ def test_compiled_plan_beats_batchrunner_2x_bit_identical(benchmark, workload):
         "bit_identical": outcomes,
         "stage_profile": planned_report.stage_profile,
     })
-
-    assert speedup >= 2.0, f"compiled plan only {speedup:.2f}x faster"
-
-
-@pytest.mark.benchmark(group="exec-backends")
-def test_code_domain_beats_float_plan_1p5x_bit_identical(benchmark, workload):
-    """Code-domain planned execution is >= 1.5x faster than the PR-3
-    float-domain plan, bit-identical (logits *and* conversion counts) on
-    every registered backend, and writes the ``BENCH_exec.json`` trajectory.
-
-    The speed comparison maps every matmul layer (the regime the code
-    domain targets — the more analog layers, the more per-batch ranking
-    the float plan re-derives) and times warmed steady-state forwards,
-    interleaving the two contenders so runner load drift hits both sides
-    equally.
-    """
-    model, x_train, x_test, y_test, macro_config = workload
-    kwargs = dict(calibration=x_train[:16], macro_config=macro_config,
-                  max_mapped_layers=None, seed=0)
-
-    def check_identity():
-        outcomes = {}
-        for backend in available_backends():
-            coded = run_model(model, x_test, backend=backend,
-                              batch_size=SAMPLES, **kwargs)
-            float_plan = run_model(model, x_test, backend=backend,
-                                   batch_size=SAMPLES, code_domain=False,
-                                   **kwargs)
-            outcomes[backend] = bool(
-                np.array_equal(coded.logits, float_plan.logits)
-                and coded.conversions == float_plan.conversions)
-        return outcomes
-
-    outcomes = benchmark.pedantic(check_identity, rounds=1, iterations=1)
-    print("\nCode-domain vs float-plan bit identity:")
-    for backend, identical in sorted(outcomes.items()):
-        print(f"  {backend:12s} {'bit-identical' if identical else 'MISMATCH'}")
-    assert all(outcomes.values()), outcomes
-
-    context = ExecutionContext(batch_size=SAMPLES, **kwargs)
-    coded = BatchRunner(copy.deepcopy(model), "analog", context=context)
-    float_plan = BatchRunner(
-        copy.deepcopy(model), "analog",
-        context=dataclasses.replace(context, code_domain=False))
-    try:
-        for runner in (coded, float_plan):
-            runner.forward(x_test)  # warm plan state and arena slabs
-        best = {"code": float("inf"), "float": float("inf")}
-        for _ in range(2 * ROUNDS + 1):
-            start = time.perf_counter()
-            coded.forward(x_test)
-            best["code"] = min(best["code"], time.perf_counter() - start)
-            start = time.perf_counter()
-            float_plan.forward(x_test)
-            best["float"] = min(best["float"], time.perf_counter() - start)
-        profile = coded.stage_profile()
-    finally:
-        coded.close()
-        float_plan.close()
-
-    speedup = best["float"] / best["code"]
-    print(f"Code-domain plan: {best['code'] * 1e3:.1f} ms, "
-          f"float-domain plan: {best['float'] * 1e3:.1f} ms, "
-          f"speedup {speedup:.2f}x")
-
-    path = write_bench_json("exec", {
-        "samples": SAMPLES,
-        "code_domain_s": best["code"],
-        "float_plan_s": best["float"],
-        "code_domain_speedup": speedup,
-        "code_domain_samples_per_second": SAMPLES / best["code"],
-        "code_domain_bit_identical": outcomes,
-        "code_domain_stage_profile": profile,
-        **_RESULTS,
-    })
     print(f"Trajectory written to {path}")
 
-    assert speedup >= 1.5, f"code-domain plan only {speedup:.2f}x faster"
+    assert speedup >= 2.0, f"compiled plan only {speedup:.2f}x faster"

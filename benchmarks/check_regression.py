@@ -4,13 +4,12 @@ The bench-smoke job measures the benchmark suite on whatever runner it got,
 writes fresh ``BENCH_exec.json`` / ``BENCH_serve.json`` trajectories, and
 then runs this script against the baselines committed under
 ``benchmarks/baselines/``.  Absolute wall times are machine-dependent, so
-the gate compares the **speedup ratios** — code-domain vs float plan,
-compiled plan vs generic, shared-memory vs pickle transport, dynamic
-batching vs batch-1 — which are measured within one run on one machine and
-therefore travel across runners.  A fresh ratio dropping more than its
-per-key floor below the committed baseline (20-50% depending on the
-ratio's observed variance; ``--threshold`` overrides all of them) fails
-the job.
+the gate compares the **speedup ratios** — compiled plan vs generic,
+shared-memory vs pickle transport, dynamic batching vs batch-1 — which are
+measured within one run on one machine and therefore travel across
+runners.  A fresh ratio dropping more than its per-key floor below the
+committed baseline (20-50% depending on the ratio's observed variance;
+``--threshold`` overrides all of them) fails the job.
 
 Baselined ratios missing from the fresh results WARN instead of failing
 for the ``OPTIONAL_FRESH`` files (benchmarks that legitimately skip on
@@ -41,8 +40,8 @@ from typing import Dict, List, Optional, Tuple
 
 #: file stem -> {ratio key: allowed fractional drop below baseline}.  The
 #: per-key floors reflect each ratio's observed cross-run variance: the
-#: code-domain and transport ratios are steady-state interleaved best-of-N
-#: measurements (stable within ~10%) and get a tight floor; plan_speedup
+#: transport ratio is a steady-state interleaved best-of-N measurement
+#: (stable within ~10%) and gets a tight floor; plan_speedup
 #: divides two separately-timed runs and swings more with machine load; the
 #: dynamic-batching ratios time whole asyncio serving runs whose batch-1
 #: side is hundreds of tiny forwards — run-to-run variance of 25%+ on one
@@ -50,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 #: carries a hard absolute assert inside its benchmark, so widening a floor
 #: here never lets an outright failure through.
 GUARDED_RATIOS: Dict[str, Dict[str, float]] = {
-    "BENCH_exec.json": {"code_domain_speedup": 0.25, "plan_speedup": 0.4},
+    "BENCH_exec.json": {"plan_speedup": 0.4},
     "BENCH_serve.json": {"transport_speedup": 0.25,
                          "modes.thread.speedup": 0.5,
                          "modes.process.speedup": 0.5},

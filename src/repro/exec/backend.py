@@ -61,17 +61,8 @@ class ExecutionContext:
         Compile the prepared backend state into a :class:`~repro.exec.plan.
         ModelPlan` with LUT-fused conversion kernels and pre-packed tiles
         (bit-identical, faster).  ``False`` keeps the generic kernels — the
-        pre-plan execution path, used as the benchmark baseline.
-    code_domain:
-        Run compiled analog layers in the code domain: the layer input is
-        encoded once into FP8 activation codes at the layer boundary and the
-        codes thread through im2col, the sign passes and every tile, whose
-        compile-time-fused code→voltage tables replace the per-batch bucket
-        ranking.  Bit-identical to the float plan path; layers whose tiles
-        cannot share a code table fall back per layer.  ``False`` keeps the
-        float-domain compiled kernels (the PR-3 plan behaviour, used as the
-        code-domain benchmark baseline).  Ignored when ``compile_plan`` is
-        off.
+        hook path, which is the bit-identity oracle the plan is tested
+        against.
     """
 
     calibration: Optional[np.ndarray] = None
@@ -83,7 +74,12 @@ class ExecutionContext:
     batch_size: int = 64
     seed: int = 0
     compile_plan: bool = True
-    code_domain: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_mapped_layers is not None and self.max_mapped_layers < 0:
+            raise ValueError(
+                f"max_mapped_layers must be None (map every layer) or >= 0, "
+                f"got {self.max_mapped_layers}")
 
 
 @dataclasses.dataclass
@@ -105,9 +101,8 @@ class ExecutionReport:
     #: Per-stage (DAC / crossbar / ADC / digital) wall-clock breakdown from
     #: the execution plan's instrumentation, when a plan ran the batches.
     stage_profile: Optional[dict] = None
-    #: How the batches executed: ``"code-domain"`` (compiled plan threading
-    #: FP8 codes), ``"float-plan"`` (compiled float kernels) or
-    #: ``"generic"`` (no plan compilation).
+    #: How the batches executed: ``"compiled"`` (compiled plan kernels) or
+    #: ``"generic"`` (no plan kernels ran).
     plan_mode: str = "generic"
 
     @property

@@ -45,10 +45,6 @@ def build_run_parser() -> argparse.ArgumentParser:
                         help="print the plan's per-stage wall-clock breakdown")
     parser.add_argument("--no-plan", action="store_true",
                         help="run the generic kernels instead of the compiled plan")
-    parser.add_argument("--no-code-domain", action="store_true",
-                        help="keep the float-domain compiled kernels (the "
-                             "PR-3 plan behaviour) instead of code-domain "
-                             "execution")
     parser.add_argument("--pipeline-stages", type=int, default=1,
                         help="shard the compiled plan across this many "
                              "pipeline stage processes (>=2) instead of "
@@ -87,19 +83,23 @@ def run_run_command(args: argparse.Namespace) -> Tuple[str, int]:
     # Imported lazily: the serving CLI owns the demo-workload builder.
     from repro.serve.cli import demo_workload
 
+    if args.samples < 1:
+        raise SystemExit(f"--samples must be >= 1, got {args.samples}")
+    # Built before the demo model trains, so a bad count fails fast.
+    try:
+        context = ExecutionContext(
+            max_mapped_layers=args.mapped_layers,
+            batch_size=args.batch_size,
+            seed=args.seed,
+            compile_plan=not args.no_plan,
+        )
+    except ValueError as error:
+        raise SystemExit(f"--mapped-layers: {error}") from None
     model, x_train, x_test = demo_workload(seed=args.seed,
-                                           test_samples=max(args.samples, 1))
+                                           test_samples=args.samples)
     images = x_test[: args.samples]
-    context = ExecutionContext(
-        calibration=x_train[:16],
-        max_mapped_layers=args.mapped_layers,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        compile_plan=not args.no_plan,
-        code_domain=not args.no_code_domain,
-    )
-    if args.backend == "ideal":
-        context = dataclasses.replace(context, calibration=None)
+    if args.backend != "ideal":
+        context = dataclasses.replace(context, calibration=x_train[:16])
     if args.pipeline_stages > 1:
         if args.trace_out:
             raise SystemExit(

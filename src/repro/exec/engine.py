@@ -87,15 +87,13 @@ class BatchRunner:
 
     @property
     def plan_mode(self) -> str:
-        """``"code-domain"``, ``"float-plan"`` or ``"generic"`` execution.
+        """``"compiled"`` or ``"generic"`` execution.
 
         ``generic`` also covers compiled plans that had nothing to compile
         (the ``ideal`` backend, or analog configs whose every tile fell
         back) — no plan kernels actually ran there.
         """
-        if not getattr(self.context, "compile_plan", True) or not self.plan.compiled:
-            return "generic"
-        return "code-domain" if self.plan.code_domain else "float-plan"
+        return "compiled" if self.plan.compiled else "generic"
 
     def conversions(self) -> int:
         """Analog macro conversions spent so far by the backend."""

@@ -11,17 +11,20 @@ context)``:
   and the ADC's charge→code conversion baked into lookup tables
   (:meth:`~repro.core.fp_dac.FPDAC.voltage_lut`,
   :meth:`~repro.core.fp_adc.FPADC.conversion_lut`);
-* compiled layers run in the **code domain**: the layer input is encoded
-  *once* at the layer boundary into FP8 activation codes (sign + the DAC's
-  7-bit exponent/mantissa rank, plus the zero-detect level, stored as
-  uint16), and the codes thread through im2col, the two sign passes and
-  every tile of the layer.  Each tile's quantiser (flush-to-zero, RNE
-  rounding, saturation — the DAC bucket indexer) is composed with its
-  reference-ladder/PGA voltage reconstruction and the crossbar input clip
-  into one signed code→voltage table (and a code→raw-voltage twin for
-  offset mapping) at compile time, so ``_analog_pass`` performs zero
-  per-batch bucket ranking — conv layers even expand patches as uint16
-  code gathers, 4x less memory traffic than float64 im2col;
+* compiled tiles run in the **code domain**: activations are encoded
+  into FP8 activation codes (sign + the DAC's 7-bit exponent/mantissa
+  rank, plus the zero-detect level, stored as uint16) and
+  :meth:`CompiledTile.matvec_codes` — the one analog pass of a compiled
+  tile — turns them into voltages with one table gather.  Each tile's
+  quantiser (flush-to-zero, RNE rounding, saturation — the DAC bucket
+  indexer) is composed with its reference-ladder/PGA voltage
+  reconstruction and the crossbar input clip into one signed code→voltage
+  table (and a code→raw-voltage twin for offset mapping) at compile time.
+  A row range whose tiles share one table is encoded *once* at the layer
+  boundary and the codes thread through im2col, the two sign passes and
+  every tile of the range — conv layers even expand patches as uint16
+  code gathers, 4x less memory traffic than float64 im2col; any other
+  compiled tile encodes its own row slice with its own table;
 * planned execution is **allocation-free** in steady state: a per-plan
   :class:`PlanArena` provides reusable scratch slabs for the DAC gathers,
   the crossbar matmul, the charge clip, the ADC gather and the blocked-row
@@ -40,13 +43,12 @@ read noise) keep drawing from the same generators in the same order and
 shapes — so a plan is a pure speedup, not an approximation.  Tiles whose
 configuration breaks those guarantees (DAC output noise, ADC comparator
 noise/offset, capacitor mismatch, non-vectorised readout) transparently
-fall back to the generic macro path, and a layer whose row tiles cannot
-share one code table falls back to the float-domain compiled kernels for
-exactly those rows.  ``ExecutionContext.code_domain=False`` keeps the
-float-domain compiled kernels everywhere (the PR-3 plan behaviour); the
-cross-layer digital ops (bias, activation, pooling, routing-adder FP16
-accumulation) stay in the float domain by construction, which is what
-pins bit identity against the generic kernels.
+fall back to the generic macro path.  The cross-layer digital ops (bias,
+activation, pooling, routing-adder FP16 accumulation) stay in the float
+domain by construction, which is what pins bit identity against the
+generic kernels.  ``ExecutionContext.compile_plan=False`` runs the generic
+kernels instead: that hook path is the bit-identity oracle the plan is
+tested against.
 
 Plans are picklable, which is what lets :mod:`repro.serve` ship one to each
 process of a ``workers="process"`` pool and run replicas on real cores (the
@@ -56,6 +58,7 @@ arena's scratch slabs are dropped on pickling and regrown by the worker).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import pickle
@@ -248,15 +251,33 @@ class RowCodec:
         return codes
 
 
+def _split_signs(codec: RowCodec, codes: np.ndarray, arena: PlanArena,
+                 key: str) -> tuple:
+    """``(codes, compressed, mask)``: the rows needing a negative pass.
+
+    A code at or beyond ``levels`` carries the sign bit, so
+    ``any(code >= levels)`` is exactly the generic path's
+    ``any(clip(-x, 0) > 0)`` — including tiny negatives that flush to the
+    zero rank but still owe a (zero-voltage) second pass.
+    """
+    sign_flags = arena.take(key + ":sflag", codes.shape, bool)
+    np.greater_equal(codes, np.uint16(codec.levels), out=sign_flags)
+    needs_negative = np.any(sign_flags, axis=1)
+    extra = int(np.count_nonzero(needs_negative))
+    compressed = arena.take(key + ":cneg", (extra, codes.shape[1]), np.uint16)
+    if extra:
+        np.compress(needs_negative, codes, axis=0, out=compressed)
+    return codes, compressed, needs_negative
+
+
 class CompiledTile:
     """One macro tile compiled to LUT-fused kernels.
 
     Replicates :meth:`AFPRMacro.matvec` (vectorised mode) bit for bit:
 
-    * DAC: ``volts[rank(acts / activation_scale)]`` instead of frexp field
-      extraction plus per-gain PGA passes — or, in code-domain layers, one
-      gather through the fused signed code→voltage table with no ranking at
-      all,
+    * DAC: one gather through the fused signed code→voltage table of a
+      :class:`RowCodec` instead of frexp field extraction plus per-gain PGA
+      passes,
     * crossbar: the packed contiguous conductance block, read noise drawn
       from the *same* device generator in the same order and shape,
     * ADC: ``values[rank(charge)]`` instead of the adaptive-range search,
@@ -270,8 +291,7 @@ class CompiledTile:
     """
 
     def __init__(self, macro: AFPRMacro, profile: StageProfile,
-                 arena: Optional[PlanArena] = None, key: str = "tile",
-                 use_arena: bool = True) -> None:
+                 arena: Optional[PlanArena] = None, key: str = "tile") -> None:
         config = macro.config
         if not macro.vectorized_readout:
             raise TileNotCompilable("full-array reference readout")
@@ -290,9 +310,6 @@ class CompiledTile:
         self.profile = profile
         self.arena = arena if arena is not None else PlanArena()
         self.key = key
-        self.use_arena = use_arena
-        #: Legacy (PR-3) float-path scratch, used when ``use_arena`` is off.
-        self._stack_scratch = np.empty((0, macro._in_features), dtype=np.float64)
         self.in_features = macro._in_features
         self.out_features = macro._out_features
         self.active_cols = macro.physical_columns
@@ -425,119 +442,13 @@ class CompiledTile:
         profile.adc_s += time.perf_counter() - tock
 
     # ------------------------------------------------------------------
-    # Float-domain path (PR-3 behaviour, also the per-layer fallback)
-    # ------------------------------------------------------------------
-    def _analog_pass(self, non_negative: np.ndarray) -> np.ndarray:
-        """DAC → crossbar → ADC over stacked rows, via the compiled kernels.
-
-        Rows beyond ``ANALOG_PASS_BLOCK_ROWS`` are processed block by block
-        into one arena output (the generic path's recursive concatenate,
-        without the copies).
-        """
-        arena, key, profile = self.arena, self.key, self.profile
-        rows = non_negative.shape[0]
-        block = self.macro.ANALOG_PASS_BLOCK_ROWS
-        out = arena.take(key + ":out", (rows, self.out_width))
-        for start in range(0, max(rows, 1), block):
-            chunk = non_negative[start:start + block]
-            if chunk.shape[0] == 0:
-                break
-            tick = time.perf_counter()
-            scaled = arena.take(key + ":scaled", chunk.shape)
-            np.divide(chunk, self.activation_scale, out=scaled)
-            np.minimum(scaled, self.dac_clamp, out=scaled)
-            ranks = arena.take(key + ":rank", chunk.shape, np.int64)
-            ranks = self.dac_indexer(
-                scaled, out=ranks,
-                work=arena.take(key + ":work", chunk.shape),
-                work_int=arena.take(key + ":wint", chunk.shape, np.int64))
-            volts = arena.take(key + ":volts", chunk.shape)
-            np.take(self.dac_volts, ranks, out=volts, mode="clip")
-            voltage_sum = None
-            if not self.differential:
-                raw = arena.take(key + ":raw", chunk.shape)
-                np.take(self.dac_volts_raw, ranks, out=raw, mode="clip")
-                voltage_sum = np.sum(
-                    raw, axis=-1, out=arena.take(key + ":vsum", (chunk.shape[0],)))
-            profile.dac_s += time.perf_counter() - tick
-            self._convert_block(volts, voltage_sum, out[start:start + chunk.shape[0]])
-        return out
-
-    # -- legacy float path: the PR-3 plan kernels, kept verbatim ---------
-    def _analog_pass_legacy(self, non_negative: np.ndarray) -> np.ndarray:
-        """The PR-3 allocating float pipeline (the ≥1.5x gate's baseline).
-
-        Selected by ``ExecutionContext.code_domain=False``: per-batch bucket
-        ranking, fresh temporaries and a recursive concatenate for blocked
-        rows — exactly the plan execution PR 3 shipped, preserved so the
-        code-domain benchmarks measure against the real predecessor rather
-        than a partially-upgraded one.
-        """
-        macro = self.macro
-        block = macro.ANALOG_PASS_BLOCK_ROWS
-        if non_negative.shape[0] > block:
-            return np.concatenate([
-                self._analog_pass_legacy(non_negative[start:start + block])
-                for start in range(0, non_negative.shape[0], block)
-            ], axis=0)
-        profile = self.profile
-
-        tick = time.perf_counter()
-        code_values = non_negative / self.activation_scale
-        code_ranks = self.dac_indexer(np.minimum(code_values, self.dac_clamp))
-        voltages = self.dac_volts[code_ranks]
-        tock = time.perf_counter()
-        profile.dac_s += tock - tick
-
-        conductances = self._block_conductances()
-        currents = voltages @ conductances
-        tick = time.perf_counter()
-        profile.crossbar_s += tick - tock
-
-        charge = np.clip(currents, 0.0, None) * self.integration_time
-        rank = self.adc.indexer(np.minimum(charge, self.adc.max_charge))
-        measured_current = self.adc_values[rank]
-
-        batch = non_negative.shape[0]
-        stats = macro.stats
-        stats.conversions += batch
-        stats.mac_operations += batch * 2 * self.in_features * self.out_features
-        stats.adc_saturations += int(np.count_nonzero(self.adc_sat[rank]))
-        stats.adc_underflows += int(np.count_nonzero(self.adc_under[rank]))
-
-        if self.differential:
-            logical = measured_current[..., 0::2] - measured_current[..., 1::2]
-        else:
-            voltage_sum = np.sum(self.dac_volts_raw[code_ranks], axis=-1)
-            logical = measured_current - self.g_mid * voltage_sum[..., None]
-        out = logical * self.output_scale
-        profile.adc_s += time.perf_counter() - tick
-        return out
-
-    def _matvec_legacy(self, acts: np.ndarray) -> np.ndarray:
-        positive = np.clip(acts, 0.0, None)
-        negative = np.clip(-acts, 0.0, None)
-        needs_negative = np.any(negative > 0, axis=1)
-
-        if np.any(needs_negative):
-            batch = acts.shape[0]
-            extra = int(np.count_nonzero(needs_negative))
-            stacked = self._stack_scratch
-            if stacked.shape[0] < batch + extra:
-                stacked = np.empty((batch + extra, self.in_features), dtype=np.float64)
-                self._stack_scratch = stacked
-            stacked = stacked[: batch + extra]
-            stacked[:batch] = positive
-            stacked[batch:] = negative[needs_negative]
-            result_stacked = self._analog_pass_legacy(stacked)
-            result = result_stacked[:batch]
-            result[needs_negative] -= result_stacked[batch:]
-        else:
-            result = self._analog_pass_legacy(positive)
-        return result[..., : self.out_features]
+    @functools.cached_property
+    def codec(self) -> RowCodec:
+        """This tile's own encoder, for activations no layer encoded."""
+        return RowCodec(self)
 
     def matvec(self, activations: np.ndarray) -> np.ndarray:
-        """``activations @ W`` through the compiled pipeline (batched)."""
+        """``activations @ W``: encode with :attr:`codec`, then the analog pass."""
         acts = np.asarray(activations, dtype=np.float64)
         squeeze = acts.ndim == 1
         acts = np.atleast_2d(acts)
@@ -546,36 +457,13 @@ class CompiledTile:
                 f"activation length {acts.shape[1]} does not match the "
                 f"{self.in_features} programmed input features"
             )
-        if not self.use_arena:
-            result = self._matvec_legacy(acts)
-            return result[0] if squeeze else result
-        arena, key = self.arena, self.key
-        positive = arena.take(key + ":pos", acts.shape)
-        np.clip(acts, 0.0, None, out=positive)
-        negative = arena.take(key + ":negp", acts.shape)
-        np.negative(acts, out=negative)
-        np.clip(negative, 0.0, None, out=negative)
-        sign_flags = arena.take(key + ":sflag", acts.shape, bool)
-        np.greater(negative, 0.0, out=sign_flags)
-        needs_negative = np.any(sign_flags, axis=1)
-
-        if np.any(needs_negative):
-            batch = acts.shape[0]
-            extra = int(np.count_nonzero(needs_negative))
-            stacked = arena.take(key + ":stack", (batch + extra, self.in_features))
-            stacked[:batch] = positive
-            np.compress(needs_negative, negative, axis=0, out=stacked[batch:])
-            result_stacked = self._analog_pass(stacked)
-            result = result_stacked[:batch]
-            result[needs_negative] -= result_stacked[batch:]
-        else:
-            result = self._analog_pass(positive)
-        result = result[..., : self.out_features]
+        tick = time.perf_counter()
+        codes = self.codec.encode(acts, self.arena, self.key + ":x")
+        split = _split_signs(self.codec, codes, self.arena, self.key + ":x")
+        self.profile.dac_s += time.perf_counter() - tick
+        result = self.matvec_codes(self.codec, *split)
         return result[0] if squeeze else result
 
-    # ------------------------------------------------------------------
-    # Code-domain path
-    # ------------------------------------------------------------------
     def matvec_codes(self, codec: RowCodec, codes: np.ndarray,
                      codes_negative: np.ndarray,
                      needs_negative: np.ndarray) -> np.ndarray:
@@ -583,9 +471,10 @@ class CompiledTile:
 
         ``codes`` is the whole batch (``(batch, in_features)`` uint16),
         ``codes_negative`` the pre-compressed rows that need the second sign
-        pass, ``needs_negative`` the matching mask — all computed once per
-        layer row range and shared by every column tile.  The DAC stage is
-        two table gathers; ranking already happened at the layer boundary.
+        pass, ``needs_negative`` the matching mask — computed once per layer
+        row range and shared by every column tile, or by :meth:`matvec` for
+        this tile alone.  The DAC stage is two table gathers; ranking
+        already happened when the codes were encoded.
         """
         arena, key, profile = self.arena, self.key, self.profile
         batch = codes.shape[0]
@@ -737,28 +626,24 @@ class CompiledMappedLayer:
     forward iterates plain lists instead of re-deriving the tiling, and the
     shared routing adder keeps its accumulation format and counters.
 
-    In code-domain mode (the default) each row range whose tiles all
-    compiled and share one DAC transfer gets a :class:`RowCodec`: the
-    forward encodes that row slice into FP8 codes once and every column
-    tile consumes the codes through its fused tables.  Row ranges without a
-    codec (fallback tiles, mismatched calibration scales) take the
-    float-domain compiled path for exactly those rows.
+    Each row range whose tiles all compiled and share one DAC transfer
+    gets a :class:`RowCodec`: the forward encodes that row slice into FP8
+    codes once and every column tile consumes the codes through its fused
+    tables.  In any other row range (fallback tiles, mismatched calibration
+    scales) each compiled tile encodes its own slice with its own codec.
     """
 
     def __init__(self, mapped: MappedLayer, profile: StageProfile,
-                 arena: Optional[PlanArena] = None, key: str = "layer",
-                 code_domain: bool = True) -> None:
+                 arena: Optional[PlanArena] = None, key: str = "layer") -> None:
         self.mapped = mapped
         self.profile = profile
         self.arena = arena if arena is not None else PlanArena()
         self.key = key
-        self.code_domain = code_domain
         tiles = []
         for index, macro in enumerate(mapped.macros):
             try:
                 tiles.append(CompiledTile(macro, profile, self.arena,
-                                          key=f"{key}:t{index}",
-                                          use_arena=code_domain))
+                                          key=f"{key}:t{index}"))
             except TileNotCompilable:
                 tiles.append(_FallbackTile(macro))
         self.tiles = tiles
@@ -771,24 +656,20 @@ class CompiledMappedLayer:
                     for spec, macro in placements])
             for key_, placements in mapped.column_ranges
         ]
-        # Code-domain mode also LUT-compiles the routing adder's FP16
-        # accumulation rounding (float-plan mode keeps the generic adder —
-        # the PR-3 baseline the benchmarks compare against).
-        self.routing_adder = (_compile_routing_adder(mapped.routing_adder)
-                              if code_domain else mapped.routing_adder)
+        # The routing adder's FP16 accumulation rounding is LUT-compiled too.
+        self.routing_adder = _compile_routing_adder(mapped.routing_adder)
         # One codec per row range whose tiles can all consume shared codes.
         self.codecs: Dict[Tuple[int, int], RowCodec] = {}
-        if code_domain:
-            grouped: Dict[Tuple[int, int], List[object]] = {}
-            for _, placements in self.column_ranges:
-                for row_start, row_stop, tile in placements:
-                    grouped.setdefault((row_start, row_stop), []).append(tile)
-            for row_range, row_tiles in grouped.items():
-                if not all(isinstance(t, CompiledTile) for t in row_tiles):
-                    continue
-                codec = RowCodec(row_tiles[0])
-                if all(codec.matches(t) for t in row_tiles):
-                    self.codecs[row_range] = codec
+        grouped: Dict[Tuple[int, int], List[object]] = {}
+        for _, placements in self.column_ranges:
+            for row_start, row_stop, tile in placements:
+                grouped.setdefault((row_start, row_stop), []).append(tile)
+        for row_range, row_tiles in grouped.items():
+            if not all(isinstance(t, CompiledTile) for t in row_tiles):
+                continue
+            codec = row_tiles[0].codec
+            if all(codec.matches(t) for t in row_tiles):
+                self.codecs[row_range] = codec
 
     # The adapter probes these like the original MappedLayer.
     @property
@@ -817,29 +698,10 @@ class CompiledMappedLayer:
         for (row_start, row_stop), codec in self.codecs.items():
             codes = codec.encode(acts[:, row_start:row_stop], self.arena,
                                  f"{self.key}:r{row_start}")
-            encoded[(row_start, row_stop)] = self._split_signs(
-                codec, codes, f"{self.key}:r{row_start}")
+            encoded[(row_start, row_stop)] = _split_signs(
+                codec, codes, self.arena, f"{self.key}:r{row_start}")
         self.profile.dac_s += time.perf_counter() - tick
         return encoded
-
-    def _split_signs(self, codec: RowCodec, codes: np.ndarray,
-                     key: str) -> tuple:
-        """Compress the rows needing a negative pass (shared by all tiles).
-
-        A code at or beyond ``levels`` carries the sign bit, so
-        ``any(code >= levels)`` is exactly the generic path's
-        ``any(clip(-x, 0) > 0)`` — including tiny negatives that flush to
-        the zero rank but still owe a (zero-voltage) second pass.
-        """
-        sign_flags = self.arena.take(key + ":sflag", codes.shape, bool)
-        np.greater_equal(codes, np.uint16(codec.levels), out=sign_flags)
-        needs_negative = np.any(sign_flags, axis=1)
-        extra = int(np.count_nonzero(needs_negative))
-        compressed = self.arena.take(key + ":cneg", (extra, codes.shape[1]),
-                                     np.uint16)
-        if extra:
-            np.compress(needs_negative, codes, axis=0, out=compressed)
-        return codes, compressed, needs_negative
 
     def forward(self, activations: np.ndarray) -> np.ndarray:
         """Compute ``activations @ weights`` through the compiled tiles."""
@@ -864,8 +726,8 @@ class CompiledMappedLayer:
         ``(rows, in_features)`` uint16 im2col matrix of those codes.
         """
         tick = time.perf_counter()
-        encoded = {(0, self.in_features): self._split_signs(
-            codec, cols_codes, f"{self.key}:r0")}
+        encoded = {(0, self.in_features): _split_signs(
+            codec, cols_codes, self.arena, f"{self.key}:r0")}
         self.profile.dac_s += time.perf_counter() - tick
         return self._accumulate(None, encoded)
 
@@ -878,7 +740,7 @@ class CompiledMappedLayer:
             partials = []
             for row_start, row_stop, tile in placements:
                 row_range = (row_start, row_stop)
-                if row_range in encoded and isinstance(tile, CompiledTile):
+                if row_range in encoded:
                     codes, compressed, mask = encoded[row_range]
                     partials.append(tile.matvec_codes(
                         self.codecs[row_range], codes, compressed, mask))
@@ -1021,13 +883,12 @@ class ModelPlan:
 
     Construction prepares the backend on the model (programming/calibrating
     macros, attaching adapters) and then compiles the prepared state:
-    analog mapped layers get :class:`CompiledMappedLayer` kernels (running
-    in the code domain unless ``context.code_domain`` is off), fake
-    quantisation adapters get LUT quantisers, the ``ideal`` backend needs
-    nothing.  ``forward`` runs batches through the compiled state;
-    ``close`` restores the backend exactly as the generic path would leave
-    it.  Set ``context.compile_plan=False`` to keep the generic kernels (the
-    pre-plan behaviour, used as the benchmark baseline).
+    analog mapped layers get :class:`CompiledMappedLayer` kernels running
+    in the code domain, fake quantisation adapters get LUT quantisers, the
+    ``ideal`` backend needs nothing.  ``forward`` runs batches through the
+    compiled state; ``close`` restores the backend exactly as the generic
+    path would leave it.  Set ``context.compile_plan=False`` to keep the
+    generic kernels: that hook path is the bit-identity oracle.
 
     Plans are picklable: a pickled plan carries its replica model, packed
     tiles, code tables and generator states, so a process pool can
@@ -1061,7 +922,6 @@ class ModelPlan:
     def _compile(self) -> None:
         backend = self.backend
         context = self.context
-        code_domain = getattr(context, "code_domain", True)
         if isinstance(backend, AnalogBackend) and backend._mapped is not None:
             for index, adapter in enumerate(backend._mapped.adapters):
                 original = adapter.mapped
@@ -1071,15 +931,14 @@ class ModelPlan:
                     continue
                 compiled = CompiledMappedLayer(
                     original, self.profile, arena=self.arena,
-                    key=f"L{index}", code_domain=code_domain)
+                    key=f"L{index}")
                 adapter.mapped = compiled
                 self._swapped.append((adapter, original))
                 # Size the layer's scratch for the context's batch up front:
                 # Linear geometry is static, so steady-state forwards start
                 # allocation-free (conv slabs grow once on the first batch,
-                # when the spatial extent is known).  Float-plan tiles run
-                # the legacy kernels and never touch the arena.
-                if code_domain and isinstance(adapter.layer, Linear):
+                # when the spatial extent is known).
+                if isinstance(adapter.layer, Linear):
                     rows = 2 * max(int(getattr(context, "batch_size", 0)), 1)
                     for tile in compiled.tiles:
                         if isinstance(tile, CompiledTile):
@@ -1113,13 +972,6 @@ class ModelPlan:
             return True
         return (isinstance(self.backend, FakeQuantBackend)
                 and getattr(self.context, "compile_plan", True))
-
-    @property
-    def code_domain(self) -> bool:
-        """Whether any compiled layer is executing in the code domain."""
-        return any(isinstance(adapter.mapped, CompiledMappedLayer)
-                   and adapter.mapped.coded_row_ranges > 0
-                   for adapter, _ in self._swapped)
 
     # ------------------------------------------------------------------
     def forward(self, images: np.ndarray) -> np.ndarray:

@@ -39,11 +39,8 @@ def dirs(tmp_path):
 
 
 def _seed_serve_and_exec(fresh, baselines, fresh_factor=1.0):
-    _write(baselines, "BENCH_exec.json",
-           {"code_domain_speedup": 2.0, "plan_speedup": 3.0})
-    _write(fresh, "BENCH_exec.json",
-           {"code_domain_speedup": 2.0 * fresh_factor,
-            "plan_speedup": 3.0 * fresh_factor})
+    _write(baselines, "BENCH_exec.json", {"plan_speedup": 3.0})
+    _write(fresh, "BENCH_exec.json", {"plan_speedup": 3.0 * fresh_factor})
     _write(baselines, "BENCH_serve.json",
            {"transport_speedup": 1.6,
             "modes": {"thread": {"speedup": 6.0},
@@ -95,9 +92,9 @@ class TestMissingFreshResults:
     def test_core_key_missing_from_fresh_still_fails(self, dirs):
         fresh, baselines = dirs
         _seed_serve_and_exec(fresh, baselines)
-        _write(fresh, "BENCH_exec.json", {"plan_speedup": 3.0})  # key renamed
+        _write(fresh, "BENCH_exec.json", {"planned_speedup": 3.0})  # key renamed
         _, failures = check_regression.compare(fresh, baselines)
-        assert any("code_domain_speedup" in failure for failure in failures)
+        assert any("plan_speedup" in failure for failure in failures)
 
     def test_optional_set_only_lists_skippable_benchmarks(self):
         assert check_regression.OPTIONAL_FRESH <= set(

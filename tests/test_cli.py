@@ -57,3 +57,15 @@ class TestPipelineCLI:
         assert "pipeline x2" in out
         assert "pipeline stages (worker 0):" in out
         assert "SLO OK" in out
+
+
+class TestRunCLIValidation:
+    @pytest.mark.parametrize("argv, message", [
+        (["--mapped-layers", "-1"], r"max_mapped_layers must be None .* or >= 0"),
+        (["--samples", "-3"], r"--samples must be >= 1"),
+    ])
+    def test_out_of_range_counts_rejected(self, argv, message):
+        from repro.exec.cli import build_run_parser, run_run_command
+
+        with pytest.raises(SystemExit, match=message):
+            run_run_command(build_run_parser().parse_args(argv))

@@ -324,6 +324,30 @@ class TestCompiledMappedLayer:
         # Routing-adder accounting matches too (FP16 accumulation ran).
         assert generic.routing_adder.additions == host.routing_adder.additions
 
+    def test_row_range_without_shared_codec_bit_identical(self):
+        # A recalibrated tile breaks its row range's shared code table, so
+        # each tile of that range encodes its own slice with its own codec.
+        config = MacroConfig(device_statistics=quiet_stats())
+        rng = np.random.default_rng(18)
+        weights = rng.standard_normal((600, 150)) * 0.1
+        calibration = np.abs(rng.standard_normal((8, 600)))
+        layers = []
+        for _ in range(2):
+            layer = MappedLayer(weights, macro_config=config)
+            layer.calibrate(calibration)
+            layer.macros[1].set_activation_scale(3.7)
+            layers.append(layer)
+        generic, host = layers
+        compiled = CompiledMappedLayer(host, StageProfile())
+        assert len({(start, stop) for _, placements in compiled.column_ranges
+                    for start, stop, _ in placements}) == 2
+        assert compiled.coded_row_ranges == 1
+
+        acts = rng.standard_normal((10, 600))
+        assert bitwise_equal(generic.forward(acts), compiled.forward(acts))
+        assert generic.total_conversions() == compiled.total_conversions()
+        assert generic.routing_adder.additions == host.routing_adder.additions
+
     def test_stochastic_tiles_fall_back_but_still_match(self):
         # DAC output noise forces the generic fallback inside the compiled
         # layer; results still match because it *is* the generic path.
@@ -423,12 +447,12 @@ class TestRowCodec:
         seed=st.integers(min_value=0, max_value=2 ** 16),
     )
     @settings(max_examples=12, deadline=None)
-    def test_code_domain_layer_bit_identical_random_configs(
+    def test_coded_layer_bit_identical_random_configs(
             self, differential, read_noise, in_features, out_features,
             magnitude, seed):
         """Property: for random macro configs and activation regimes the
-        code-domain compiled layer reproduces the generic mapped layer bit
-        for bit (logits, conversions and routing-adder accounting)."""
+        compiled layer reproduces the generic mapped layer bit for bit
+        (logits, conversions and routing-adder accounting)."""
         config = MacroConfig(
             differential_columns=differential,
             read_noise_enabled=read_noise,
@@ -442,7 +466,7 @@ class TestRowCodec:
         generic.calibrate(calibration)
         host = MappedLayer(weights, macro_config=config)
         host.calibrate(calibration)
-        compiled = CompiledMappedLayer(host, StageProfile(), code_domain=True)
+        compiled = CompiledMappedLayer(host, StageProfile())
         assert compiled.coded_row_ranges == 1
 
         acts = rng.standard_normal((9, in_features)) * magnitude
@@ -494,22 +518,10 @@ class TestModelPlan:
         assert bitwise_equal(planned.logits, generic.logits), backend
         assert planned.conversions == generic.conversions
         assert planned.accuracy == generic.accuracy
-
-    @pytest.mark.parametrize("backend", ["ideal", "fake_quant", "fast_noise", "analog"])
-    def test_code_domain_bit_identical_to_float_plan_all_backends(
-            self, plan_setup, backend):
-        model, x_train, x_test, y_test = plan_setup
-        coded = run_model(model, x_test, y_test, backend=backend,
-                          context=plan_context(x_train))
-        float_plan = run_model(model, x_test, y_test, backend=backend,
-                               context=plan_context(x_train, code_domain=False))
-        assert bitwise_equal(coded.logits, float_plan.logits), backend
-        assert coded.conversions == float_plan.conversions
-        expected = {"analog": "code-domain", "ideal": "generic"}.get(
-            backend, "float-plan")
-        assert coded.plan_mode == expected
-        assert float_plan.plan_mode == ("generic" if backend == "ideal"
-                                        else "float-plan")
+        # The ideal backend has nothing to compile; the oracle never does.
+        assert planned.plan_mode == ("generic" if backend == "ideal"
+                                     else "compiled")
+        assert generic.plan_mode == "generic"
 
     def test_conv_model_threads_codes_through_im2col(self):
         # A padded conv (zero-pad codes!), signed inputs (both sign passes)
