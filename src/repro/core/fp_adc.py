@@ -55,17 +55,14 @@ class ADCConversionLUT:
     step function of the integrated charge.  ``values[indexer(charge)]``
     reproduces ``FPADC.convert`` bit-for-bit; ``saturated`` / ``underflow``
     flag the ranks whose codes clip, for the macro's statistics counters.
+    Saturation is exactly the top rank and underflow exactly rank 0 (the
+    build asserts it), so counters can compare ranks instead of gathering.
     """
 
     indexer: BucketIndexer
     values: np.ndarray
     saturated: np.ndarray
     underflow: np.ndarray
-
-    @property
-    def max_charge(self) -> float:
-        """Clamp point for the indexer (top of the last bucket's boundary)."""
-        return float(self.indexer.bounds[-1])
 
 
 @dataclasses.dataclass
@@ -429,6 +426,10 @@ class FPADC:
         mantissa = np.where(saturated, levels - 1, mantissa)
         values = self.decode(exponent, mantissa)
         values = np.where(underflow, 0.0, values)
+        ranks = np.arange(values.size)
+        if not (np.array_equal(saturated, ranks == ranks[-1])
+                and np.array_equal(underflow, ranks == 0)):
+            raise AssertionError("ADC flags are not exactly the top / zero rank")
         return ADCConversionLUT(
             indexer=BucketIndexer(bounds),
             values=values,

@@ -10,7 +10,8 @@ context)``:
   conductance block packed contiguous, the DAC's 2^8 code→voltage transfer
   and the ADC's charge→code conversion baked into lookup tables
   (:meth:`~repro.core.fp_dac.FPDAC.voltage_lut`,
-  :meth:`~repro.core.fp_adc.FPADC.conversion_lut`);
+  :meth:`~repro.core.fp_adc.FPADC.conversion_lut`) whose bucket bounds are
+  pulled back so the DAC ranks ``|x|`` and the ADC the matmul's currents;
 * compiled tiles run in the **code domain**: activations are encoded
   into FP8 activation codes (sign + the DAC's 7-bit exponent/mantissa
   rank, plus the zero-detect level, stored as uint16) and
@@ -25,10 +26,10 @@ context)``:
   every tile of the range — conv layers even expand patches as uint16
   code gathers, 4x less memory traffic than float64 im2col; any other
   compiled tile encodes its own row slice with its own table;
-* planned execution is **allocation-free** in steady state: a per-plan
-  :class:`PlanArena` provides reusable scratch slabs for the DAC gathers,
-  the crossbar matmul, the charge clip, the ADC gather and the blocked-row
-  path (which writes block slices into one arena output instead of
+* planned execution is **allocation-free** after the first forward: a
+  per-plan :class:`PlanArena` grows reusable scratch slabs for the DAC
+  gathers, the crossbar matmul, the ADC ranking and gather and the
+  blocked-row path (which writes block slices into one arena output instead of
   recursively concatenating), and im2col / code staging reuses the same
   slabs across batches;
 * fake-quant adapters get LUT-compiled quantisers
@@ -36,7 +37,8 @@ context)``:
 
 The compiled fast paths are **bit-identical** to the generic ones — the
 lookup tables are built with exact boundary refinement
-(:func:`repro.formats.fp8.refine_step_boundaries`), the code domain is an
+(:func:`repro.formats.fp8.refine_step_boundaries`) and pulled back to the
+raw domains ulp-exactly, the code domain is an
 exact re-encoding of the float activations (`|x|` ranks identically to the
 sign-split parts the generic path ranks), and stochastic parts (crossbar
 read noise) keep drawing from the same generators in the same order and
@@ -72,7 +74,12 @@ from repro.core.macro import AFPRMacro
 from repro.core.mapping import MappedLayer, conv_output_size, im2col
 from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.backends import AnalogBackend, FakeQuantBackend
-from repro.formats.fp8 import quantization_lut, quantize_via_lut
+from repro.formats.fp8 import (
+    BucketIndexer,
+    pull_back_bounds,
+    quantization_lut,
+    quantize_via_lut,
+)
 from repro.formats.quantizer import compile_quantizer
 from repro.nn.layers import Layer, Linear
 from repro.nn.model import Model
@@ -189,8 +196,9 @@ class RowCodec:
 
     Composes the DAC's quantiser (the exact bucket indexer over the float
     lattice) with the sign split into one uint16 code per activation:
-    ``code = rank(|x| / scale)`` for non-negative ``x`` and
-    ``code = levels + rank`` for negative ``x``.  The fused signed
+    ``code = rank(|x|)`` for non-negative ``x`` and ``code = levels + rank``
+    for negative ``x``, ranked against the DAC's bounds pulled back through
+    ``/ scale`` (see :class:`CompiledTile`).  The fused signed
     code→voltage tables (:attr:`volts_pos` / :attr:`volts_neg`, raw twins
     for offset mapping) then turn a code directly into the voltage the
     generic path would have produced for the matching sign pass — zero
@@ -199,9 +207,7 @@ class RowCodec:
     """
 
     def __init__(self, tile: "CompiledTile") -> None:
-        self.activation_scale = tile.activation_scale
-        self.indexer = tile.dac_indexer
-        self.clamp = tile.dac_clamp
+        self.indexer = tile.act_indexer
         #: Number of magnitude levels (zero + the DAC's non-zero codes).
         self.levels = int(tile.dac_volts.shape[0])
         zeros = np.zeros(self.levels, dtype=np.float64)
@@ -216,10 +222,7 @@ class RowCodec:
 
     def matches(self, tile: "CompiledTile") -> bool:
         """Whether ``tile`` can consume this codec's codes bit-identically."""
-        return (tile.activation_scale == self.activation_scale
-                and tile.dac_clamp == self.clamp
-                and tile.dac_volts.shape[0] == self.levels
-                and np.array_equal(tile.dac_indexer.bounds, self.indexer.bounds)
+        return (np.array_equal(tile.act_indexer.bounds, self.indexer.bounds)
                 and np.array_equal(tile.dac_volts, self.volts_pos[:self.levels])
                 and np.array_equal(tile.dac_volts_raw, self.raw_pos[:self.levels]))
 
@@ -228,19 +231,17 @@ class RowCodec:
 
         Bit-exact against the generic sign-split ranking: for ``x >= 0`` the
         positive part equals ``|x|`` and for ``x < 0`` the negative part
-        equals ``|x|`` (exact negation), so ranking ``|x| / scale`` once
-        reproduces the rank either sign pass would compute, and the opposite
-        pass's zero-clip collapses to the zero entries of the signed tables.
+        equals ``|x|`` (exact negation), so ranking ``|x|`` once reproduces
+        the rank either sign pass would compute, and the opposite pass's
+        zero-clip collapses to the zero entries of the signed tables.
         """
         shape = acts.shape
         mag = arena.take(key + ":mag", shape)
         np.abs(acts, out=mag)
-        np.divide(mag, self.activation_scale, out=mag)
-        np.minimum(mag, self.clamp, out=mag)
-        rank = arena.take(key + ":rank", shape, np.int64)
-        work = arena.take(key + ":work", shape)
-        work_int = arena.take(key + ":wint", shape, np.int64)
-        rank = self.indexer(mag, out=rank, work=work, work_int=work_int)
+        rank = self.indexer(
+            mag, out=arena.take(key + ":rank", shape, np.int64),
+            work=arena.take(key + ":work", shape),
+            work_int=arena.take(key + ":wint", shape, np.int64))
         codes = arena.take(key + ":codes", shape, np.uint16)
         np.copyto(codes, rank, casting="unsafe")
         negative = arena.take(key + ":neg", shape, bool)
@@ -250,16 +251,24 @@ class RowCodec:
         codes += offset
         return codes
 
+    def any_negative(self, codes: np.ndarray) -> bool:
+        """Whether any code carries the sign bit (one max-reduction pass)."""
+        return codes.size > 0 and int(codes.max()) >= self.levels
+
 
 def _split_signs(codec: RowCodec, codes: np.ndarray, arena: PlanArena,
-                 key: str) -> tuple:
+                 key: str, signed: Optional[bool] = None) -> tuple:
     """``(codes, compressed, mask)``: the rows needing a negative pass.
 
     A code at or beyond ``levels`` carries the sign bit, so
     ``any(code >= levels)`` is exactly the generic path's
     ``any(clip(-x, 0) > 0)`` — including tiny negatives that flush to the
-    zero rank but still owe a (zero-voltage) second pass.
+    zero rank but still owe a (zero-voltage) second pass.  When no code
+    carries the sign bit (``signed``, probed here when not given) the row
+    scan is skipped.
     """
+    if not (codec.any_negative(codes) if signed is None else signed):
+        return codes, codes[:0], None
     sign_flags = arena.take(key + ":sflag", codes.shape, bool)
     np.greater_equal(codes, np.uint16(codec.levels), out=sign_flags)
     needs_negative = np.any(sign_flags, axis=1)
@@ -280,10 +289,12 @@ class CompiledTile:
       passes,
     * crossbar: the packed contiguous conductance block, read noise drawn
       from the *same* device generator in the same order and shape,
-    * ADC: ``values[rank(charge)]`` instead of the adaptive-range search,
-      residual-voltage gathers and single-slope rounding,
+    * ADC: ``values[rank(I)]`` on the matmul's currents instead of the
+      adaptive-range search, residual-voltage gathers and single-slope
+      rounding,
 
-    and updates ``macro.stats`` exactly like the generic path.  All scratch
+    and updates ``macro.stats`` exactly like the generic path (saturations
+    and underflows counted from the top and bottom ranks).  All scratch
     comes from the plan's :class:`PlanArena`; the blocked-row path writes
     block slices into one arena output instead of recursively concatenating.
     Construction raises :class:`TileNotCompilable` when the configuration
@@ -332,10 +343,17 @@ class CompiledTile:
         else:
             self.wire_resistance = None
 
-        # (b) LUT-fused conversion kernels.
-        self.activation_scale = macro.activation_scale
+        # (b) LUT-fused conversion kernels.  The generic path ranks
+        # min(|x| / scale, clamp) and min(max(I, 0) * T_int, clamp); both
+        # transforms fold into the bounds (the clamps never change a rank).
         dac_indexer, dac_volts = dac_lut
-        self.dac_indexer = dac_indexer
+        scale = macro.activation_scale
+        self.act_indexer = BucketIndexer(pull_back_bounds(
+            dac_indexer.bounds, lambda y: y / scale, dac_indexer.bounds * scale))
+        t_int = config.adc.integration_time
+        self.current_indexer = BucketIndexer(pull_back_bounds(
+            adc_lut.indexer.bounds, lambda i: i * t_int,
+            adc_lut.indexer.bounds / t_int))
         # Fold the crossbar's input clip into the table: voltages are
         # per-code constants, so clipping the 129 entries equals clipping
         # every converted element.  Offset mapping also needs the *raw*
@@ -344,14 +362,10 @@ class CompiledTile:
         v_max = macro.crossbar.config.v_input_max
         self.dac_volts = np.clip(dac_volts, -v_max, v_max)
         self.dac_volts_raw = dac_volts
-        self.dac_clamp = float(dac_indexer.bounds[-1])
-        self.adc = adc_lut
-        self.integration_time = config.adc.integration_time
         # Fold the code-value → current reconstruction constant into the
         # table (the reference multiplies elementwise by the same scalar).
         self.adc_values = adc_lut.values * macro.adc.value_to_current(1.0)
-        self.adc_sat = adc_lut.saturated
-        self.adc_under = adc_lut.underflow
+        self.adc_top_rank = adc_lut.values.size - 1
         # Output scale chain, exactly as _current_to_output derives it.
         g_span = macro.device.g_max - macro.device.g_min
         if self.differential:
@@ -362,18 +376,6 @@ class CompiledTile:
         denom = macro.dac.volts_per_unit * conductance_swing
         self.output_scale = (macro.activation_scale * macro.weight_scale / denom
                              if macro.weight_scale > 0 else 0.0)
-
-    def reserve(self, rows: int) -> None:
-        """Pre-size the arena slabs for ``rows`` stacked activation rows."""
-        block = min(rows, self.macro.ANALOG_PASS_BLOCK_ROWS)
-        self.arena.take(self.key + ":volts", (rows, self.in_features))
-        self.arena.take(self.key + ":out", (rows, self.out_width))
-        self.arena.take(self.key + ":cur", (block, self.active_cols))
-        self.arena.take(self.key + ":crank", (block, self.active_cols), np.int64)
-        self.arena.take(self.key + ":cwork", (block, self.active_cols))
-        self.arena.take(self.key + ":cwint", (block, self.active_cols), np.int64)
-        self.arena.take(self.key + ":meas", (block, self.active_cols))
-        self.arena.take(self.key + ":flags", (block, self.active_cols), bool)
 
     # ------------------------------------------------------------------
     def _block_conductances(self) -> np.ndarray:
@@ -398,36 +400,29 @@ class CompiledTile:
         ``out_block``.
         """
         arena, key, profile = self.arena, self.key, self.profile
-        rows = voltages.shape[0]
+        shape = (voltages.shape[0], self.active_cols)
 
         tick = time.perf_counter()
         conductances = self._block_conductances()
-        currents = arena.take(key + ":cur", (rows, self.active_cols))
+        currents = arena.take(key + ":cur", shape)
         np.matmul(voltages, conductances, out=currents)
         tock = time.perf_counter()
         profile.crossbar_s += tock - tick
 
-        # charge = clip(I, 0) * T_int, clamped to the table's top bucket —
-        # all in place on the current buffer.
-        np.clip(currents, 0.0, None, out=currents)
-        currents *= self.integration_time
-        np.minimum(currents, self.adc.max_charge, out=currents)
-        rank = arena.take(key + ":crank", (rows, self.active_cols), np.int64)
-        rank = self.adc.indexer(
-            currents, out=rank,
-            work=arena.take(key + ":cwork", (rows, self.active_cols)),
-            work_int=arena.take(key + ":cwint", (rows, self.active_cols), np.int64))
-        measured = arena.take(key + ":meas", (rows, self.active_cols))
-        np.take(self.adc_values, rank, out=measured, mode="clip")
+        rank = self.current_indexer(
+            currents, out=arena.take(key + ":crank", shape, np.int64),
+            work=arena.take(key + ":cwork", shape),
+            work_int=arena.take(key + ":cwint", shape, np.int64))
+        # The currents are dead once ranked; the readout reuses their slab.
+        measured = np.take(self.adc_values, rank, out=currents, mode="clip")
 
         stats = self.macro.stats
-        stats.conversions += rows
-        stats.mac_operations += rows * 2 * self.in_features * self.out_features
-        flags = arena.take(key + ":flags", (rows, self.active_cols), bool)
-        np.take(self.adc_sat, rank, out=flags, mode="clip")
+        stats.conversions += shape[0]
+        stats.mac_operations += shape[0] * 2 * self.in_features * self.out_features
+        flags = arena.take(key + ":flags", shape, bool)
+        np.equal(rank, self.adc_top_rank, out=flags)
         stats.adc_saturations += int(np.count_nonzero(flags))
-        np.take(self.adc_under, rank, out=flags, mode="clip")
-        stats.adc_underflows += int(np.count_nonzero(flags))
+        stats.adc_underflows += rank.size - int(np.count_nonzero(rank))
 
         if self.differential:
             np.subtract(measured[..., 0::2], measured[..., 1::2], out=out_block)
@@ -466,13 +461,13 @@ class CompiledTile:
 
     def matvec_codes(self, codec: RowCodec, codes: np.ndarray,
                      codes_negative: np.ndarray,
-                     needs_negative: np.ndarray) -> np.ndarray:
+                     needs_negative: Optional[np.ndarray]) -> np.ndarray:
         """``activations @ W`` from pre-encoded signed activation codes.
 
         ``codes`` is the whole batch (``(batch, in_features)`` uint16),
         ``codes_negative`` the pre-compressed rows that need the second sign
-        pass, ``needs_negative`` the matching mask — computed once per layer
-        row range and shared by every column tile, or by :meth:`matvec` for
+        pass, ``needs_negative`` the matching mask (or ``None``) — computed
+        once per layer row range and shared by every column tile, or by :meth:`matvec` for
         this tile alone.  The DAC stage is two table gathers; ranking
         already happened when the codes were encoded.
         """
@@ -718,16 +713,19 @@ class CompiledMappedLayer:
 
     __call__ = forward
 
-    def forward_coded(self, cols_codes: np.ndarray, codec: RowCodec) -> np.ndarray:
+    def forward_coded(self, cols_codes: np.ndarray, codec: RowCodec,
+                      signed: bool) -> np.ndarray:
         """Forward pre-encoded codes covering the whole input width.
 
         Used by the planned conv forward, which encodes the NCHW input once
         and expands patches in the code domain; ``cols_codes`` is the
         ``(rows, in_features)`` uint16 im2col matrix of those codes.
+        ``signed``: whether the NCHW code map held a sign bit; without one
+        no patch row can (padding is code 0), so the patches go unscanned.
         """
         tick = time.perf_counter()
         encoded = {(0, self.in_features): _split_signs(
-            codec, cols_codes, self.arena, f"{self.key}:r0")}
+            codec, cols_codes, self.arena, f"{self.key}:r0", signed)}
         self.profile.dac_s += time.perf_counter() - tick
         return self._accumulate(None, encoded)
 
@@ -808,7 +806,8 @@ class _PlannedMatmulForward:
         self.key = key
 
     def _conv_cols(self, x: np.ndarray, h_out: int, w_out: int):
-        """The im2col matrix — code-domain uint16 when the layer allows it."""
+        """``(cols, codec, signed)``: the im2col matrix — code-domain uint16
+        when the layer allows it — and whether any input code is signed."""
         layer, arena, key = self.layer, self.arena, self.key
         n, c = x.shape[0], x.shape[1]
         k = layer.kernel_size
@@ -824,13 +823,14 @@ class _PlannedMatmulForward:
         if codec is None:
             cols = im2col(x, k, layer.stride, layer.padding,
                           out=staging, pad_buffer=pad_buffer)
-            return cols, None
+            return cols, None, True
         tick = time.perf_counter()
         codes = codec.encode(x, arena, key + ":x")
+        signed = codec.any_negative(codes)
         self.mapped.profile.dac_s += time.perf_counter() - tick
         cols = im2col(codes, k, layer.stride, layer.padding, dtype=None,
                       out=staging, pad_buffer=pad_buffer)
-        return cols, codec
+        return cols, codec, signed
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # Per-layer tracing hook: when a plan-trace buffer is active on
@@ -867,9 +867,9 @@ class _PlannedMatmulForward:
                                  layer.padding)
         w_out = conv_output_size(x.shape[3], layer.kernel_size, layer.stride,
                                  layer.padding)
-        cols, codec = self._conv_cols(x, h_out, w_out)
+        cols, codec, signed = self._conv_cols(x, h_out, w_out)
         if codec is not None:
-            result = self.mapped.forward_coded(cols, codec)
+            result = self.mapped.forward_coded(cols, codec, signed)
         else:
             result = self.mapped.forward(cols)
         result = result.reshape(n, h_out, w_out, layer.out_channels).transpose(0, 3, 1, 2)
@@ -921,7 +921,6 @@ class ModelPlan:
     # ------------------------------------------------------------------
     def _compile(self) -> None:
         backend = self.backend
-        context = self.context
         if isinstance(backend, AnalogBackend) and backend._mapped is not None:
             for index, adapter in enumerate(backend._mapped.adapters):
                 original = adapter.mapped
@@ -934,15 +933,8 @@ class ModelPlan:
                     key=f"L{index}")
                 adapter.mapped = compiled
                 self._swapped.append((adapter, original))
-                # Size the layer's scratch for the context's batch up front:
-                # Linear geometry is static, so steady-state forwards start
-                # allocation-free (conv slabs grow once on the first batch,
-                # when the spatial extent is known).
-                if isinstance(adapter.layer, Linear):
-                    rows = 2 * max(int(getattr(context, "batch_size", 0)), 1)
-                    for tile in compiled.tiles:
-                        if isinstance(tile, CompiledTile):
-                            tile.reserve(rows)
+                # Arena slabs grow on the first forward (or a larger batch)
+                # and are reused allocation-free after that.
                 try:
                     override = _PlannedMatmulForward(
                         adapter.layer, compiled, arena=self.arena,
@@ -1153,7 +1145,7 @@ def split_plan(plan: ModelPlan,
 #: pickled plan layout (or anything the fingerprint cannot see) changes in
 #: a way that makes old entries wrong to reuse; the version is folded into
 #: every fingerprint, so a bump invalidates the whole cache at once.
-PLAN_CACHE_VERSION = 1
+PLAN_CACHE_VERSION = 2
 
 
 def _model_descriptor(model: Model) -> list:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -318,8 +319,7 @@ class FloatFormat:
 # Lookup-table compilation of monotone quantisation kernels
 # ----------------------------------------------------------------------
 def refine_step_boundaries(candidates: np.ndarray,
-                           classify: Callable[[np.ndarray], np.ndarray],
-                           domain_min: float = 0.0) -> np.ndarray:
+                           classify: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Exact float64 thresholds of a monotone step function.
 
     ``classify`` maps values to integer bucket indices and must be monotone
@@ -334,7 +334,8 @@ def refine_step_boundaries(candidates: np.ndarray,
     ``r`` meaning "past ``r`` transitions".  Candidates whose neighbourhood
     shows no bucket change (empty buckets, duplicated thresholds) are
     dropped.  This is what lets per-element FP8 encode / ADC decode math be
-    replaced by one ``searchsorted`` + ``take`` without losing bit identity.
+    replaced by one :class:`BucketIndexer` ranking + ``take`` without losing
+    bit identity.
     """
     candidates = np.unique(np.asarray(candidates, dtype=np.float64))
     if candidates.size == 0:
@@ -345,14 +346,14 @@ def refine_step_boundaries(candidates: np.ndarray,
     # bisected simultaneously so `classify` runs a few dozen vectorised
     # calls, not thousands of scalar ones.
     delta = np.maximum(np.abs(candidates) * 1e-12, np.finfo(np.float64).tiny)
-    lo = np.maximum(candidates - delta, domain_min)
+    lo = np.maximum(candidates - delta, 0.0)
     hi = candidates + delta
     for _ in range(24):
         undecided = classify(lo) == classify(hi)
         if not np.any(undecided):
             break
         delta = np.where(undecided, delta * 4.0, delta)
-        lo = np.where(undecided, np.maximum(candidates - delta, domain_min), lo)
+        lo = np.where(undecided, np.maximum(candidates - delta, 0.0), lo)
         hi = np.where(undecided, candidates + delta, hi)
     keep = classify(lo) != classify(hi)
     lo, hi = lo[keep], hi[keep]
@@ -372,56 +373,80 @@ def refine_step_boundaries(candidates: np.ndarray,
     return np.unique(hi)
 
 
+def pull_back_bounds(bounds: np.ndarray,
+                     transform: Callable[[np.ndarray], np.ndarray],
+                     guess: np.ndarray) -> np.ndarray:
+    """Boundaries of ``rank(transform(x))`` in the untransformed domain.
+
+    ``transform`` must be monotone non-decreasing on the float lattice (a
+    rounded multiply or divide by a positive constant is) and ``guess`` an
+    ulp-accurate estimate of each pre-image.  Each result is the smallest
+    float64 ``x`` with ``transform(x) >= bound``, found by walking ``guess``
+    one ulp at a time, so ranking ``x`` against the result equals ranking
+    ``transform(x)`` against ``bounds`` bit for bit.
+    """
+    x = np.asarray(guess, dtype=np.float64)
+    for _ in range(64):
+        low = transform(x) < bounds
+        move = low | (transform(np.nextafter(x, -np.inf)) >= bounds)
+        if not np.any(move):
+            return x
+        x = np.where(move, np.nextafter(x, np.where(low, np.inf, -np.inf)), x)
+    raise AssertionError("boundary pull-back did not converge")
+
+
 class BucketIndexer:
     """Rank values against exact step boundaries in O(1) per element.
 
     ``np.searchsorted`` is exact but costs a branchy binary search per
-    element.  This indexer precomputes a uniform coarse grid finer than the
-    smallest boundary gap, so each cell contains at most one boundary: the
-    rank of a value is the precomputed rank of its cell's left edge plus one
-    comparison against the only boundary that can follow it.  The result is
-    bit-identical to ``searchsorted(bounds, v, side="right")`` for every
-    value at or above ``domain_min`` (NaN ranks 0), in a handful of cheap
-    vectorised passes.
+    element.  This indexer lays a uniform grid anchored at 0 whose cell
+    step is the largest power of two not above the smallest boundary gap,
+    so each cell holds at most one boundary.  Scaling by a power of two is
+    exact, so the float-clipped, truncated cell of ``v`` is exactly
+    ``floor(v / step)``; its rank is the precomputed rank of the cell's
+    left edge plus one comparison against the cell's inner boundary (NaN,
+    which no comparison passes, when it has none) — seven vectorised
+    passes.
 
-    Grids larger than ``max_cells`` (huge dynamic ranges, e.g. FP16) fall
-    back to plain ``searchsorted`` — still exact, just slower.
+    Bounds must be positive, finite and strictly increasing.  The rank of
+    every float64 equals ``searchsorted(bounds, v, side="right")``: zero,
+    subnormals and +inf (rank ``len(bounds)``) included.  Negatives and NaN
+    rank 0.  Grids larger than ``max_cells`` (huge dynamic ranges, e.g.
+    FP16) fall back to plain ``searchsorted`` — still exact, just slower.
     """
 
-    def __init__(self, bounds: np.ndarray, domain_min: float = 0.0,
-                 max_cells: int = 1 << 20) -> None:
+    def __init__(self, bounds: np.ndarray, max_cells: int = 1 << 20) -> None:
         self.bounds = np.asarray(bounds, dtype=np.float64)
-        if self.bounds.size == 0 or np.any(np.diff(self.bounds) <= 0):
-            raise ValueError("bounds must be non-empty and strictly increasing")
-        self.domain_min = float(domain_min)
-        #: Boundary following bucket ``r`` (+inf past the last one) and the
-        #: boundary entering it (-inf before the first one): one comparison
-        #: against each corrects any ±1-cell rounding of the grid index.
-        self._next_bound = np.append(self.bounds, np.inf)
-        self._prev_bound = np.concatenate([[-np.inf], self.bounds])
-        span = float(self.bounds[-1]) - self.domain_min
-        min_gap = float(np.min(np.diff(self.bounds))) if self.bounds.size > 1 else span
-        min_gap = min(min_gap, float(self.bounds[0]) - self.domain_min) or span
-        step = min_gap / 2.0
-        cells_needed = np.ceil(span / step) + 2 if step > 0 else np.inf
-        if np.isfinite(cells_needed) and 0 < cells_needed <= max_cells:
-            cells = int(cells_needed)
-            self._inv_step = 1.0 / step
-            edges = self.domain_min + np.arange(cells) * step
-            self._coarse: Optional[np.ndarray] = np.searchsorted(
-                self.bounds, edges, side="right")
-            self._cells = cells
-        else:
-            self._inv_step = 0.0
-            self._coarse = None
-            self._cells = 0
+        if (self.bounds.size == 0 or not np.all(np.isfinite(self.bounds))
+                or self.bounds[0] <= 0 or np.any(np.diff(self.bounds) <= 0)):
+            raise ValueError(
+                "bounds must be positive, finite and strictly increasing")
+        top = float(self.bounds[-1])
+        gap = float(np.min(np.diff(self.bounds))) if self.bounds.size > 1 else top
+        # Step 2**exp <= gap.  Sizing the grid from frexp exponents cannot
+        # overflow, and a normal step keeps 1 / step finite.  The last cell
+        # starts above the top bound: rank len(bounds), no inner boundary.
+        exp = math.frexp(gap)[1] - 1
+        cells = max_cells + 1
+        if exp >= -1023 and math.frexp(top)[1] - exp <= max_cells.bit_length():
+            cells = int(math.ldexp(top, -exp)) + 2
+        self._cells, self._inv_step = 0, 0.0
+        self._base: Optional[np.ndarray] = None
+        if cells <= max_cells:
+            self._cells, self._inv_step = cells, math.ldexp(1.0, -exp)
+            edges = np.ldexp(np.arange(cells, dtype=np.float64), exp)
+            self._base = np.searchsorted(self.bounds, edges, side="right")
+            following = np.append(self._base[1:], self.bounds.size)
+            self._inner = np.where(
+                following > self._base,
+                self.bounds[np.minimum(self._base, self.bounds.size - 1)], np.nan)
 
     @property
     def has_coarse_grid(self) -> bool:
         """Whether the O(1) coarse grid compiled (vs. the ``searchsorted``
         fallback for huge dynamic ranges) — callers deciding whether a
         LUT path will actually be fast can probe this."""
-        return self._coarse is not None
+        return self._base is not None
 
     def __call__(self, v: np.ndarray,
                  out: Optional[np.ndarray] = None,
@@ -429,52 +454,36 @@ class BucketIndexer:
                  work_int: Optional[np.ndarray] = None) -> np.ndarray:
         """Rank of each element: how many boundaries are ≤ it.
 
-        Elements must be ≥ ``domain_min`` and finite (or NaN, which ranks 0
-        like ``searchsorted``'s ordering places nothing below it); callers
-        clamp infinities to ``bounds[-1]`` beforehand.
-
         ``out`` (int64), ``work`` (float64) and ``work_int`` (int64) are
         optional preallocated buffers of ``v``'s shape; when all three are
         given the ranking runs without allocating (the execution-plan arena
         passes its scratch slabs here).  The result is written into ``out``
-        and returned, bit-identical to the allocating path.
+        and returned; the allocating path runs the same kernel on fresh
+        buffers.
         """
         v = np.asarray(v, dtype=np.float64)
-        if self._coarse is None:
-            return np.searchsorted(self.bounds, v, side="right")
-        buffered = out is not None and work is not None and work_int is not None
-        with np.errstate(invalid="ignore"):
-            # NaN casts to INT64_MIN on the supported platforms, clips to
-            # cell 0 and fails both ordered comparisons below: rank 0.
-            if buffered:
-                np.subtract(v, self.domain_min, out=work)
-                np.multiply(work, self._inv_step, out=work)
-                # C-style float→int truncation, same conversion as astype.
-                np.copyto(out, work, casting="unsafe")
-                cell = out
-            else:
-                cell = ((v - self.domain_min) * self._inv_step).astype(np.int64)
-        np.clip(cell, 0, self._cells - 1, out=cell)
-        if not buffered:
-            rank = self._coarse[cell]
-            rank += v >= self._next_bound[rank]
-            rank -= v < self._prev_bound[rank]
-            return rank
-        # All indices are in range by construction (cell is clipped, ranks
-        # stay within the padded bound tables), so mode="clip" is value-
-        # identical to the default while skipping its internal buffering.
-        # No gather aliases its own index array: the rank accumulates in
-        # `work_int` while `out` (whose cell contents are dead after the
-        # first gather) serves as the comparison scratch, and the result is
-        # copied into `out` at the end to keep the documented contract.
-        rank = np.take(self._coarse, cell, out=work_int, mode="clip")
-        np.take(self._next_bound, rank, out=work, mode="clip")
-        np.greater_equal(v, work, out=out, casting="unsafe")
-        rank += out
-        np.take(self._prev_bound, rank, out=work, mode="clip")
-        np.less(v, work, out=out, casting="unsafe")
-        rank -= out
-        np.copyto(out, rank)
+        if self._base is None:
+            return np.where(np.isnan(v), 0,
+                            np.searchsorted(self.bounds, v, side="right"))
+        if out is None or work is None or work_int is None:
+            out = np.empty(v.shape, dtype=np.int64)
+            work = np.empty(v.shape, dtype=np.float64)
+            work_int = np.empty(v.shape, dtype=np.int64)
+        # Negatives clip to cell 0 and fail its (positive) inner boundary;
+        # values past the grid, +inf and overflowed products clip to the
+        # last cell.  A cell without a boundary holds NaN, which every
+        # comparison fails.  A NaN input survives the clip and casts to
+        # INT64_MIN (x86-64) or 0 (AArch64), both cell 0 under mode="clip",
+        # and fails every comparison too.  All other indices are in range,
+        # so mode="clip" only skips np.take's internal buffering.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(v, self._inv_step, out=work)
+            np.clip(work, 0.0, self._cells - 1, out=work)
+            np.copyto(out, work, casting="unsafe")
+            np.take(self._inner, out, out=work, mode="clip")
+            np.take(self._base, out, out=work_int, mode="clip")
+            np.greater_equal(v, work, out=out)
+        out += work_int
         return out
 
 
@@ -527,8 +536,7 @@ def quantize_via_lut(fmt: FloatFormat, x: np.ndarray) -> np.ndarray:
     indexer, values = quantization_lut(fmt)
     x = np.asarray(x, dtype=np.float64)
     sign = np.sign(x)
-    mag = np.minimum(np.abs(x), indexer.bounds[-1])
-    return sign * values[indexer(mag)]
+    return sign * values[indexer(np.abs(x))]
 
 
 def decompose(x: np.ndarray, fmt: FloatFormat) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -240,9 +240,7 @@ class LUTFloatQuantizer(FloatQuantizer):
             tables = self.__dict__["_tables"] = quantization_lut(self.fmt)
         indexer, values = tables
         y = x / scale
-        sign = np.sign(y)
-        mag = np.minimum(np.abs(y), indexer.bounds[-1])
-        return sign * values[indexer(mag)] * scale
+        return np.sign(y) * values[indexer(np.abs(y))] * scale
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

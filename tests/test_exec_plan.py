@@ -10,12 +10,20 @@ and process-pool serving.
 """
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import ADCConfig, DACConfig, MacroConfig, hardware_activation_format
+from repro.core.config import (
+    ADCConfig,
+    DACConfig,
+    MacroConfig,
+    e2m5_macro_config,
+    e3m4_macro_config,
+    hardware_activation_format,
+)
 from repro.core.fp_adc import FPADC
 from repro.core.fp_dac import FPDAC
 from repro.core.macro import AFPRMacro
@@ -74,6 +82,22 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 # ----------------------------------------------------------------------
 # LUT primitives
 # ----------------------------------------------------------------------
+def contract_rank(bounds: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The documented ranking: searchsorted for non-negative values,
+    rank 0 for negatives and NaN."""
+    rank = np.searchsorted(bounds, v, side="right")
+    return np.where(np.isnan(v) | (v < 0), 0, rank)
+
+
+def both_call_paths(indexer: BucketIndexer, v: np.ndarray):
+    """The allocating ranking and the arena-buffered one."""
+    out = np.full(v.shape, -7, dtype=np.int64)
+    buffered = indexer(v, out=out, work=np.empty(v.shape),
+                       work_int=np.empty(v.shape, dtype=np.int64))
+    assert buffered is out
+    return indexer(v), buffered
+
+
 class TestBucketIndexer:
     def test_matches_searchsorted_everywhere(self):
         rng = np.random.default_rng(0)
@@ -84,19 +108,69 @@ class TestBucketIndexer:
             bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf),
             [0.0, bounds[-1]],
         ])
-        assert np.array_equal(indexer(values),
-                              np.searchsorted(bounds, values, side="right"))
+        for ranks in both_call_paths(indexer, values):
+            assert np.array_equal(
+                ranks, np.searchsorted(bounds, values, side="right"))
+
+    @pytest.mark.parametrize("bounds", [
+        np.sort(np.random.default_rng(1).uniform(0.1, 10.0, size=40)),
+        np.array([3.0]),
+        np.array([2.0 ** -1020, 2.0 ** -1019, 3.0 * 2.0 ** -1019]),  # near subnormals
+        np.array([1e-9, 1e-9 + 2.0 ** -45, 4e-9]),  # gap far below the bounds
+        np.array([0.25, 0.5, 0.75, 1.0]),  # bounds on grid edges
+        FPDAC(DACConfig()).voltage_lut()[0].bounds,
+        FPADC(ADCConfig(exponent_bits=3, mantissa_bits=4)).conversion_lut().indexer.bounds,
+    ])
+    def test_documented_contract_both_call_paths(self, bounds):
+        indexer = BucketIndexer(bounds)
+        assert indexer.has_coarse_grid
+        # The grid the docstring promises: a power-of-two step not above
+        # the smallest gap, anchored at 0, one cell past the top bound.
+        gap = np.min(np.diff(bounds)) if bounds.size > 1 else bounds[0]
+        step = 2.0 ** np.floor(np.log2(gap))
+        edges = np.arange(int(bounds[-1] / step) + 3) * step
+        tiny = np.finfo(np.float64).tiny
+        huge = np.finfo(np.float64).max
+        specials = np.array([0.0, -0.0, 5e-324, tiny, np.nextafter(tiny, 0.0),
+                             -5e-324, -1.0, -bounds[-1], -huge,
+                             2.0 * bounds[-1], 1e308, huge,
+                             np.inf, -np.inf, np.nan])
+        values = np.concatenate([
+            bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            specials,
+        ])
+        expected = contract_rank(bounds, values)
+        assert expected[-3] == bounds.size and expected[-1] == 0  # inf, NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            allocated, buffered = both_call_paths(indexer, values)
+        assert np.array_equal(allocated, expected)
+        assert np.array_equal(buffered, expected)
 
     def test_fallback_for_huge_dynamic_range(self):
         bounds = np.array([1e-300, 1.0, 1e300])
-        indexer = BucketIndexer(bounds)
-        assert indexer._coarse is None  # grid infeasible -> searchsorted
-        v = np.array([0.0, 1e-300, 0.5, 2.0, 1e300])
-        assert np.array_equal(indexer(v), np.searchsorted(bounds, v, side="right"))
+        v = np.array([0.0, -0.0, 1e-300, 0.5, 2.0, 1e300, np.inf, 5e-324,
+                      -1.0, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            # A naive span / step overflows here.
+            warnings.simplefilter("error")
+            indexer = BucketIndexer(bounds)
+            ranks = indexer(v)
+        assert not indexer.has_coarse_grid  # grid infeasible -> searchsorted
+        assert np.array_equal(ranks, contract_rank(bounds, v))
 
     def test_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
             BucketIndexer(np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("bounds", [
+        np.array([0.0, 1.0]), np.array([-1.0, 1.0]), np.array([1.0, np.inf]),
+        np.array([1.0, 1.0]), np.array([]),
+    ])
+    def test_rejects_non_positive_infinite_or_empty_bounds(self, bounds):
+        with pytest.raises(ValueError):
+            BucketIndexer(bounds)
 
 
 class TestRefineStepBoundaries:
@@ -206,7 +280,7 @@ class TestADCConversionLUT:
         currents = np.tile(currents, (1, 4))
         reference = adc.convert(currents)
         charge = np.clip(currents, 0.0, None) * config.integration_time
-        rank = lut.indexer(np.minimum(charge, lut.max_charge))
+        rank = lut.indexer(charge)  # +inf charge ranks top: no clamp needed
         assert bitwise_equal(reference.value, lut.values[rank])
         assert np.array_equal(reference.saturated, lut.saturated[rank])
         assert np.array_equal(reference.underflow, lut.underflow[rank])
@@ -219,6 +293,82 @@ class TestADCConversionLUT:
     ])
     def test_stochastic_or_nonmonotone_configs_decline(self, config):
         assert FPADC(config, channels=4).conversion_lut() is None
+
+
+class TestRawDomainBounds:
+    """The compiled tile ranks raw converter inputs (currents, |x|) against
+    bounds pulled back through the generic input transforms.  Random data
+    almost never lands on a boundary, so these pin the pulled-back bounds
+    at every bound ±1 ulp as well as on random signed inputs."""
+
+    @staticmethod
+    def probes(bounds, spread, rng):
+        specials = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan,
+                    1e308, -1e308]
+        return np.concatenate([
+            bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf),
+            rng.standard_normal(4000) * spread, specials])
+
+    @given(
+        differential=st.booleans(),
+        bits=st.sampled_from([(2, 5), (3, 4)]),
+        integration_time=st.floats(min_value=10e-9, max_value=1e-6),
+        full_scale=st.floats(min_value=1e-8, max_value=1e-3),
+        a_max=st.floats(min_value=1e-6, max_value=1e4),
+        seed=st.integers(min_value=0, max_value=2 ** 16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_raw_ranks_equal_composed_ranks(self, differential, bits,
+                                            integration_time, full_scale,
+                                            a_max, seed):
+        e, m = bits
+        config = MacroConfig(
+            adc=ADCConfig(exponent_bits=e, mantissa_bits=m,
+                          integration_time=integration_time),
+            dac=DACConfig(exponent_bits=e, mantissa_bits=m),
+            differential_columns=differential,
+            device_statistics=quiet_stats())
+        rng = np.random.default_rng(seed)
+        macro = AFPRMacro(config, rng=np.random.default_rng(seed))
+        macro.program_weights(rng.standard_normal((16, 6)) * 0.2)
+        macro.set_activation_scale(a_max)
+        macro.set_adc_full_scale_current(full_scale)
+        tile = CompiledTile(macro, StageProfile())
+        assert tile.current_indexer.has_coarse_grid
+        assert tile.act_indexer.has_coarse_grid
+
+        # Current domain: rank(I) == adc.indexer(min(max(I, 0) * T, max_charge)).
+        adc = macro.adc.conversion_lut()
+        currents = self.probes(tile.current_indexer.bounds, full_scale, rng)
+        charge = np.clip(currents, 0.0, None) * integration_time
+        with np.errstate(over="ignore"):
+            expected = adc.indexer(np.minimum(charge, adc.indexer.bounds[-1]))
+        rank = tile.current_indexer(currents)
+        assert np.array_equal(rank, expected)
+        # Threshold flag counts == the old bool-table gathers.
+        assert np.array_equal(rank == tile.adc_top_rank, adc.saturated[rank])
+        assert np.array_equal(rank == 0, adc.underflow[rank])
+        assert np.count_nonzero(rank == tile.adc_top_rank) > 0
+        assert np.count_nonzero(rank == 0) > 0
+
+        # Activation domain: rank(|x|) == dac(min(|x| / scale, clamp)).
+        dac_indexer = macro.dac.voltage_lut()[0]
+        acts = self.probes(tile.act_indexer.bounds, a_max, rng)
+        with np.errstate(over="ignore"):
+            expected = dac_indexer(np.minimum(
+                np.abs(acts) / macro.activation_scale, dac_indexer.bounds[-1]))
+        assert np.array_equal(tile.act_indexer(np.abs(acts)), expected)
+
+    @pytest.mark.parametrize("make_config", [e2m5_macro_config, e3m4_macro_config])
+    def test_every_plan_indexer_keeps_a_coarse_grid(self, make_config):
+        _, host = programmed_macro_pair(
+            config=make_config(device_statistics=quiet_stats()))
+        tile = CompiledTile(host, StageProfile())
+        fmt = host.config.activation_format
+        indexers = [tile.current_indexer, tile.act_indexer,
+                    host.dac.voltage_lut()[0], host.adc.conversion_lut().indexer,
+                    quantization_lut(fmt)[0]]
+        assert all(indexer.has_coarse_grid for indexer in indexers)
 
 
 # ----------------------------------------------------------------------
@@ -426,10 +576,12 @@ class TestRowCodec:
         codes = codec.encode(acts, PlanArena(), "t")
         # The generic path ranks each sign pass separately; the signed code
         # composes both: rank of |x| plus the sign in the table offset.
-        pos_rank = tile.dac_indexer(np.minimum(
-            np.clip(acts, 0.0, None) / tile.activation_scale, tile.dac_clamp))
-        neg_rank = tile.dac_indexer(np.minimum(
-            np.clip(-acts, 0.0, None) / tile.activation_scale, tile.dac_clamp))
+        dac_indexer = host.dac.voltage_lut()[0]
+        scale, clamp = host.activation_scale, dac_indexer.bounds[-1]
+        pos_rank = dac_indexer(np.minimum(
+            np.clip(acts, 0.0, None) / scale, clamp))
+        neg_rank = dac_indexer(np.minimum(
+            np.clip(-acts, 0.0, None) / scale, clamp))
         volts = np.concatenate([tile.dac_volts, np.zeros(codec.levels)])
         assert bitwise_equal(codec.volts_pos[codes], volts[pos_rank])
         assert bitwise_equal(codec.volts_neg[codes],
@@ -550,6 +702,36 @@ class TestModelPlan:
         generic = run_model(model, x_test, backend="analog",
                             context=plan_context(x_train, compile_plan=False))
         assert bitwise_equal(coded, generic.logits)
+
+    def test_conv_sign_pass_decided_before_im2col(self):
+        # Layer 0 (stride 3) sees negatives only in pixels no patch covers,
+        # so its code map is signed but no patch row is; layer 1 is
+        # post-ReLU and never signed.  Both must match the generic path,
+        # conversions included (no spurious second sign pass).
+        dataset = SyntheticImageDataset(DatasetConfig(num_classes=4, image_size=10,
+                                                      noise_sigma=0.3, seed=6))
+        x_train, y_train, x_test, _ = dataset.train_test_split(96, 16)
+        model = Sequential(
+            Conv2d(3, 4, 2, stride=3, rng=np.random.default_rng(4)),
+            ReLU(),
+            Conv2d(4, 6, 2, padding=1, rng=np.random.default_rng(5)),
+            ReLU(),
+            GlobalAvgPool2d(),
+            Linear(6, 4, rng=np.random.default_rng(6)),
+        )
+        Trainer(model, SGD(model.parameters(), learning_rate=0.05),
+                batch_size=32).fit(x_train, y_train, epochs=1)
+        images = np.abs(x_test)
+        images[:, :, 2, :] = -1.0  # rows 2, 5, 8 are between the stride-3 patches
+        images[:, :, 5, 4] = -0.5
+        context = plan_context(x_train, max_mapped_layers=None)
+        planned = run_model(model, images, backend="analog", context=context)
+        generic = run_model(model, images, backend="analog",
+                            context=plan_context(x_train, max_mapped_layers=None,
+                                                 compile_plan=False))
+        assert planned.plan_mode == "compiled"
+        assert bitwise_equal(planned.logits, generic.logits)
+        assert planned.conversions == generic.conversions
 
     def test_registered_backends_are_the_expected_four(self):
         assert set(available_backends()) == {"ideal", "fake_quant",
