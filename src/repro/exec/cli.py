@@ -67,15 +67,10 @@ def render_stage_profile(profile: dict) -> str:
     The rendering carries a percent-of-total column for every stage and a
     ``transport`` row whenever process-worker transport time was metered.
     """
-    return StageProfile(
-        dac_s=profile.get("dac_s", 0.0),
-        crossbar_s=profile.get("crossbar_s", 0.0),
-        adc_s=profile.get("adc_s", 0.0),
-        total_s=profile.get("total_s", 0.0),
-        forwards=int(profile.get("forwards", 0)),
-        transport_s=profile.get("transport_s", 0.0),
-        bubble_s=profile.get("bubble_s", 0.0),
-    ).render()
+    return StageProfile(**{
+        field.name: type(field.default)(profile.get(field.name, field.default))
+        for field in dataclasses.fields(StageProfile)
+    }).render()
 
 
 def run_run_command(args: argparse.Namespace) -> Tuple[str, int]:

@@ -45,12 +45,11 @@ read noise) keep drawing from the same generators in the same order and
 shapes — so a plan is a pure speedup, not an approximation.  Tiles whose
 configuration breaks those guarantees (DAC output noise, ADC comparator
 noise/offset, capacitor mismatch, non-vectorised readout) transparently
-fall back to the generic macro path.  The cross-layer digital ops (bias,
-activation, pooling, routing-adder FP16 accumulation) stay in the float
-domain by construction, which is what pins bit identity against the
-generic kernels.  ``ExecutionContext.compile_plan=False`` runs the generic
-kernels instead: that hook path is the bit-identity oracle the plan is
-tested against.
+fall back to the generic macro path.  The routing adder rounds exactly in
+float64 (:func:`repro.formats.fp8.round_to_format`) and writes each layer's
+output once, in the generic path's layout (C-contiguous NCHW for a conv).
+``ExecutionContext.compile_plan=False`` runs the generic kernels instead:
+that hook path is the bit-identity oracle the plan is tested against.
 
 Plans are picklable, which is what lets :mod:`repro.serve` ship one to each
 process of a ``workers="process"`` pool and run replicas on real cores (the
@@ -74,12 +73,7 @@ from repro.core.macro import AFPRMacro
 from repro.core.mapping import MappedLayer, conv_output_size, im2col
 from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.backends import AnalogBackend, FakeQuantBackend
-from repro.formats.fp8 import (
-    BucketIndexer,
-    pull_back_bounds,
-    quantization_lut,
-    quantize_via_lut,
-)
+from repro.formats.fp8 import BucketIndexer, pull_back_bounds, round_to_format
 from repro.formats.quantizer import compile_quantizer
 from repro.nn.layers import Layer, Linear
 from repro.nn.model import Model
@@ -134,7 +128,8 @@ class StageProfile:
     ``dac`` / ``crossbar`` / ``adc`` are metered inside the compiled tiles
     (code-domain layer-boundary encoding counts as DAC time — it *is* the
     DAC's quantiser); ``digital`` is everything else in the forward pass
-    (digital layers, im2col, routing adder, quantisers).  ``transport`` is
+    (digital layers, im2col, routing adder, quantisers), of which
+    ``im2col`` and ``adder`` are metered.  ``transport`` is
     time spent moving batches to and from process workers — zero for
     in-process execution, filled in by :mod:`repro.serve` for
     ``workers="process"``.  ``python -m repro run --profile`` and the serve
@@ -150,6 +145,8 @@ class StageProfile:
     #: Pipeline bubble: time a sharded stage spent starved for upstream
     #: input after its first batch (zero outside pipeline execution).
     bubble_s: float = 0.0
+    im2col_s: float = 0.0
+    adder_s: float = 0.0
 
     @property
     def digital_s(self) -> float:
@@ -163,6 +160,8 @@ class StageProfile:
             "crossbar_s": self.crossbar_s,
             "adc_s": self.adc_s,
             "digital_s": self.digital_s,
+            "im2col_s": self.im2col_s,
+            "adder_s": self.adder_s,
             "transport_s": self.transport_s,
             "bubble_s": self.bubble_s,
             "total_s": self.total_s,
@@ -175,10 +174,11 @@ class StageProfile:
         denom = grand_total or 1.0
         rows = [("DAC", self.dac_s), ("crossbar", self.crossbar_s),
                 ("ADC", self.adc_s), ("digital", self.digital_s)]
-        if self.transport_s > 0:
-            rows.append(("transport", self.transport_s))
-        if self.bubble_s > 0:
-            rows.append(("bubble", self.bubble_s))
+        # Optional rows (aggregated profiles do not meter the sub-stages).
+        rows += [row for row in (("  im2col", self.im2col_s),
+                                 ("  adder", self.adder_s),
+                                 ("transport", self.transport_s),
+                                 ("bubble", self.bubble_s)) if row[1] > 0]
         lines = [f"Per-stage forward time over {self.forwards} forward(s):"]
         for name, seconds in rows:
             lines.append(f"  {name:9s} {seconds * 1e3:9.2f} ms  "
@@ -507,99 +507,58 @@ class CompiledTile:
         return result[..., : self.out_features]
 
 
-def _is_fp16_grid(fmt) -> bool:
-    """Whether ``fmt`` is the repository's FP16 grid (binary16 layout,
-    no codes reserved for inf/NaN, so the top binade reaches 131008)."""
-    return (fmt.exponent_bits == 5 and fmt.mantissa_bits == 10
-            and fmt.bias == 15 and fmt.signed and fmt.subnormals
-            and fmt.saturate)
-
-
-def _quantize_fp16_grid(x: np.ndarray) -> np.ndarray:
-    """``FP16.quantize(x)`` as one hardware float16 cast plus a top-binade fix.
-
-    The reference quantiser divides by a power-of-two step (exact in
-    float64) and rounds the exact quotient to nearest-even — which *is* the
-    IEEE round-to-nearest-even float16 conversion the CPU performs, for
-    normals, subnormals and ties alike.  The repository's FP16 format
-    reserves no codes for inf/NaN, so unlike IEEE binary16 its top binade
-    extends to 131008: exactly the magnitudes the cast turns into
-    infinities (≥ 65520, and infinite inputs) are re-rounded with the top
-    binade's power-of-two step and saturated — still exact-quotient RNE.
-    Pinned bit-for-bit against the reference by the plan tests.
-    """
-    with np.errstate(over="ignore"):  # saturating values overflow the cast
-        cast = x.astype(np.float16).astype(np.float64)
-    overflow = np.isinf(cast)
-    if np.any(overflow):
-        mag = np.abs(x[overflow])
-        top = np.minimum(np.rint(mag / 64.0) * 64.0, 131008.0)
-        cast[overflow] = np.copysign(top, x[overflow])
-    # Zero inputs short-circuit the reference's sign multiply (sign(±0)=+0),
-    # so exact zeros come out positive — while *underflowed* negatives keep
-    # their sign, which the cast already reproduces.
-    cast[x == 0.0] = 0.0
-    return cast
-
-
 class _CompiledRoutingAdder:
-    """The mapped layer's routing adder with a compiled accumulation quantiser.
+    """The mapped layer's routing adder as in-place float64 kernels.
 
     Reproduces :meth:`repro.core.mapping.RoutingAdder.accumulate` bit for
     bit — same accumulation order, same data-dependent scale, same
     ``additions`` counter (incremented on the *wrapped* adder, so generic
-    and compiled runs stay comparable) — but rounds onto the accumulation
-    format through a single float16 cast (FP16-grid formats, the default
-    adder) or :func:`repro.formats.fp8.quantize_via_lut` instead of
-    the per-element exponent arithmetic of ``FloatFormat.quantize``.
+    and compiled runs stay comparable) — on arena scratch: the
+    accumulation format rounds through
+    :func:`repro.formats.fp8.round_to_format` (formats it cannot express,
+    unsigned or non-saturating, through ``fmt.quantize``), and the last
+    pass writes straight into the caller's output view.
     """
 
-    def __init__(self, adder, cast_half: bool) -> None:
+    def __init__(self, adder, arena: PlanArena, key: str) -> None:
         self.adder = adder
-        self.accumulate_format = adder.accumulate_format
-        self.cast_half = cast_half
+        self.arena = arena
+        self.key = key
+        fmt = adder.accumulate_format
+        self.exact = fmt is not None and fmt.signed and fmt.saturate
+        self.norm = None if fmt is None else fmt.max_value
 
-    def accumulate(self, partials) -> np.ndarray:
-        fmt = self.adder.accumulate_format
-        partials = list(partials)
+    def accumulate(self, partials: List[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """Sum ``(rows, cols)`` partials into ``out`` (rows split as its
+        leading axes, e.g. ``(n, h, w, cols)`` for a conv layer)."""
         if not partials:
             raise ValueError("need at least one partial result")
-        total = np.zeros_like(np.asarray(partials[0], dtype=np.float64))
-        for partial in partials:
-            total = total + np.asarray(partial, dtype=np.float64)
-            self.adder.additions += total.size
-            if fmt is not None:
-                scale = float(np.max(np.abs(total))) or 1.0
-                norm = fmt.max_value
-                if self.cast_half:
-                    total = _quantize_fp16_grid(total / scale * norm) / norm * scale
-                else:
-                    total = quantize_via_lut(fmt, total / scale * norm) / norm * scale
-        return total
-
-
-def _compile_routing_adder(adder):
-    """Compile a routing adder's quantiser when a faster exact path exists.
-
-    FP16-grid accumulation (the default) compiles to the float16 cast;
-    other signed saturating formats compile to the quantisation LUT only
-    when its coarse bucket grid is feasible — the plain-``searchsorted``
-    fallback of huge-dynamic-range formats is slower than the generic
-    quantiser on large partials, so those keep the generic adder.
-    """
-    fmt = adder.accumulate_format
-    if fmt is None:
-        return adder
-    if _is_fp16_grid(fmt):
-        return _CompiledRoutingAdder(adder, cast_half=True)
-    if fmt.signed and fmt.saturate:
-        try:
-            indexer, _ = quantization_lut(fmt)
-        except (ValueError, AssertionError):
-            return adder
-        if indexer.has_coarse_grid:
-            return _CompiledRoutingAdder(adder, cast_half=False)
-    return adder
+        fmt = self.adder.accumulate_format
+        shape = out.shape
+        scratch = self.arena.take(self.key + ":sum", shape)
+        total = None
+        for index, partial in enumerate(partials):
+            partial = partial.reshape(shape)
+            self.adder.additions += partial.size
+            target = out if index == len(partials) - 1 else scratch
+            if fmt is None:
+                # The reference starts from zeros: 0 + (-0) gives +0.
+                total = np.add(0.0 if total is None else total, partial, out=target)
+                continue
+            if total is not None:
+                partial = np.add(total, partial, out=scratch)
+            # (The first partial needs no zero start: rounding sends -0 to +0.)
+            scale = max(float(partial.max()), -float(partial.min())) or 1.0
+            np.divide(partial, scale, out=scratch)
+            scratch *= self.norm
+            if self.exact:
+                round_to_format(fmt, scratch, out=scratch,
+                                work=self.arena.take(self.key + ":work", shape))
+            else:
+                np.copyto(scratch, fmt.quantize(scratch))
+            scratch /= self.norm
+            total = np.multiply(scratch, scale, out=target)
+        return out
 
 
 class _FallbackTile:
@@ -651,8 +610,9 @@ class CompiledMappedLayer:
                     for spec, macro in placements])
             for key_, placements in mapped.column_ranges
         ]
-        # The routing adder's FP16 accumulation rounding is LUT-compiled too.
-        self.routing_adder = _compile_routing_adder(mapped.routing_adder)
+        # Layers run one at a time, so all share one pair of adder slabs.
+        self.routing_adder = _CompiledRoutingAdder(
+            mapped.routing_adder, self.arena, "add")
         # One codec per row range whose tiles can all consume shared codes.
         self.codecs: Dict[Tuple[int, int], RowCodec] = {}
         grouped: Dict[Tuple[int, int], List[object]] = {}
@@ -698,8 +658,14 @@ class CompiledMappedLayer:
         self.profile.dac_s += time.perf_counter() - tick
         return encoded
 
-    def forward(self, activations: np.ndarray) -> np.ndarray:
-        """Compute ``activations @ weights`` through the compiled tiles."""
+    def forward(self, activations: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Compute ``activations @ weights`` through the compiled tiles.
+
+        The result lands in ``out`` — any view whose leading axes split the
+        rows, e.g. a conv's NCHW output transposed to ``(n, h, w, C)`` — or
+        in a fresh array, never arena scratch: it escapes the plan.
+        """
         acts = np.asarray(activations, dtype=np.float64)
         squeeze = acts.ndim == 1
         acts = np.atleast_2d(acts)
@@ -707,19 +673,22 @@ class CompiledMappedLayer:
             raise ValueError(
                 f"activation length {acts.shape[1]} does not match {self.in_features}"
             )
+        if out is None:
+            out = np.empty((acts.shape[0], self.out_features), dtype=np.float64)
         encoded = self._encode_rows(acts) if self.codecs else {}
-        output = self._accumulate(acts, encoded)
-        return output[0] if squeeze else output
+        self._accumulate(acts, encoded, out)
+        return out[0] if squeeze else out
 
     __call__ = forward
 
     def forward_coded(self, cols_codes: np.ndarray, codec: RowCodec,
-                      signed: bool) -> np.ndarray:
+                      signed: bool, out: np.ndarray) -> np.ndarray:
         """Forward pre-encoded codes covering the whole input width.
 
         Used by the planned conv forward, which encodes the NCHW input once
         and expands patches in the code domain; ``cols_codes`` is the
-        ``(rows, in_features)`` uint16 im2col matrix of those codes.
+        ``(rows, in_features)`` uint16 im2col matrix of those codes and
+        ``out`` the output view :meth:`forward` describes.
         ``signed``: whether the NCHW code map held a sign bit; without one
         no patch row can (padding is code 0), so the patches go unscanned.
         """
@@ -727,13 +696,14 @@ class CompiledMappedLayer:
         encoded = {(0, self.in_features): _split_signs(
             codec, cols_codes, self.arena, f"{self.key}:r0", signed)}
         self.profile.dac_s += time.perf_counter() - tick
-        return self._accumulate(None, encoded)
+        return self._accumulate(None, encoded, out)
 
     def _accumulate(self, acts: Optional[np.ndarray],
-                    encoded: Dict[Tuple[int, int], tuple]) -> np.ndarray:
-        """Run every placement and accumulate partials per column range."""
-        adder = self.routing_adder
-        output: Optional[np.ndarray] = None
+                    encoded: Dict[Tuple[int, int], tuple],
+                    out: np.ndarray) -> np.ndarray:
+        """Run every placement; each column range's routed sum lands in
+        its slice of ``out``."""
+        adder, profile = self.routing_adder, self.profile
         for (col_start, col_stop), placements in self.column_ranges:
             partials = []
             for row_start, row_stop, tile in placements:
@@ -744,16 +714,10 @@ class CompiledMappedLayer:
                         self.codecs[row_range], codes, compressed, mask))
                 else:
                     partials.append(tile.matvec(acts[:, row_start:row_stop]))
-            accumulated = adder.accumulate(partials)
-            if output is None:
-                # Fresh per call: the result escapes the plan (bias add,
-                # activation, final logits), so it must not be arena scratch
-                # that the next batch would clobber.
-                output = np.zeros((accumulated.shape[0], self.out_features),
-                                  dtype=np.float64)
-            output[:, col_start:col_stop] = accumulated
-        assert output is not None  # column_ranges is never empty
-        return output
+            tick = time.perf_counter()
+            adder.accumulate(partials, out[..., col_start:col_stop])
+            profile.adder_s += time.perf_counter() - tick
+        return out
 
     def total_conversions(self) -> int:
         """Macro conversions performed so far (stats live on the macros)."""
@@ -810,26 +774,22 @@ class _PlannedMatmulForward:
         when the layer allows it — and whether any input code is signed."""
         layer, arena, key = self.layer, self.arena, self.key
         n, c = x.shape[0], x.shape[1]
-        k = layer.kernel_size
+        k, p = layer.kernel_size, layer.padding
         codec = getattr(self.mapped, "full_row_codec", None)
-        staging = arena.take(key + ":patches", (n, h_out, w_out, c, k, k),
-                             np.uint16 if codec is not None else np.float64)
-        pad_buffer = None
-        if layer.padding > 0:
-            pad_buffer = arena.take(
-                key + ":pad",
-                (n, c, x.shape[2] + 2 * layer.padding, x.shape[3] + 2 * layer.padding),
-                np.uint16 if codec is not None else np.float64)
-        if codec is None:
-            cols = im2col(x, k, layer.stride, layer.padding,
-                          out=staging, pad_buffer=pad_buffer)
-            return cols, None, True
+        dtype = np.float64 if codec is None else np.uint16
+        staging = arena.take(key + ":patches", (n, h_out, w_out, c, k, k), dtype)
+        source = arena.take(
+            key + ":nhwc", (n, x.shape[2] + 2 * p, x.shape[3] + 2 * p, c), dtype)
+        signed = True
+        if codec is not None:
+            tick = time.perf_counter()
+            x = codec.encode(x, arena, key + ":x")
+            signed = codec.any_negative(x)
+            self.mapped.profile.dac_s += time.perf_counter() - tick
         tick = time.perf_counter()
-        codes = codec.encode(x, arena, key + ":x")
-        signed = codec.any_negative(codes)
-        self.mapped.profile.dac_s += time.perf_counter() - tick
-        cols = im2col(codes, k, layer.stride, layer.padding, dtype=None,
-                      out=staging, pad_buffer=pad_buffer)
+        cols = im2col(x, k, layer.stride, p, dtype=None, out=staging,
+                      pad_buffer=source)
+        self.mapped.profile.im2col_s += time.perf_counter() - tick
         return cols, codec, signed
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -860,21 +820,24 @@ class _PlannedMatmulForward:
         if isinstance(layer, Linear):
             result = self.mapped.forward(x)
             if layer.bias is not None:
-                result = result + layer.bias.value
+                result += layer.bias.value
             return result
-        n = x.shape[0]
         h_out = conv_output_size(x.shape[2], layer.kernel_size, layer.stride,
                                  layer.padding)
         w_out = conv_output_size(x.shape[3], layer.kernel_size, layer.stride,
                                  layer.padding)
         cols, codec, signed = self._conv_cols(x, h_out, w_out)
+        # The routing adder writes each column range straight into the
+        # NCHW result through its (n, h, w, C) transpose, so BN, ReLU and
+        # the residual add downstream read contiguous memory.
+        result = np.empty((x.shape[0], layer.out_channels, h_out, w_out))
+        rows = result.transpose(0, 2, 3, 1)
         if codec is not None:
-            result = self.mapped.forward_coded(cols, codec, signed)
+            self.mapped.forward_coded(cols, codec, signed, rows)
         else:
-            result = self.mapped.forward(cols)
-        result = result.reshape(n, h_out, w_out, layer.out_channels).transpose(0, 3, 1, 2)
+            self.mapped.forward(cols, out=rows)
         if layer.bias is not None:
-            result = result + layer.bias.value[None, :, None, None]
+            result += layer.bias.value[None, :, None, None]
         return result
 
 
@@ -1145,7 +1108,7 @@ def split_plan(plan: ModelPlan,
 #: pickled plan layout (or anything the fingerprint cannot see) changes in
 #: a way that makes old entries wrong to reuse; the version is folded into
 #: every fingerprint, so a bump invalidates the whole cache at once.
-PLAN_CACHE_VERSION = 2
+PLAN_CACHE_VERSION = 3
 
 
 def _model_descriptor(model: Model) -> list:
@@ -1299,7 +1262,8 @@ class PlanCache:
             if payload is not None:
                 return payload
             if not os.path.exists(self.claim_path_for(key)):
-                return None
+                # The claimant may have stored and released since the load.
+                return self.load(key)
             if time.monotonic() >= deadline:
                 return None
             time.sleep(poll_s)

@@ -525,18 +525,60 @@ def quantization_lut(fmt: FloatFormat) -> Tuple[BucketIndexer, np.ndarray]:
     return BucketIndexer(bounds), values
 
 
-def quantize_via_lut(fmt: FloatFormat, x: np.ndarray) -> np.ndarray:
-    """LUT-based fake quantisation, bit-identical to ``fmt.quantize(x)``.
+@functools.lru_cache(maxsize=None)
+def _rounding_constants(fmt: FloatFormat) -> tuple:
+    """Veltkamp splitter, order keys of ``min_normal`` / ``max_value``
+    (see :func:`round_to_format`) and the subnormal-step constant."""
+    keys = 2 * np.array([fmt.min_normal, fmt.max_value]).view(np.uint64) - np.uint64(1)
+    m = fmt.mantissa_bits
+    return (2.0 ** (52 - m) + 1.0, keys[0], keys[1],
+            1.5 * 2.0 ** (52 + fmt.min_exponent - m))
 
-    The per-element exponent/mantissa arithmetic collapses to one bucket
-    ranking against precompiled boundaries plus a table gather.  Non-finite
-    values follow the reference semantics (infinities saturate, NaN
-    propagates through the sign multiply).
+
+def round_to_format(fmt: FloatFormat, v: np.ndarray,
+                    out: Optional[np.ndarray] = None,
+                    work: Optional[np.ndarray] = None) -> np.ndarray:
+    """``fmt.quantize(v)`` bit for bit, for signed saturating formats.
+
+    A Veltkamp split ``g = x * (2^(52-m) + 1); hi = g + (x - g)`` rounds
+    magnitudes from ``min_normal`` to ``max_value`` to ``m + 1``
+    significant bits, ties to even; ``g + (x - g)`` (not ``g - (g - x)``)
+    also turns ``-0`` into the reference's ``+0``.  The rare other inputs
+    are found first by a min and a max over their order keys — the bits
+    with the sign shifted out, minus one, which wraps both zeros to the
+    top: larger magnitudes (and infinities) are clipped to ``±max_value``
+    before the split, and nonzero ones below ``min_normal`` are re-rounded
+    onto the subnormal step as ``(x + M) - M``, ``M = 1.5 * 2^(52 +
+    min_exponent - m)``, then flushed to signed zero if the format has no
+    subnormals.  NaN propagates.  Exact under IEEE binary64
+    round-to-nearest-even without fused multiply-add, which numpy's
+    elementwise ufuncs guarantee.  ``out`` (may be ``v``, rounding in
+    place) and ``work`` are optional C-contiguous float64 buffers.
     """
-    indexer, values = quantization_lut(fmt)
-    x = np.asarray(x, dtype=np.float64)
-    sign = np.sign(x)
-    return sign * values[indexer(np.abs(x))]
+    if not (fmt.signed and fmt.saturate):
+        raise ValueError("only signed, saturating formats round exactly here")
+    splitter, small_key, large_key, magic = _rounding_constants(fmt)
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty(v.shape) if out is None else out
+    work = np.empty(v.shape) if work is None else work
+    small = None
+    if v.size:
+        keys = np.left_shift(v.view(np.uint64), np.uint64(1), out=work.view(np.uint64))
+        keys -= np.uint64(1)
+        if keys.min() < small_key:
+            small = np.flatnonzero(keys < small_key)
+            small_values = v.reshape(-1)[small]
+        if keys.max() > large_key:
+            v = np.clip(v, -fmt.max_value, fmt.max_value, out=out)
+    np.multiply(v, splitter, out=work)
+    np.subtract(v, work, out=out)
+    np.add(work, out, out=out)
+    if small is not None:
+        rounded = (small_values + magic) - magic
+        if not fmt.subnormals:
+            rounded[np.abs(rounded) < fmt.min_normal] = 0.0
+        out.reshape(-1)[small] = np.copysign(rounded, small_values)
+    return out
 
 
 def decompose(x: np.ndarray, fmt: FloatFormat) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -226,7 +226,7 @@ class LUTFloatQuantizer(FloatQuantizer):
 
     ``compile_quantizer`` swaps calibrated quantisers for this class inside
     execution plans: the per-element FP encode collapses to one bucket
-    ranking plus a table gather (:func:`repro.formats.fp8.quantize_via_lut`),
+    ranking plus a table gather (:func:`repro.formats.fp8.quantization_lut`),
     bit-identical to the generic ``fmt.quantize`` path.  The compiled
     ``(indexer, values)`` pair is cached on the instance after the first
     batch — the quantiser sits on the per-layer fake-quant hot path, where

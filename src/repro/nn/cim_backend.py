@@ -100,12 +100,14 @@ class CIMExecutionAdapter:
                 result = result + layer.bias.value
             return result
         # Conv2d: expand patches exactly as the digital forward does, push
-        # them through the macros, and fold back into NCHW.
+        # them through the macros, and fold back into C-contiguous NCHW (the
+        # digital forward's layout, which pooling reductions round by).
         n = x.shape[0]
         h_out, w_out = out.shape[2], out.shape[3]
         cols = im2col(x, layer.kernel_size, layer.stride, layer.padding)
         result = self.mapped.forward(cols)
-        result = result.reshape(n, h_out, w_out, layer.out_channels).transpose(0, 3, 1, 2)
+        result = np.ascontiguousarray(
+            result.reshape(n, h_out, w_out, layer.out_channels).transpose(0, 3, 1, 2))
         if layer.bias is not None:
             result = result + layer.bias.value[None, :, None, None]
         return result

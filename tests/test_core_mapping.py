@@ -49,6 +49,41 @@ class TestIm2Col:
                         reference[n, co, i, j] = np.sum(patch * w[co])
         np.testing.assert_allclose(result, reference, rtol=1e-10)
 
+    @pytest.mark.parametrize("seed", range(15))
+    def test_im2col_random_geometry_matches_naive_loop(self, seed):
+        # Kernels 1-5 with random stride / padding, both working dtypes,
+        # caller buffers on and off, and a channel-sliced non-contiguous
+        # input as grouped Conv2d passes, against an explicit-loop reference.
+        rng = np.random.default_rng(seed)
+        kernel = 1 + seed % 5
+        stride, padding = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        n, c = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        h = int(rng.integers(max(kernel - 2 * padding, 1), 10))
+        w = int(rng.integers(max(kernel - 2 * padding, 1), 10))
+        dtype = (np.uint16, np.float64)[seed % 2]
+        full = rng.integers(1, 1000, (n, 2 * c, h, w)).astype(dtype)
+        x = full[:, c:] if seed % 3 == 0 else full[:, :c].copy()
+        h_out = conv_output_size(h, kernel, stride, padding)
+        w_out = conv_output_size(w, kernel, stride, padding)
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        reference = np.empty((n, h_out, w_out, c, kernel, kernel), dtype=dtype)
+        for b in range(n):
+            for i in range(h_out):
+                for j in range(w_out):
+                    reference[b, i, j] = padded[b, :, i * stride:i * stride + kernel,
+                                                j * stride:j * stride + kernel]
+        reference = reference.reshape(n * h_out * w_out, -1)
+        buffers = {}
+        if seed % 4 >= 2:
+            buffers = dict(
+                out=np.full((n, h_out, w_out, c, kernel, kernel), 7, dtype=dtype),
+                pad_buffer=np.full((n, h + 2 * padding, w + 2 * padding, c), 7,
+                                   dtype=dtype))
+        for _ in range(2):  # reused buffers must not leak the previous call
+            cols = im2col(x, kernel, stride, padding, dtype=None, **buffers)
+            assert cols.dtype == dtype
+            assert np.array_equal(cols, reference)
+
     def test_im2col_strided(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 6, 6))

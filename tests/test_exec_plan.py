@@ -27,7 +27,7 @@ from repro.core.config import (
 from repro.core.fp_adc import FPADC
 from repro.core.fp_dac import FPDAC
 from repro.core.macro import AFPRMacro
-from repro.core.mapping import MappedLayer
+from repro.core.mapping import MappedLayer, RoutingAdder
 from repro.exec import (
     AnalogBackend,
     BatchRunner,
@@ -42,16 +42,20 @@ from repro.exec.plan import (
     PlanArena,
     RowCodec,
     TileNotCompilable,
-    _quantize_fp16_grid,
+    _CompiledRoutingAdder,
 )
-from repro.formats.fp8 import FP16
 from repro.formats.fp8 import (
+    BF16,
     E2M5,
     E3M4,
+    E4M3,
+    E5M2,
+    FP16,
     BucketIndexer,
+    FloatFormat,
     quantization_lut,
-    quantize_via_lut,
     refine_step_boundaries,
+    round_to_format,
 )
 from repro.formats.quantizer import (
     CalibrationMethod,
@@ -211,7 +215,7 @@ class TestQuantizeViaLUT:
         ])
         with np.errstate(over="ignore"):  # 5e-324 overflows the reference's
             reference = fmt.quantize(x)   # mag/step divide; outcome is exact
-            fast = quantize_via_lut(fmt, x)
+            fast = np.sign(x) * values[indexer(np.abs(x))]
         assert bitwise_equal(reference, fast)
 
     def test_compile_quantizer_swaps_float_and_keeps_int(self):
@@ -453,16 +457,22 @@ class TestCompiledTile:
 
 
 class TestCompiledMappedLayer:
-    def test_multi_tile_layer_bit_identical(self):
+    @pytest.mark.parametrize("accumulate_format", [
+        pytest.param(FP16, id="FP16"), pytest.param(E5M2, id="E5M2"),
+        pytest.param(None, id="float64")])
+    def test_multi_tile_layer_bit_identical(self, accumulate_format):
         # 600 input features x 150 outputs: two row tiles (576 + 24) and two
-        # column tiles (128 + 22), exercising the routing adder across both.
+        # column tiles (128 + 22), exercising the routing adder across both
+        # and its in-place write into each column range of the output.
         config = MacroConfig(device_statistics=quiet_stats())
         rng = np.random.default_rng(15)
         weights = rng.standard_normal((600, 150)) * 0.1
         calibration = np.abs(rng.standard_normal((8, 600)))
-        generic = MappedLayer(weights, macro_config=config)
+        generic = MappedLayer(weights, macro_config=config,
+                              routing_adder=RoutingAdder(accumulate_format))
         generic.calibrate(calibration)
-        host = MappedLayer(weights, macro_config=config)
+        host = MappedLayer(weights, macro_config=config,
+                           routing_adder=RoutingAdder(accumulate_format))
         host.calibrate(calibration)
         compiled = CompiledMappedLayer(host, StageProfile())
         assert len(host.macros) == 4
@@ -471,7 +481,7 @@ class TestCompiledMappedLayer:
         acts = rng.standard_normal((10, 600))
         assert bitwise_equal(generic.forward(acts), compiled.forward(acts))
         assert generic.total_conversions() == compiled.total_conversions()
-        # Routing-adder accounting matches too (FP16 accumulation ran).
+        # Routing-adder accounting matches too.
         assert generic.routing_adder.additions == host.routing_adder.additions
 
     def test_row_range_without_shared_codec_bit_identical(self):
@@ -516,6 +526,32 @@ class TestCompiledMappedLayer:
         assert bitwise_equal(generic.forward(acts), compiled.forward(acts))
 
 
+class TestCompiledRoutingAdder:
+    @pytest.mark.parametrize("accumulate_format", [
+        pytest.param(FP16, id="FP16"), pytest.param(E5M2, id="E5M2"),
+        pytest.param(FloatFormat(4, 3, signed=False), id="unsigned"),
+        pytest.param(None, id="float64")])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_bit_identical_to_reference_adder(self, accumulate_format, count):
+        # Signed zeros, tiny and huge magnitudes, written through a
+        # transposed (n, h, w, cols) view as the planned conv passes it.
+        rng = np.random.default_rng(count)
+        partials = []
+        for _ in range(count):
+            partial = rng.standard_normal((2 * 3 * 4, 5))
+            partial[rng.random(partial.shape) < 0.2] = -0.0
+            partial[0, :3] = [1e-30, -1e-30, 1e30]
+            partials.append(partial)
+        reference = RoutingAdder(accumulate_format)
+        compiled_host = RoutingAdder(accumulate_format)
+        adder = _CompiledRoutingAdder(compiled_host, PlanArena(), "a")
+        out = np.full((2, 5, 3, 4), np.nan).transpose(0, 2, 3, 1)
+        adder.accumulate([p.copy() for p in partials], out)
+        expected = reference.accumulate(partials).reshape(out.shape)
+        assert bitwise_equal(out, expected)
+        assert compiled_host.additions == reference.additions
+
+
 # ----------------------------------------------------------------------
 # Code-domain execution
 # ----------------------------------------------------------------------
@@ -541,10 +577,20 @@ class TestPlanArena:
         clone.take("x", (4, 4))[...] = 1.0  # regrows and works
 
 
+#: Every accumulation format the compiled routing adder rounds exactly.
+ROUNDING_FORMATS = [
+    pytest.param(fmt, id=fmt.name)
+    for fmt in (FP16, BF16, E2M5, E3M4, E4M3, E5M2,
+                FloatFormat(3, 4, subnormals=False, name="E3M4-nosub"))
+]
+
+
 class TestFP16GridQuantize:
-    def test_bit_identical_to_reference_everywhere(self):
-        grid = FP16.all_values(include_negative=True)
+    @pytest.mark.parametrize("fmt", ROUNDING_FORMATS)
+    def test_bit_identical_to_reference_everywhere(self, fmt):
+        grid = fmt.all_values(include_negative=True)
         mids = 0.5 * (grid[:-1] + grid[1:])
+        top = np.linspace(2.0 ** fmt.max_exponent, 2.0 * fmt.max_value, 4001)
         rng = np.random.default_rng(8)
         x = np.concatenate([
             rng.standard_normal(50000) * 1e5,
@@ -553,11 +599,18 @@ class TestFP16GridQuantize:
             np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
             [0.0, -0.0, np.inf, -np.inf, 65504.0, 65520.0, 65536.0,
              131008.0, 131040.0, 131072.0, -131040.0, 1e308, -1e308,
-             5e-324, -5e-324, 2.0 ** -24, 2.0 ** -25, -2.0 ** -25],
+             5e-324, -5e-324, 2.0 ** -24, 2.0 ** -25, -2.0 ** -25, np.nan],
+            # The format's own subnormal region, its smallest normal ±1 ulp
+            # and its top binade up to 2*max.
+            rng.uniform(-1.0, 1.0, 20000) * fmt.min_normal,
+            [fmt.min_normal, -fmt.min_normal],
+            np.nextafter(fmt.min_normal, [0.0, 1.0]),
+            np.nextafter(-fmt.min_normal, [0.0, -1.0]),
+            top, -top,
         ])
         with np.errstate(over="ignore"):
-            reference = FP16.quantize(x)
-            fast = _quantize_fp16_grid(x)
+            reference = fmt.quantize(x)
+        fast = round_to_format(fmt, x)
         assert bitwise_equal(reference, fast)
 
 
@@ -796,6 +849,16 @@ class TestModelPlan:
         generic = run_model(model, x_test[:8], backend="analog",
                             context=plan_context(x_train, compile_plan=False))
         assert generic.stage_profile["dac_s"] == 0.0
+        profile = StageProfile(**{k: v for k, v in report.stage_profile.items()
+                                  if k not in ("digital_s", "forwards")})
+        assert 0 < profile.im2col_s + profile.adder_s <= profile.digital_s
+        assert "  adder" in profile.render()
+
+    def test_render_omits_unmetered_digital_sub_stages(self):
+        # Aggregated serve/trace profiles carry no sub-stage timers.
+        text = StageProfile(dac_s=0.1, total_s=1.0, forwards=1).render()
+        assert "digital" in text
+        assert "im2col" not in text and "adder" not in text
 
 
 # ----------------------------------------------------------------------

@@ -508,6 +508,25 @@ class TestPlanCacheClaims:
         finally:
             thread.join()
 
+    def test_wait_for_sees_a_store_between_load_and_claim_check(self, tmp_path):
+        # The writer stores and releases after the waiter's load missed
+        # but before it checks the claim: the entry exists, so the waiter
+        # must return it rather than give up and compile again.
+        writer = PlanCache(str(tmp_path))
+        assert writer.claim("key")
+        waiter = PlanCache(str(tmp_path))
+        load = waiter.load
+
+        def racing_load(key):
+            payload = load(key)
+            if payload is None and os.path.exists(waiter.claim_path_for(key)):
+                writer.store(key, b"compiled")
+                writer.release(key)
+            return payload
+
+        waiter.load = racing_load
+        assert waiter.wait_for("key", timeout_s=5.0, poll_s=0.0) == b"compiled"
+
     def test_abandoned_claim_unblocks_waiters(self, tmp_path):
         cache = PlanCache(str(tmp_path))
         assert cache.claim("key")
