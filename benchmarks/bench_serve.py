@@ -1,34 +1,26 @@
-"""Benchmark: dynamic batching, the shared-memory process transport and the
-serving determinism contract.
+"""Benchmark: dynamic batching and the serving determinism contract.
 
-Three acceptance bars:
+Two acceptance bars:
 
 * at equal offered load (every request pre-queued, so both configurations
   face the same instantaneous backlog), dynamic batching with
   ``max_batch=64`` sustains at least 3x the steady-state throughput of a
   batch-size-1 service, in both worker modes;
-* the shared-memory ring transport serves process-worker batches at least
-  1.3x faster than the legacy pickle-per-batch transport on a
-  payload-heavy workload (the regime the transport targets: the batch
-  bytes, not the model, dominate the per-batch cost — think image serving
-  with a compact head), with bit-identical logits across both transports;
 * when the coalesced batch equals the direct batch, the served logits are
-  bit-identical to ``run_model`` on every backend in the registry.
+  bit-identical to ``run_model`` on every backend in the registry, in
+  both worker modes.
 
 Each timing is the best of several runs measured by the service's own
-clock (or a warmed steady-state loop for the transport A/B, interleaved so
-runner load drift hits both transports equally), so a loaded CI runner
-cannot flake the comparison.  ``BENCH_serve.json`` records everything; the
-CI regression gate diffs the speedup ratios against the committed
-baseline.
+clock, so a loaded CI runner cannot flake the comparison.
+``BENCH_serve.json`` records the batching ratios; the CI regression gate
+diffs them against the committed baseline.  The process-worker transport
+is measured end to end by ``perfbench`` (workload
+``serve-analog-process``).
 
 Run with::
 
     pytest benchmarks/bench_serve.py --benchmark-only -s
 """
-
-import asyncio
-import time
 
 import numpy as np
 import pytest
@@ -39,15 +31,10 @@ from repro.nn import DatasetConfig, SGD, Sequential, SyntheticImageDataset, Trai
 from repro.nn.layers import Flatten, Linear, ReLU
 from repro.rram.device import RRAMStatistics
 from repro.core import MacroConfig
-from repro.serve import InferenceService, ServeConfig, serve_requests
+from repro.serve import ServeConfig, serve_requests
 
 REQUESTS = 64 if smoke_mode() else 256
 ROUNDS = 2 if smoke_mode() else 3
-
-#: Results stashed across the module's tests; the last test writes the
-#: consolidated ``BENCH_serve.json`` trajectory from whatever ran.
-_RESULTS = {}
-
 
 @pytest.fixture(scope="module")
 def workload():
@@ -137,131 +124,8 @@ def test_dynamic_batching_beats_batch1_by_3x(benchmark, workload):
               f"batch-1 {batch1_rps:.0f} samples/s, speedup {speedup:.1f}x")
         assert speedup >= 3.0, (
             f"dynamic batching only {speedup:.2f}x faster in {mode} mode")
-    _RESULTS.update({"requests": REQUESTS, "modes": modes})
-
-
-@pytest.fixture(scope="module")
-def transport_workload():
-    """A payload-heavy serving workload for the transport comparison.
-
-    Large input images with a compact dense head: each 64-row batch moves
-    megabytes of pixels for a sub-millisecond forward, which is the regime
-    where the per-batch transport (pickle serialisation and pipe copies vs
-    one shared-memory write) dominates — image serving with a lean model.
-    Smoke mode shrinks the images, keeping the same byte-vs-compute shape.
-    """
-    image_size = 48 if smoke_mode() else 64
-    dataset = SyntheticImageDataset(DatasetConfig(num_classes=8,
-                                                  image_size=image_size,
-                                                  noise_sigma=0.3, seed=23))
-    x_train, y_train, x_test, _ = dataset.train_test_split(128, 64)
-    features = 3 * image_size * image_size
-    model = Sequential(
-        Flatten(),
-        Linear(features, 64, rng=np.random.default_rng(0)),
-        ReLU(),
-        Linear(64, 8, rng=np.random.default_rng(1)),
-    )
-    Trainer(model, SGD(model.parameters(), learning_rate=0.05), batch_size=32).fit(
-        x_train, y_train, epochs=1
-    )
-    return model, np.ascontiguousarray(x_test)
-
-
-def _steady_state_batch_time(service_batches):
-    """Per-batch wall time of warmed, interleaved transport loops.
-
-    ``service_batches`` maps label -> (service, batch).  Both services are
-    warmed (which also builds the shared-memory rings), then timed batches
-    alternate between them so machine load drift cannot bias one side.
-    Returns label -> best observed per-batch seconds.
-    """
-    timed = 16 if smoke_mode() else 32
-
-    async def run():
-        best = {label: float("inf") for label in service_batches}
-        started = []
-        try:
-            for label, (service, batch) in service_batches.items():
-                await service.start()
-                started.append(service)
-                for _ in range(3):
-                    await service.submit(batch)
-                if label == "shm":
-                    # Guard the A/B's premise: if /dev/shm were unavailable
-                    # the worker silently falls back to pickling and the
-                    # comparison would measure pickle vs pickle.
-                    assert service.shm_segment_names(), (
-                        "shared-memory transport did not engage")
-            for _ in range(timed):
-                for label, (service, batch) in service_batches.items():
-                    start = time.perf_counter()
-                    await service.submit(batch)
-                    best[label] = min(best[label], time.perf_counter() - start)
-        finally:
-            # Always stop what started: a failed submit must not leak
-            # worker processes or their shared-memory segments into the
-            # rest of the pytest session.
-            for service in started:
-                await service.stop()
-        return best
-
-    return asyncio.run(run())
-
-
-@pytest.mark.benchmark(group="serve")
-def test_shm_transport_beats_pickle_1p3x_bit_identical(benchmark,
-                                                       transport_workload):
-    """The shared-memory ring transport serves process-worker batches >=
-    1.3x faster than the pickle-per-batch transport on the payload-heavy
-    workload, with bit-identical served logits on both transports, and
-    writes the consolidated ``BENCH_serve.json`` trajectory."""
-    model, x_test = transport_workload
-    images = x_test[:32]
-
-    def check_identity():
-        direct = run_model(model, images, backend="ideal",
-                           batch_size=len(images))
-        outcomes = {}
-        for transport in ("shm", "pickle"):
-            served, _ = serve_requests(
-                model, images,
-                ServeConfig(max_batch=len(images), workers="process",
-                            transport=transport))
-            outcomes[transport] = np.array_equal(served, direct.logits)
-        return outcomes
-
-    outcomes = benchmark.pedantic(check_identity, rounds=1, iterations=1)
-    print("\nServed-vs-direct bit identity per transport:")
-    for transport, identical in sorted(outcomes.items()):
-        print(f"  {transport:7s} {'bit-identical' if identical else 'MISMATCH'}")
-    assert all(outcomes.values()), outcomes
-
-    services = {
-        transport: (InferenceService(model, ServeConfig(
-            max_batch=len(x_test), workers="process", transport=transport)),
-            x_test)
-        for transport in ("shm", "pickle")
-    }
-    best = _steady_state_batch_time(services)
-    speedup = best["pickle"] / best["shm"]
-    batch_mb = x_test.nbytes / 1e6
-    print(f"Process transport ({batch_mb:.1f} MB/batch): "
-          f"shm {best['shm'] * 1e3:.2f} ms/batch, "
-          f"pickle {best['pickle'] * 1e3:.2f} ms/batch, "
-          f"speedup {speedup:.2f}x")
-
-    path = write_bench_json("serve", {
-        "transport_batch_mb": batch_mb,
-        "transport_shm_s": best["shm"],
-        "transport_pickle_s": best["pickle"],
-        "transport_speedup": speedup,
-        "transport_bit_identical": outcomes,
-        **_RESULTS,
-    })
+    path = write_bench_json("serve", {"requests": REQUESTS, "modes": modes})
     print(f"Trajectory written to {path}")
-
-    assert speedup >= 1.3, f"shared-memory transport only {speedup:.2f}x faster"
 
 
 @pytest.mark.benchmark(group="serve")

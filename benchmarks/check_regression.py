@@ -5,11 +5,11 @@ writes fresh ``BENCH_exec.json`` / ``BENCH_serve.json`` trajectories, and
 then runs this script against the baselines committed under
 ``benchmarks/baselines/``.  Absolute wall times are machine-dependent, so
 the gate compares the **speedup ratios** — compiled plan vs generic,
-shared-memory vs pickle transport, dynamic batching vs batch-1 — which are
-measured within one run on one machine and therefore travel across
-runners.  A fresh ratio dropping more than its per-key floor below the
-committed baseline (20-50% depending on the ratio's observed variance;
-``--threshold`` overrides all of them) fails the job.
+dynamic batching vs batch-1 — which are measured within one run on one
+machine and therefore travel across runners.  A fresh ratio dropping more
+than its per-key floor below the committed baseline (20-50% depending on
+the ratio's observed variance; ``--threshold`` overrides all of them)
+fails the job.
 
 Baselined ratios missing from the fresh results WARN instead of failing
 for the ``OPTIONAL_FRESH`` files (benchmarks that legitimately skip on
@@ -39,19 +39,16 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 #: file stem -> {ratio key: allowed fractional drop below baseline}.  The
-#: per-key floors reflect each ratio's observed cross-run variance: the
-#: transport ratio is a steady-state interleaved best-of-N measurement
-#: (stable within ~10%) and gets a tight floor; plan_speedup
-#: divides two separately-timed runs and swings more with machine load; the
-#: dynamic-batching ratios time whole asyncio serving runs whose batch-1
-#: side is hundreds of tiny forwards — run-to-run variance of 25%+ on one
-#: machine is normal, so their floor is widest.  Every guarded ratio also
-#: carries a hard absolute assert inside its benchmark, so widening a floor
-#: here never lets an outright failure through.
+#: per-key floors reflect each ratio's observed cross-run variance:
+#: plan_speedup divides two separately-timed runs and swings with machine
+#: load; the dynamic-batching ratios time whole asyncio serving runs whose
+#: batch-1 side is hundreds of tiny forwards — run-to-run variance of 25%+
+#: on one machine is normal, so their floor is widest.  Every guarded ratio
+#: also carries a hard absolute assert inside its benchmark, so widening a
+#: floor here never lets an outright failure through.
 GUARDED_RATIOS: Dict[str, Dict[str, float]] = {
     "BENCH_exec.json": {"plan_speedup": 0.4},
-    "BENCH_serve.json": {"transport_speedup": 0.25,
-                         "modes.thread.speedup": 0.5,
+    "BENCH_serve.json": {"modes.thread.speedup": 0.5,
                          "modes.process.speedup": 0.5},
     # The committed pipeline baseline starts at the 1.5x contract floor the
     # benchmark hard-asserts (refresh it with a measured multi-core run);

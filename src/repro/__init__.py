@@ -30,12 +30,12 @@ Sub-packages
     ``run_model(model, data, backend=...)`` entry point.
 ``repro.serve``
     The dynamic-batching inference service: micro-batcher, multi-macro
-    scheduler, metrics, load generator, process workers and the
-    shared-memory batch transport.
+    scheduler, metrics, load generator, thread and process workers, and
+    the shared-memory slot rings.
 ``repro.shard``
     Pipeline-parallel sharding: compiled plans cut into per-stage partial
     plans and executed across stage processes joined by shared-memory
-    rings.
+    rings.  A process worker of ``repro.serve`` is the one-stage case.
 ``repro.analysis``
     Experiment runners regenerating every figure and table of the paper.
 """

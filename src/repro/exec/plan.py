@@ -854,10 +854,15 @@ class ModelPlan:
     generic kernels: that hook path is the bit-identity oracle.
 
     Plans are picklable: a pickled plan carries its replica model, packed
-    tiles, code tables and generator states, so a process pool can
+    tiles, code tables and generator states, so a worker process can
     reconstruct identical execution in another interpreter (arena scratch
-    regrows there).
+    regrows there).  A plan also speaks the stage interface of
+    :class:`PipelineStagePlan` (``layer_start`` / ``layer_stop``,
+    :meth:`num_macros`), so a one-stage pipeline runs it whole.
     """
+
+    #: First top-level layer this plan runs (the stage interface).
+    layer_start = 0
 
     def __init__(self, model: Model, backend: ExecutionBackend,
                  context: ExecutionContext) -> None:
@@ -937,6 +942,15 @@ class ModelPlan:
         self.profile.total_s += time.perf_counter() - start
         self.profile.forwards += 1
         return logits
+
+    @property
+    def layer_stop(self) -> int:
+        """One past the last top-level layer (0 for non-``Sequential``)."""
+        return len(getattr(self.model, "layers", ()))
+
+    def num_macros(self) -> int:
+        """Macros occupied by the whole model (its crossbar footprint)."""
+        return layer_macro_count(self.model)
 
     def conversions(self) -> int:
         """Analog macro conversions spent so far by the backend."""

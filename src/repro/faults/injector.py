@@ -8,9 +8,8 @@ string such as ``worker.forward``; the known sites are listed in
 ``delay``
     Sleep ``delay_s`` before proceeding — a pathologically slow worker.
 ``hang``
-    Sleep ``hang_s`` (long) — a wedged worker that never trips
-    ``BrokenExecutor``; only a dispatch deadline or heartbeat watchdog
-    recovers it.
+    Sleep ``hang_s`` (long) — a wedged worker that never exits; only a
+    dispatch deadline or heartbeat watchdog recovers it.
 ``crash``
     ``crash_mode="raise"`` raises :class:`InjectedFaultError` (a
     request-level failure); ``crash_mode="exit"`` hard-exits the process
@@ -30,7 +29,7 @@ number per call whether or not it fires.  Re-running the same call
 sequence against the same ``(seed, fault_spec)`` therefore reproduces the
 same faults, in every process that installs the spec.
 
-Worker processes receive the spec through their initializer payloads and
+Worker processes receive the spec with their start-up options and
 ``install()`` it process-globally; each process then owns independent
 per-site counters (worker 0 and worker 1 see the same schedule relative
 to their own call streams), which is what makes chaos sweeps replayable
@@ -52,9 +51,9 @@ import numpy as np
 #: suffixes are appended by slot rings to their configured site prefix.
 SITES = (
     "worker.forward",       # worker-side forward entry (process/thread/stage)
-    "shm.request.write",    # parent writes a request slot
-    "shm.response.write",   # worker writes a response slot
-    "pipeline.edge.write",  # a pipeline stage ring slot is written
+    "shm.request.write",    # parent writes a worker's first ring
+    "shm.response.write",   # a worker's last stage writes its last ring
+    "pipeline.edge.write",  # a stage writes an interior pipeline ring
     "plan_cache.load",      # parent loads a compiled plan during (re)spawn
     "respawn",              # parent enters the worker respawn path
 )

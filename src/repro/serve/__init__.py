@@ -12,8 +12,9 @@ system::
   ``least_loaded``) over occupancy-tracked
   :class:`~repro.core.accelerator.AFPRAccelerator` worker pools,
 * :mod:`repro.serve.service` — the asyncio :class:`InferenceService`
-  (worker substrates: in-loop threads, shipped-plan processes, or a
-  ``pipeline_stages=N`` sharded stage pipeline via :mod:`repro.shard`),
+  (worker substrates: in-loop threads, or shipped plans run by a
+  :mod:`repro.shard` stage pipeline — one stage for ``workers="process"``,
+  ``N`` for ``pipeline_stages=N``),
 * :mod:`repro.serve.metrics` — latency percentiles, queue depth, batch-size
   histogram, throughput and energy-per-request,
 * :mod:`repro.serve.loadgen` — seeded open-loop Poisson / bursty / uniform

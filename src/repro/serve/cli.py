@@ -103,11 +103,6 @@ def build_serve_parser(command: str) -> argparse.ArgumentParser:
                         choices=("thread", "process"),
                         help="run replicas in service threads or ship each "
                              "replica's execution plan to its own process")
-    parser.add_argument("--transport", default="shm",
-                        choices=("shm", "pickle"),
-                        help="process-worker batch transport: zero-copy "
-                             "shared-memory rings (default) or the legacy "
-                             "pickle-per-batch pipe")
     parser.add_argument("--pipeline-stages", type=int, default=1,
                         help="shard each replica's compiled plan across "
                              "this many pipeline stage processes (>=2), "
@@ -267,7 +262,6 @@ def _config_from_args(args: argparse.Namespace) -> ServeConfig:
         max_wait_ms=args.max_wait_ms,
         num_workers=args.workers,
         workers=args.worker_mode,
-        transport=args.transport,
         pipeline_stages=args.pipeline_stages,
         macro_budget=args.macro_budget,
         macros_per_worker=args.macros_per_worker,
@@ -319,8 +313,7 @@ def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]
     if args.pipeline_stages > 1:
         mode_tag = f"pipeline x{args.pipeline_stages}"
     else:
-        mode_tag = args.worker_mode + (f", transport={args.transport}"
-                                       if args.worker_mode == "process" else "")
+        mode_tag = args.worker_mode
     lines = [
         f"In-process inference service: backend={args.backend} "
         f"max_batch={args.max_batch} max_wait={args.max_wait_ms}ms "

@@ -8,9 +8,16 @@ coalesces the queue into execution batches; a multi-macro scheduler places
 each batch on one of ``num_workers`` workers, each owning its own model
 replica, prepared execution backend (via
 :class:`~repro.exec.engine.BatchRunner`) and occupancy-tracked
-:class:`~repro.core.accelerator.AFPRAccelerator`.  Batch forwards run in
-worker threads (NumPy releases the GIL in the kernels that matter), so
-replicas genuinely overlap.
+:class:`~repro.core.accelerator.AFPRAccelerator`.  Two worker substrates
+serve the replicas:
+
+* ``_ThreadWorker`` runs batch forwards in threads of the service process
+  (NumPy releases the GIL in the kernels that matter);
+* ``_PipelineWorker`` runs pickled compiled plans in worker processes
+  joined by shared-memory slot rings
+  (:class:`~repro.shard.pipeline.ShardedPipeline`).  ``workers="process"``
+  is a one-stage pipeline running the whole plan; ``pipeline_stages >= 2``
+  cuts the plan into that many stage processes.
 
 Determinism contract: requests are batched strictly in arrival order, and a
 batch's logits are exactly ``backend.forward`` of the stacked request rows —
@@ -19,11 +26,11 @@ would see, the served logits are bit-identical on every backend, and on the
 row-independent digital backends (``ideal``, ``fake_quant``) they are
 bit-identical regardless of how the batcher happened to split the traffic.
 
-Fault tolerance: a worker-level fault (process SIGKILLed, shm ring broken,
-pipeline stage death) is classified apart from request-level errors.  The
-dead worker is marked unplaceable, its in-flight and queued batches are
-re-dispatched to surviving replicas up to ``max_retries`` attempts, and a
-background task respawns the worker — loading its compiled plan from the
+Fault tolerance: a worker-level fault (a worker or stage process died) is
+classified apart from request-level errors.  The dead worker is marked
+unplaceable, its in-flight and queued batches are re-dispatched to
+surviving replicas up to ``max_retries`` attempts, and a background task
+respawns the worker — loading its compiled plan from the
 on-disk :class:`~repro.exec.plan.PlanCache` when one is configured, so
 respawn skips recompilation.  Request-level errors (a forward exception)
 still fail only their own batch: they would fail identically on any
@@ -39,11 +46,9 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import concurrent.futures
 import copy
 import dataclasses
 import pickle
-import signal
 import time
 import warnings
 from random import Random
@@ -82,149 +87,7 @@ from repro.serve.scheduler import (
     build_worker_states,
     create_scheduler,
 )
-from repro.serve.shm import IntegrityError, ShmChannel, SlotRing
-
-
-#: Execution plan owned by one process-pool worker (set by the initializer).
-_PROCESS_PLAN = None
-
-#: Worker-side (requests, responses) ring pair once the parent attached one.
-_PROCESS_RINGS: Optional[Tuple[SlotRing, SlotRing]] = None
-#: Keeps the worker's heartbeat-ring attachment alive for the process
-#: lifetime (the beat thread writes through it until the process dies).
-_PROCESS_HEARTBEAT_RING: Optional[SlotRing] = None
-
-
-def _init_process_worker(payload: bytes,
-                         fault_spec: Optional[Dict] = None) -> None:
-    """Process-pool initializer: unpickle the shipped execution plan.
-
-    Runs once per worker process.  The plan arrives as explicit pickle bytes
-    (not fork-inherited state) so ``workers="process"`` behaves identically
-    under every multiprocessing start method.  ``fault_spec`` (plain dict
-    form) installs the deterministic fault injector process-globally —
-    each worker process owns its own per-site call counters, which is what
-    keeps chaos runs replayable across respawns.
-    """
-    global _PROCESS_PLAN
-    if fault_spec:
-        fault_injector.install(fault_spec)
-    _PROCESS_PLAN = pickle.loads(payload)
-
-
-def _process_ready() -> Optional[int]:
-    """Probe task: the plan's conversion counter, or None if uninitialised.
-
-    The counter is non-zero right after prepare (macro calibration spends
-    conversions), so the parent records it as the metering baseline — the
-    first served batch must not be billed for preparation, exactly as the
-    thread workers' per-forward deltas never are.
-    """
-    if _PROCESS_PLAN is None:
-        return None
-    return _PROCESS_PLAN.conversions()
-
-
-def _process_forward(images: np.ndarray, traced: bool = False) -> Tuple:
-    """Pickle-transport batch: (logits, total conversions, forward s, spans).
-
-    ``traced`` batches record per-layer plan spans into a worker-local
-    buffer (this interpreter's ``perf_counter`` clock, relative to the
-    forward start) that ride home on the result tuple for the parent to
-    re-anchor.
-    """
-    fault_injector.fire("worker.forward")
-    start = time.perf_counter()
-    spans: List = []
-    if traced:
-        buffer = PlanTraceBuffer(t0=start)
-        with plan_trace(buffer):
-            logits = _PROCESS_PLAN.forward(images)
-        spans = buffer.records
-    else:
-        logits = _PROCESS_PLAN.forward(images)
-    return (logits, _PROCESS_PLAN.conversions(),
-            time.perf_counter() - start, spans)
-
-
-def _process_attach_rings(request_name: str, response_name: str, slots: int,
-                          request_nbytes: int, response_nbytes: int,
-                          checksum: bool = False) -> bool:
-    """Attach the parent's shared-memory rings (worker side, never unlinks)."""
-    global _PROCESS_RINGS
-    requests = SlotRing.attach(request_name, slots, request_nbytes,
-                               checksum=checksum)
-    responses = SlotRing.attach(response_name, slots, response_nbytes,
-                                checksum=checksum)
-    if fault_injector.get_installed() is not None:
-        # Response corruption is injected post-CRC into the slot this
-        # worker just wrote, so the parent's read-side check catches it.
-        responses.fault_site = "shm.response"
-    _PROCESS_RINGS = (requests, responses)
-    return True
-
-
-def _process_start_heartbeat(name: str, slots: int, index: int,
-                             interval_s: float) -> bool:
-    """Attach the parent's heartbeat ring and start the beat thread."""
-    import threading
-
-    global _PROCESS_HEARTBEAT_RING
-    ring = SlotRing.attach(name, slots, 8)
-    # The ring must outlive this call: dropping the last reference would
-    # garbage-collect the SharedMemory mapping under the beat thread, which
-    # then dies after its first write — and the watchdog would reap every
-    # healthy worker at exactly the timeout.
-    _PROCESS_HEARTBEAT_RING = ring
-    cell = ring.view(index, (1,), np.float64)
-
-    def _beat() -> None:
-        count = 0.0
-        while True:
-            count += 1.0
-            cell[0] = count
-            time.sleep(interval_s)
-
-    threading.Thread(target=_beat, daemon=True, name="heartbeat").start()
-    return True
-
-
-def _process_forward_shm(slot: int, shape: Tuple[int, ...],
-                         traced: bool = False) -> Tuple:
-    """Shared-memory batch: read the request slot, run, fill the response slot.
-
-    The plan consumes a zero-copy view of the request slot (forwards never
-    mutate their input) and the logits are written into the matching
-    response slot; only these few coordinates cross the executor pipe.
-    Logits too large for the slot fall back to being returned by value.
-    Traced batches additionally ship their per-layer plan spans (see
-    :func:`_process_forward`) — span tuples are tiny, so they ride the
-    pipe even on the shared-memory transport.
-    """
-    requests, responses = _PROCESS_RINGS
-    images = requests.read(slot, shape)
-    fault_injector.fire("worker.forward")
-    start = time.perf_counter()
-    spans: List = []
-    if traced:
-        buffer = PlanTraceBuffer(t0=start)
-        with plan_trace(buffer):
-            logits = _PROCESS_PLAN.forward(images)
-        spans = buffer.records
-    else:
-        logits = _PROCESS_PLAN.forward(images)
-    forward_s = time.perf_counter() - start
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    total = _PROCESS_PLAN.conversions()
-    if responses.fits(logits.nbytes):
-        responses.write(slot, logits)
-        return ("shm", logits.shape, total, forward_s, spans)
-    return ("pickle", logits, total, forward_s, spans)
-
-
-def _process_profile() -> Dict[str, float]:
-    """Per-stage wall-clock breakdown of the worker's plan."""
-    return _PROCESS_PLAN.stage_profile()
+from repro.serve.shm import IntegrityError
 
 
 class _ThreadWorker:
@@ -243,7 +106,7 @@ class _ThreadWorker:
         — the worker-clock span payload :meth:`Tracer.attach_remote`
         re-anchors under the dispatch span.  Thread workers share the
         service clock, but shipping relative spans keeps one format across
-        all three substrates.
+        both substrates.
         """
         before = self.runner.conversions()
         if traced:
@@ -283,242 +146,48 @@ class _ThreadWorker:
         await asyncio.to_thread(self.runner.close)
 
 
-class _ProcessWorker:
-    """Out-of-process worker: a pickled plan running in its own interpreter.
-
-    One single-process executor per worker keeps batch→worker affinity (the
-    scheduler's placement decisions stay meaningful) and gives each plan a
-    real core of its own — NumPy sections that hold the GIL no longer
-    serialise against the other replicas.
-
-    Transport: ``"shm"`` (default) serves steady-state batches through the
-    parent-owned shared-memory rings of :mod:`repro.serve.shm` — one copy
-    in, one copy out, a fixed slot count with backpressure and only slot
-    coordinates on the executor pipe.  The first batch rides the pickle
-    path and teaches the ring its slot layout; batches that do not fit a
-    slot (oversized one-off requests) fall back to pickling per batch.
-    ``"pickle"`` keeps the original serialise-every-batch transport (the
-    benchmark baseline).  ``transport_s`` accumulates the time each batch
-    spent outside the remote forward — serialisation, copies and executor
-    round-trip — and feeds the ``--profile`` transport row.
-    """
-
-    mode = "process"
-
-    def __init__(self, payload: bytes, transport: str = "shm",
-                 max_batch: int = 64, slots: int = 4,
-                 checksum: bool = False, fault_spec: Optional[Dict] = None,
-                 heartbeat_interval_s: Optional[float] = None) -> None:
-        self.executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=_init_process_worker,
-            initargs=(payload, fault_spec))
-        self.transport = transport
-        self.max_batch = max(int(max_batch), 1)
-        self.slots = max(int(slots), 1)
-        self.checksum = bool(checksum)
-        self.fault_spec = fault_spec
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.transport_s = 0.0
-        self._conversions_total = 0
-        self._channel: Optional[ShmChannel] = None
-        self._free_slots: Optional[asyncio.Queue] = None
-        self._logit_row_nbytes = 0
-        self._heartbeat_ring: Optional[SlotRing] = None
-
-    async def start(self) -> None:
-        """Fail fast if the worker process cannot reconstruct the plan."""
-        loop = asyncio.get_running_loop()
-        baseline = await loop.run_in_executor(self.executor, _process_ready)
-        if baseline is None:
-            raise RuntimeError("process worker failed to initialise its plan")
-        self._conversions_total = baseline
-        if self.heartbeat_interval_s is not None:
-            try:
-                ring = SlotRing(1, 8)
-                await loop.run_in_executor(
-                    self.executor, _process_start_heartbeat, ring.name, 1, 0,
-                    float(self.heartbeat_interval_s))
-                self._heartbeat_ring = ring
-            except Exception as exc:  # noqa: BLE001 — watchdog is optional
-                warnings.warn(
-                    f"worker heartbeat unavailable ({exc!r}); running "
-                    "without the heartbeat watchdog", RuntimeWarning,
-                    stacklevel=2)
-
-    def heartbeat_counts(self) -> Optional[Tuple[float, ...]]:
-        """The worker's heartbeat counter, or None when disabled."""
-        if self._heartbeat_ring is None:
-            return None
-        return (float(self._heartbeat_ring.view(0, (1,), np.float64)[0]),)
-
-    def kill(self) -> None:
-        """SIGKILL the worker process (hung-worker reaper; sync, best-effort).
-
-        ``close()``'s ``executor.shutdown(wait=True)`` would join a *hung*
-        worker process forever, so the watchdog path hard-kills it first —
-        after which shutdown's join returns immediately.
-        """
-        for proc in list(getattr(self.executor, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except Exception:  # noqa: BLE001 — already reaped
-                pass
-
-    async def _build_channel(self, images: np.ndarray, logits: np.ndarray) -> None:
-        """Size and attach the rings from the first served batch's layout."""
-        rows = max(int(images.shape[0]), 1)
-        row_nbytes = max(images.nbytes // rows, 1)
-        logit_row_nbytes = max(logits.nbytes // rows, 8)
-        slot_rows = max(self.max_batch, rows)
-        loop = asyncio.get_running_loop()
-        channel: Optional[ShmChannel] = None
-        try:
-            channel = ShmChannel(self.slots, slot_rows * row_nbytes,
-                                 slot_rows * logit_row_nbytes,
-                                 checksum=self.checksum)
-            if self.fault_spec:
-                # Request slots are written by the parent; the injected
-                # corruption flips bytes after the CRC header is stored.
-                channel.requests.fault_site = "shm.request"
-            await loop.run_in_executor(self.executor, _process_attach_rings,
-                                       *channel.describe())
-        except Exception as exc:  # noqa: BLE001 — /dev/shm unavailable, worker dead…
-            # Shared memory is an optimisation; keep serving over pickle —
-            # but loudly, so an unmounted /dev/shm cannot silently turn an
-            # A/B transport comparison into pickle-vs-pickle.
-            if channel is not None:
-                channel.close(unlink=True)
-            self.transport = "pickle"
-            warnings.warn(
-                f"shared-memory transport unavailable ({exc!r}); "
-                "process worker falls back to the pickle transport",
-                RuntimeWarning, stacklevel=2)
-            return
-        self._channel = channel
-        self._logit_row_nbytes = logit_row_nbytes
-        self._free_slots = asyncio.Queue()
-        for slot in range(self.slots):
-            self._free_slots.put_nowait(slot)
-
-    def _slot_serves(self, images: np.ndarray) -> bool:
-        return (self._channel is not None
-                and self._channel.requests.fits(images.nbytes)
-                and self._channel.responses.fits(
-                    int(images.shape[0]) * self._logit_row_nbytes))
-
-    @property
-    def shm_segment_names(self) -> List[str]:
-        """Names of this worker's segments (empty on the pickle transport)."""
-        names = [] if self._channel is None else list(self._channel.segment_names)
-        if self._heartbeat_ring is not None:
-            names.append(self._heartbeat_ring.name)
-        return names
-
-    async def forward(self, images: np.ndarray, traced: bool = False
-                      ) -> Tuple[np.ndarray, int, Optional[List]]:
-        """Run one batch; returns (logits, measured conversions, remote spans).
-
-        ``remote`` (traced batches only) is ``[(None, forward_s, records)]``
-        — the worker interpreter's relative-clock spans, piggybacked on the
-        result tuple over whichever transport served the batch.
-        """
-        loop = asyncio.get_running_loop()
-        start = time.perf_counter()
-        if self._slot_serves(images):
-            # Backpressure: wait for a free slot instead of buffering.
-            slot = await self._free_slots.get()
-            try:
-                self._channel.requests.write(slot, images)
-                outcome = await loop.run_in_executor(
-                    self.executor, _process_forward_shm, slot, images.shape,
-                    traced)
-                if outcome[0] == "shm":
-                    _, shape, total, forward_s, spans = outcome
-                    # Copy out before the slot is released for reuse; with
-                    # checksums on, read() verifies the worker's CRC here.
-                    logits = np.array(self._channel.responses.read(slot, shape))
-                else:
-                    _, logits, total, forward_s, spans = outcome
-            finally:
-                self._free_slots.put_nowait(slot)
-        else:
-            logits, total, forward_s, spans = await loop.run_in_executor(
-                self.executor, _process_forward, images, traced)
-            if self.transport == "shm" and self._channel is None:
-                await self._build_channel(images, logits)
-        measured = total - self._conversions_total
-        self._conversions_total = total
-        self.transport_s += max(time.perf_counter() - start - forward_s, 0.0)
-        remote = [(None, forward_s, spans)] if traced else None
-        return logits, measured, remote
-
-    async def stage_profile(self) -> Dict[str, float]:
-        """The remote plan's stage breakdown plus parent-side transport time."""
-        loop = asyncio.get_running_loop()
-        profile = await loop.run_in_executor(self.executor, _process_profile)
-        profile["transport_s"] = self.transport_s
-        return profile
-
-    async def close(self) -> None:
-        """Shut the worker process down and unlink its shared memory.
-
-        The parent owns the segments, so they are removed even when the
-        worker process already crashed mid-batch.
-        """
-        try:
-            await asyncio.to_thread(self.executor.shutdown, True)
-        finally:
-            if self._channel is not None:
-                self._channel.close(unlink=True)
-                self._channel = None
-            if self._heartbeat_ring is not None:
-                self._heartbeat_ring.close()
-                self._heartbeat_ring.unlink()
-                self._heartbeat_ring = None
-
-
 class _PipelineWorker:
-    """Sharded worker: the replica's plan split across pipeline stage processes.
+    """Out-of-process worker: compiled plan payloads run by stage processes.
 
-    The replica's compiled plan is cut at layer boundaries into per-stage
-    partial plans (greedy cost balance under the ``macro_budget`` crossbar
-    constraint — see :mod:`repro.shard.partition`), each stage runs in its
-    own process, and batches stream between stages over per-edge
-    shared-memory slot rings (:class:`repro.shard.pipeline.ShardedPipeline`).
-    Unlike the one-batch-at-a-time workers above, a pipeline worker serves
+    ``workers="process"`` ships the replica's whole compiled plan to a
+    one-stage :class:`~repro.shard.pipeline.ShardedPipeline`: each replica
+    gets a real core of its own (NumPy sections that hold the GIL no longer
+    serialise against the other replicas), and batches in and logits out
+    cross shared-memory slot rings.  ``pipeline_stages >= 2`` instead ships
+    per-stage partial plans cut at layer boundaries (greedy cost balance
+    under the ``macro_budget`` crossbar constraint — see
+    :mod:`repro.shard.partition`), one process per stage.
+
+    A one-stage worker is pumped one batch at a time, so a dispatch
+    deadline times one forward.  A multi-stage worker serves
     ``max_inflight`` batches concurrently — that overlap across stages is
     the throughput win — so the service's worker loop pumps it with
-    concurrent tasks instead of awaiting each batch.
-
-    Submissions are ordered by an asyncio lock: batches must *enter* the
-    pipeline in dispatch order (the FIFO stage rings then preserve it),
-    which is what keeps pipelined serving bit-identical to single-worker
+    concurrent tasks.  ``submit`` runs on the event loop and never waits
+    (the pump width is at most the pipeline's in-flight window), so
+    batches enter the pipeline in dispatch order and the FIFO stage rings
+    keep it: pipelined serving stays bit-identical to single-worker
     serving even for the order-sensitive analog noise streams.
     """
 
-    mode = "pipeline"
-
-    def __init__(self, partition, max_batch: int = 64, slots: int = 2,
-                 checksum: bool = False, fault_spec: Optional[Dict] = None,
+    def __init__(self, payloads: List[bytes], max_batch: int = 64,
+                 slots: int = 2, checksum: bool = False,
+                 fault_spec: Optional[Dict] = None,
                  heartbeat_interval_s: Optional[float] = None) -> None:
         from repro.shard.pipeline import ShardedPipeline
 
-        self.partition = partition
-        self.pipeline = ShardedPipeline(partition.payloads,
-                                        max_batch=max_batch, slots=slots,
-                                        checksum=checksum,
-                                        fault_spec=fault_spec,
-                                        heartbeat_interval_s=heartbeat_interval_s)
+        self.pipeline = ShardedPipeline(
+            payloads, max_batch=max_batch, slots=slots, checksum=checksum,
+            fault_spec=fault_spec, heartbeat_interval_s=heartbeat_interval_s)
+        self.sharded = self.pipeline.num_stages > 1
         #: Batches the worker loop may keep in flight at once.
-        self.max_inflight = partition.num_stages + max(int(slots), 1)
+        self.max_inflight = self.pipeline.window if self.sharded else 1
         self.transport_s = 0.0
+        #: Latest per-stage accounting (sharded workers only).
         self.stage_stats: List[Dict] = []
         self._conversions_total = 0
-        self._submit_lock: Optional[asyncio.Lock] = None
 
     async def start(self) -> None:
         """Spawn the stage processes; fails fast if a stage plan won't load."""
-        self._submit_lock = asyncio.Lock()
         await asyncio.to_thread(self.pipeline.start)
 
     def heartbeat_counts(self) -> Optional[Tuple[float, ...]]:
@@ -526,12 +195,12 @@ class _PipelineWorker:
         return self.pipeline.heartbeat_counts()
 
     def kill(self) -> None:
-        """SIGKILL every stage process (hung-pipeline reaper)."""
+        """SIGKILL every stage process (hung-worker reaper)."""
         self.pipeline.kill()
 
     @property
     def shm_segment_names(self) -> List[str]:
-        """Names of the live stage-ring segments (for the leak tests)."""
+        """Names of the live ring segments (for the leak tests)."""
         return self.pipeline.segment_names
 
     async def forward(self, images: np.ndarray, traced: bool = False
@@ -540,16 +209,13 @@ class _PipelineWorker:
 
         For traced batches every stage ships its per-layer spans and this
         batch's forward seconds in its stats dict; ``remote`` lays them out
-        in stage order — ``[(stage_index, batch_forward_s, spans), ...]`` —
-        so the parent renders the stages sequentially under the dispatch
-        span (their real overlap is across *batches*, not within one).
+        in stage order — ``[(stage_index, batch_forward_s, spans), ...]``,
+        with ``None`` as the index of a one-stage worker's whole-plan
+        forward — so the parent renders the stages sequentially under the
+        dispatch span (their real overlap is across *batches*, not within
+        one).
         """
-        loop = asyncio.get_running_loop()
-        async with self._submit_lock:
-            # submit() may block on edge-0 backpressure; keep it off the
-            # event loop, but under the lock so batches enter in order.
-            future = await loop.run_in_executor(None, self.pipeline.submit,
-                                                images, traced)
+        future = self.pipeline.submit(images, traced)
         logits, stats = await asyncio.wrap_future(future)
         # Each stage stamps its cumulative conversion count as the batch
         # passes, so a completed batch carries a consistent "all stages
@@ -557,12 +223,13 @@ class _PipelineWorker:
         total = sum(stage["conversions"] for stage in stats)
         measured = total - self._conversions_total
         self._conversions_total = total
-        self.stage_stats = stats
+        if self.sharded:
+            self.stage_stats = stats
         self.transport_s = sum(stage["transport_s"] for stage in stats)
         remote = None
         if traced:
             remote = [
-                (stage.get("stage", position),
+                (stage.get("stage", position) if self.sharded else None,
                  stage.get("batch_forward_s", 0.0),
                  stage.get("spans", []))
                 for position, stage in enumerate(stats)
@@ -570,15 +237,13 @@ class _PipelineWorker:
         return logits, measured, remote
 
     async def stage_profile(self) -> Dict[str, float]:
-        """Summed plan-stage breakdown plus a per-pipeline-stage list."""
-        stats = self.pipeline.stage_stats() or self.stage_stats
+        """Summed plan-stage breakdown (plus a per-stage list when sharded)."""
         combined: Dict[str, float] = {
             "dac_s": 0.0, "crossbar_s": 0.0, "adc_s": 0.0, "digital_s": 0.0,
             "total_s": 0.0, "forwards": 0.0, "transport_s": 0.0,
-            "bubble_s": 0.0,
         }
         stages = []
-        for stage in stats:
+        for stage in self.pipeline.stage_stats():
             profile = dict(stage.get("profile", {}))
             for key in ("dac_s", "crossbar_s", "adc_s", "digital_s",
                         "total_s"):
@@ -586,7 +251,6 @@ class _PipelineWorker:
             combined["forwards"] = max(combined["forwards"],
                                        float(profile.get("forwards", 0.0)))
             combined["transport_s"] += float(stage.get("transport_s", 0.0))
-            combined["bubble_s"] += float(stage.get("bubble_s", 0.0))
             profile["transport_s"] = float(stage.get("transport_s", 0.0))
             profile["bubble_s"] = float(stage.get("bubble_s", 0.0))
             stages.append({
@@ -595,11 +259,20 @@ class _PipelineWorker:
                 "batches": stage.get("batches", 0),
                 "profile": profile,
             })
-        combined["stages"] = stages
+        if self.sharded:
+            # Bubble time is input starvation between stages; a single
+            # stage's is plain idle time, so it is not reported.
+            combined["bubble_s"] = sum(stage["profile"]["bubble_s"]
+                                       for stage in stages)
+            combined["stages"] = stages
         return combined
 
     async def close(self) -> None:
-        """Stop the stage processes and unlink every stage-ring segment."""
+        """Stop the stage processes and unlink every ring segment.
+
+        The parent owns the segments, so they are removed even when a
+        stage process already crashed mid-batch.
+        """
         await asyncio.to_thread(self.pipeline.close)
 
 
@@ -645,22 +318,19 @@ class ServeConfig:
     workers:
         Worker substrate: ``"thread"`` (default) runs each replica's
         forwards in worker threads of the service process; ``"process"``
-        builds each replica's execution plan once, pickles it and ships it
-        to a dedicated single-process executor — real cores instead of
-        GIL-shared threads, with deterministic per-worker state (replica
-        ``i`` is constructed by the same seeded recipe in both modes, so
-        served logits match the in-loop workers bit for bit).
-    transport:
-        Batch transport of ``workers="process"``: ``"shm"`` (default)
-        moves images and logits through parent-owned shared-memory rings
-        (zero-copy views in the worker, fixed slot count with backpressure,
-        unlinked on close); ``"pickle"`` serialises every batch through the
-        executor pipe — the pre-shared-memory behaviour, kept as the
-        benchmark baseline.  Ignored by thread workers.
+        builds each replica's execution plan once, pickles it and runs it
+        as a one-stage pipeline in a dedicated process — real cores
+        instead of GIL-shared threads, with deterministic per-worker state
+        (replica ``i`` is constructed by the same seeded recipe in both
+        modes, so served logits match the in-loop workers bit for bit).
+        Images go in and logits come back through parent-owned
+        shared-memory rings (zero-copy views in the worker, unlinked on
+        close); the first batch and batches too large for a slot travel by
+        value.
     transport_slots:
-        Ring slots per process worker (the in-flight bound of the
-        shared-memory transport); also the per-edge slot count of the
-        pipeline stage rings.
+        Extra in-flight batches of a process or pipeline worker beyond one
+        per stage: each worker's window is ``stages + transport_slots``
+        batches, and each of its shared-memory rings has that many slots.
     pipeline_stages:
         ``>= 2`` serves each replica as a sharded stage pipeline: the
         compiled plan is cut at layer boundaries into that many per-stage
@@ -697,8 +367,8 @@ class ServeConfig:
         reported even when the backend meters none.
     retry_policy:
         What happens to the in-flight batches of a worker that *died*
-        (process exit, broken shm transport, pipeline stage death — never
-        plain forward exceptions, which fail only their own batch).
+        (a worker or stage process exited — never plain forward
+        exceptions, which fail only their own batch).
         ``"redispatch"`` (default) re-queues them onto surviving replicas
         up to ``max_retries`` attempts.  Retried analog batches draw fresh
         noise (the replacement replica's streams have advanced
@@ -817,7 +487,6 @@ class ServeConfig:
     max_wait_ms: float = 2.0
     num_workers: int = 1
     workers: str = "thread"
-    transport: str = "shm"
     transport_slots: int = 4
     pipeline_stages: int = 1
     pipeline_probe: Optional[np.ndarray] = None
@@ -872,11 +541,6 @@ class InferenceService:
             raise ValueError(
                 f"unknown worker mode {self.config.workers!r}; "
                 "choose 'thread' or 'process'"
-            )
-        if self.config.transport not in ("shm", "pickle"):
-            raise ValueError(
-                f"unknown process transport {self.config.transport!r}; "
-                "choose 'shm' or 'pickle'"
             )
         if self.config.pipeline_stages < 1:
             raise ValueError("pipeline_stages must be >= 1")
@@ -947,7 +611,7 @@ class InferenceService:
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[DynamicBatcher] = None
         self._worker_states: List[WorkerState] = []
-        self._workers: List[Optional[Union[_ThreadWorker, _ProcessWorker,
+        self._workers: List[Optional[Union[_ThreadWorker,
                                            _PipelineWorker]]] = []
         self._worker_queues: List[asyncio.Queue] = []
         self._tasks: List[asyncio.Task] = []
@@ -1199,47 +863,35 @@ class InferenceService:
         self._pipeline_partition = partition
         return partition
 
-    async def _build_worker(self) -> Union["_ThreadWorker", "_ProcessWorker",
-                                           "_PipelineWorker"]:
+    async def _build_worker(self) -> Union["_ThreadWorker", "_PipelineWorker"]:
         """Build and start one worker of the configured substrate."""
         config = self.config
+        if self._worker_mode == "thread":
+            runner = await self._build_runner()
+            try:
+                if config.macro_budget is not None:
+                    await asyncio.to_thread(self._enforce_macro_budget, runner)
+            except Exception:
+                await asyncio.to_thread(runner.close)
+                raise
+            return _ThreadWorker(runner)
+        if self._worker_mode == "pipeline":
+            payloads = (await self._partition_payloads()).payloads
+        else:
+            payloads = [await self._process_plan_payload()]
         heartbeat = (config.heartbeat_interval_s
                      if config.heartbeat_timeout_s is not None else None)
-        if config.pipeline_stages > 1:
-            partition = await self._partition_payloads()
-            worker = _PipelineWorker(partition, max_batch=config.max_batch,
-                                     slots=config.transport_slots,
-                                     checksum=config.shm_integrity,
-                                     fault_spec=self._fault_spec_dict,
-                                     heartbeat_interval_s=heartbeat)
-            try:
-                await worker.start()
-            except Exception:
-                await worker.close()
-                raise
-            return worker
-        if config.workers == "process":
-            payload = await self._process_plan_payload()
-            worker = _ProcessWorker(payload, transport=config.transport,
-                                    max_batch=config.max_batch,
-                                    slots=config.transport_slots,
-                                    checksum=config.shm_integrity,
-                                    fault_spec=self._fault_spec_dict,
-                                    heartbeat_interval_s=heartbeat)
-            try:
-                await worker.start()
-            except Exception:
-                await worker.close()
-                raise
-            return worker
-        runner = await self._build_runner()
+        worker = _PipelineWorker(payloads, max_batch=config.max_batch,
+                                 slots=config.transport_slots,
+                                 checksum=config.shm_integrity,
+                                 fault_spec=self._fault_spec_dict,
+                                 heartbeat_interval_s=heartbeat)
         try:
-            if config.macro_budget is not None:
-                await asyncio.to_thread(self._enforce_macro_budget, runner)
+            await worker.start()
         except Exception:
-            await asyncio.to_thread(runner.close)
+            await worker.close()
             raise
-        return _ThreadWorker(runner)
+        return worker
 
     async def stop(self, drain: bool = True) -> None:
         """Stop the service.
@@ -1264,7 +916,7 @@ class InferenceService:
                         pass
                     setattr(self, attribute, None)
             # Let in-flight respawns finish (they check _stopping and tear
-            # their worker back down) so no executor leaks past stop.
+            # their worker back down) so no process leaks past stop.
             if self._respawn_tasks:
                 await asyncio.gather(*list(self._respawn_tasks),
                                      return_exceptions=True)
@@ -1615,7 +1267,7 @@ class InferenceService:
         batch, estimate, retries = item
         if not state.alive and not state.retired and not self._stopping:
             # Queued before the worker's death was noticed: skip the doomed
-            # forward (the executor is closed or closing) and go straight
+            # forward (the worker is closed or closing) and go straight
             # to the retry path.  Retired workers still drain their queue.
             state.accelerator.cancel_inference(estimate)
             await self._retry_or_fail(
@@ -1676,8 +1328,8 @@ class InferenceService:
             # Dispatch deadline: the forward outlived its SLO budget — a
             # wedged worker (injected hang, livelock) that never raises.
             # Classified exactly like a death, plus a hard kill() first:
-            # executor shutdown would otherwise join the hung process
-            # forever.  Must precede the generic handler — on Python 3.11+
+            # an orderly close would otherwise wait on the hung process.
+            # Must precede the generic handler — on Python 3.11+
             # asyncio.TimeoutError is the builtin TimeoutError.
             if dispatch_span is not None:
                 self.tracer.end(dispatch_span, error="dispatch_timeout")
@@ -1711,16 +1363,16 @@ class InferenceService:
                                   error=repr(exc))
                 await self._retry_or_fail(batch, retries, exc)
                 return
-            # A fault is worker-level either by type (BrokenExecutor,
-            # StageDiedError) or by correlation: the worker was marked
-            # dead while this batch raced its teardown, so errors like
-            # "cannot schedule new futures after shutdown" still count.
+            # A fault is worker-level either by type (StageDiedError) or
+            # by correlation: the worker was marked dead while this batch
+            # raced its teardown, so errors like "pipeline is not running"
+            # still count.
             death = (self._is_worker_death(exc)
                      or (not state.alive and not state.retired))
             if death and not self._stopping:
-                # Worker-level fault (process exit, broken shm transport,
-                # dead pipeline stage): the batch itself is fine, so it is
-                # re-dispatchable.  Mark the worker down and respawn it.
+                # Worker-level fault (a worker or stage process died): the
+                # batch itself is fine, so it is re-dispatchable.  Mark the
+                # worker down and respawn it.
                 self._note_worker_death(state, exc)
                 await self._retry_or_fail(batch, retries, exc)
                 return
@@ -1770,12 +1422,8 @@ class InferenceService:
     # ------------------------------------------------------------------
     def _is_worker_death(self, exc: BaseException) -> bool:
         """Whether ``exc`` means the *worker* died rather than the batch."""
-        if isinstance(exc, concurrent.futures.BrokenExecutor):
-            return True  # process worker gone (BrokenProcessPool et al.)
-        try:
-            from repro.shard.pipeline import StageDiedError
-        except ImportError:  # pragma: no cover - shard always ships
-            return False
+        from repro.shard.pipeline import StageDiedError
+
         return isinstance(exc, StageDiedError)
 
     def _is_corruption(self, exc: BaseException) -> bool:
@@ -1784,13 +1432,9 @@ class InferenceService:
         Corruption means the *payload* went bad in flight, not the worker:
         the batch is re-dispatched but nothing is killed or respawned.
         """
-        if isinstance(exc, IntegrityError):
-            return True
-        try:
-            from repro.shard.pipeline import StageCorruptionError
-        except ImportError:  # pragma: no cover - shard always ships
-            return False
-        return isinstance(exc, StageCorruptionError)
+        from repro.shard.pipeline import StageCorruptionError
+
+        return isinstance(exc, (IntegrityError, StageCorruptionError))
 
     def _dispatch_timeout_for(self, batch: List[Request]) -> Optional[float]:
         """The dispatch deadline for ``batch`` (tightest member's class).
@@ -1817,8 +1461,7 @@ class InferenceService:
 
         ``kill=True`` (hung workers: dispatch timeouts, heartbeat trips)
         SIGKILLs the worker's processes before teardown — a wedged process
-        never exits on its own, and a plain executor shutdown would join
-        it forever.
+        never exits on its own, and an orderly close would wait on it.
         """
         if not state.alive or state.retired or self._stopping:
             return
@@ -2179,21 +1822,17 @@ class InferenceService:
     def process_worker_pids(self) -> Dict[int, List[int]]:
         """PIDs of the live worker processes, keyed by worker index.
 
-        Process workers report their single executor process; pipeline
-        workers report every live stage process.  Thread workers (and dead
-        or retired workers) are absent.  This is what the kill-storm
-        loadgen scenario and the chaos tests aim their SIGKILLs at.
+        Process and pipeline workers report every live stage process (one
+        for a process worker).  Thread workers (and dead or retired
+        workers) are absent.  This is what the kill-storm loadgen scenario
+        and the chaos tests aim their SIGKILLs at.
         """
         pids: Dict[int, List[int]] = {}
         for state in self._worker_states:
             if not state.alive:
                 continue
             worker = self._workers[state.index]
-            if isinstance(worker, _ProcessWorker):
-                procs = list(getattr(worker.executor, "_processes", None) or {})
-                if procs:
-                    pids[state.index] = [int(pid) for pid in procs]
-            elif isinstance(worker, _PipelineWorker):
+            if isinstance(worker, _PipelineWorker):
                 procs = [int(proc.pid) for proc in worker.pipeline._procs
                          if proc.is_alive()]
                 if procs:
@@ -2205,20 +1844,20 @@ class InferenceService:
         return sum(1 for state in self._worker_states if state.alive)
 
     def transport_counters(self) -> Dict[str, int]:
-        """Summed shm-ring writes/bytes across the live process workers.
+        """Summed parent-side shm traffic across the live workers.
 
-        Empty-ringed workers (thread mode, pickle transport, pre-first-
-        batch) contribute zeros; the exposition reports the totals as
-        ``shm_*`` gauges.
+        Requests count the batches the service wrote into the workers'
+        first rings; responses count the logits it copied out of their
+        last rings.  Thread workers and rings not yet built (before a
+        worker's first batch) contribute zeros; the exposition reports
+        the totals as ``shm_*`` gauges.
         """
         totals = {"request_writes": 0, "request_bytes": 0,
                   "response_writes": 0, "response_bytes": 0}
         for worker in self._workers:
-            channel = getattr(worker, "_channel", None)
-            if channel is None:
-                continue
-            for key, value in channel.transport_counters().items():
-                totals[key] += int(value)
+            if isinstance(worker, _PipelineWorker):
+                for key, value in worker.pipeline.transport_counters().items():
+                    totals[key] += int(value)
         return totals
 
     def pool_recovered(self) -> bool:
@@ -2231,8 +1870,8 @@ class InferenceService:
         """Per-worker plan-stage (DAC/crossbar/ADC/digital) breakdowns.
 
         Collect before :meth:`stop` — thread workers read their runner's
-        plan directly, process workers fetch the breakdown from the worker
-        interpreter.
+        plan directly, process and pipeline workers report the breakdown
+        their stages shipped with the latest completed batch.
         """
         return [await worker.stage_profile() for worker in self._workers
                 if worker is not None]

@@ -1,36 +1,37 @@
-"""Shared-memory ring transport between the service and its process workers.
+"""Shared-memory slot rings: the transport of process and pipeline workers.
 
-``workers="process"`` historically pickled every batch into the worker's
-executor pipe and pickled the logits back — two serialisations, chunked pipe
-writes and reads, and three copies per batch of pure software overhead.
-This module replaces that with ``multiprocessing.shared_memory`` rings:
+A :class:`SlotRing` is one parent-owned ``multiprocessing.shared_memory``
+segment cut into a fixed number of equally-sized **slots**.
+:class:`~repro.shard.pipeline.ShardedPipeline` (which serves both
+``workers="process"`` and ``pipeline_stages >= 2``) gives every edge of its
+stage chain one ring:
 
-* the parent owns two segments per worker — images in, logits out — each
-  cut into a fixed number of equally-sized **slots**;
-* a batch is written straight into a free request slot (one copy), the
-  worker runs its plan on a zero-copy view of that slot and writes the
-  logits into the matching response slot (one copy), and only the tiny
-  ``(slot, shape)`` coordinates cross the executor pipe;
-* the free-slot queue provides **backpressure**: a batch waits for a slot
-  instead of growing an unbounded buffer;
+* a batch is written straight into its slot (one copy), the stage runs its
+  plan on a zero-copy view of that slot and writes its output into the
+  next edge's ring (one copy); only tiny ``(seq, slot, shape)``
+  coordinates cross the coordination queues;
+* slots are owned by sequence number — batch ``seq`` uses slot
+  ``seq % slots`` on every edge — and the pipeline's in-flight window,
+  equal to the slot count, is the backpressure, so no free-slot queue is
+  needed;
 * the parent creates and unlinks the segments, so ``service.close()``
-  always removes them from ``/dev/shm`` — even when the worker process
+  always removes them from ``/dev/shm`` — even when a worker process
   crashed mid-batch (attachment in the worker is excluded from its
   resource tracker precisely so a dying worker cannot unlink the parent's
   segments first).
 
-Slot sizes are learned from the first served batch (which rides the pickle
-path and doubles as the worker warm-up): ``max_batch`` rows of that batch's
-row layout, so steady-state traffic is zero-copy while oversized one-off
-requests transparently fall back to pickling.
+Slot sizes are learned from the first served batch, which travels by value
+and doubles as the worker warm-up: ``max_batch`` rows of that batch's row
+layout, so steady-state traffic is zero-copy while oversized one-off
+requests transparently travel by value.
 
 **Integrity (optional):** with ``checksum=True`` every slot is prefixed by
 a 16-byte header carrying the CRC32 and byte count of its payload,
 computed at :meth:`SlotRing.write` and verified by :meth:`SlotRing.read`.
 A mismatch raises :class:`IntegrityError`, which the serving layer
 classifies as a corrupt (re-dispatchable) batch rather than a dead worker.
-The check is off the hot path by default (``checksum=False`` keeps the
-exact PR-4 slot geometry and zero extra work) and both sides of a ring
+The check is off the hot path by default (``checksum=False`` adds no
+header bytes and no work) and both sides of a ring
 must agree on the flag — it is part of the attach coordinates.
 """
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 import struct
 import zlib
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -217,56 +218,6 @@ class SlotRing:
             self.segment.unlink()
         except FileNotFoundError:
             pass
-
-
-class ShmChannel:
-    """The parent-owned request/response ring pair of one process worker."""
-
-    def __init__(self, slots: int, request_slot_nbytes: int,
-                 response_slot_nbytes: int, checksum: bool = False) -> None:
-        self.requests = SlotRing(slots, request_slot_nbytes,
-                                 checksum=checksum)
-        try:
-            self.responses = SlotRing(slots, response_slot_nbytes,
-                                      checksum=checksum)
-        except Exception:
-            self.requests.close()
-            self.requests.unlink()
-            raise
-        self.slots = slots
-        self.checksum = bool(checksum)
-
-    @property
-    def segment_names(self) -> List[str]:
-        """Names of both segments (what the unlink tests check)."""
-        return [self.requests.name, self.responses.name]
-
-    def describe(self) -> Tuple[str, str, int, int, int, bool]:
-        """The attach coordinates shipped to the worker process."""
-        return (self.requests.name, self.responses.name, self.slots,
-                self.requests.slot_nbytes, self.responses.slot_nbytes,
-                self.checksum)
-
-    def transport_counters(self) -> Dict[str, int]:
-        """Cumulative parent-side slot writes and bytes through both rings.
-
-        Only the parent's copies are counted (batch in via ``requests``;
-        the worker writes ``responses`` in its own process), which is
-        exactly the serving process's shm transport cost.
-        """
-        return {
-            "request_writes": self.requests.writes,
-            "request_bytes": self.requests.bytes_written,
-            "response_writes": self.responses.writes,
-            "response_bytes": self.responses.bytes_written,
-        }
-
-    def close(self, unlink: bool = True) -> None:
-        """Close the mappings and (by default) unlink both segments."""
-        for ring in (self.requests, self.responses):
-            ring.close()
-            if unlink:
-                ring.unlink()
 
 
 def segment_exists(name: str) -> bool:

@@ -84,10 +84,7 @@ def probe_layer_costs(plan_payload: bytes, probe: np.ndarray) -> List[float]:
 
 def count_plan_macros(plan: ModelPlan) -> int:
     """Total macros occupied by a prepared plan (its crossbar footprint)."""
-    layers = getattr(plan.model, "layers", None)
-    if layers is None:
-        return 0
-    return sum(layer_macro_count(layer) for layer in layers)
+    return plan.num_macros()
 
 
 def _stage_loads(boundaries: Sequence[Tuple[int, int]],

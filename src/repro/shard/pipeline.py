@@ -1,31 +1,37 @@
 """The pipeline executor: stage processes joined by shared-memory slot rings.
 
-:class:`ShardedPipeline` runs the pickled stage payloads of a
-:class:`~repro.shard.partition.StagePartition` as a chain of dedicated
+:class:`ShardedPipeline` runs pickled stage plans as a chain of dedicated
 worker processes.  Batches stream through the chain as micro-batches: while
 stage 1 computes batch *b*, stage 0 is already computing batch *b+1*, so
 steady-state throughput approaches the slowest stage instead of the sum of
 all stages — the standard pipeline-parallel deployment of multi-macro CIM
-accelerators.
+accelerators.  A chain of one stage whose payload is a whole
+:class:`~repro.exec.plan.ModelPlan` is the serving layer's process worker
+(``ServeConfig(workers="process")``).
 
-Transport generalises :mod:`repro.serve.shm` from parent↔worker to
-stage↔stage.  Every **edge** of the chain (parent→stage 0, stage
-*i*→stage *i+1*, last stage→parent) owns one parent-created
-:class:`~repro.serve.shm.SlotRing` plus two coordination queues: a *ready*
-queue carrying ``(seq, slot, shape)`` coordinates of filled slots
-downstream and a *free* queue returning drained slots upstream.  The free
-queue is the backpressure: a producer blocks for a slot instead of growing
-an unbounded buffer.  Slot layouts are learned from the first batch, which
-rides the queues by value (the pickle warm-up, exactly like the serve
-transport); oversized batches keep falling back to by-value transfer per
-batch.  The parent creates and unlinks every segment, so ``close()``
-removes them from ``/dev/shm`` even when a stage process was SIGKILLed
-mid-batch (stages attach tracker-free and only ever close their mapping).
+Every **edge** of the chain (parent→stage 0, stage *i*→stage *i+1*, last
+stage→parent) owns one parent-created :class:`~repro.serve.shm.SlotRing`
+and a *ready* queue carrying ``(seq, slot, shape)`` coordinates of filled
+slots downstream.  Slots are owned by sequence number: batches complete in
+FIFO order and at most ``W = stages + slots`` of them are in flight, so
+batch ``seq`` owns slot ``seq % W`` on every edge — batch ``seq - W`` has
+fully completed (every stage read its slots, the parent copied its result
+out) before ``seq`` is admitted.  The in-flight window is the
+backpressure; no free-slot queue returns drained slots upstream.  Slot
+layouts are learned from the first batch, which rides the queues by value;
+oversized batches keep falling back to by-value transfer per batch.  The
+parent creates and unlinks every segment, so ``close()`` removes them from
+``/dev/shm`` even when a stage process was SIGKILLed mid-batch (stages
+attach tracker-free and only ever close their mapping).
+
+Fault-injection sites: the parent's edge-0 writes fire
+``shm.request.write``, the last stage's writes fire
+``shm.response.write`` and interior edges fire ``pipeline.edge.write``.
 
 Completion messages accumulate per-stage accounting as they flow: each
 stage appends its cumulative forward seconds, bubble seconds (input
 starvation after the first batch — the pipeline-imbalance signal),
-transport seconds (slot waits and copies), conversions and its plan's
+transport seconds (slot copies), conversions and its plan's
 DAC/crossbar/ADC/digital profile, so the parent always holds a current
 per-stage occupancy snapshot without a separate stats round-trip.
 """
@@ -35,6 +41,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import pickle
 import queue as queue_module
 import threading
@@ -98,8 +105,7 @@ def _start_heartbeat(ring: SlotRing, slot: int, interval_s: float) -> None:
 
 
 def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
-                free_in, free_out, control, options: Optional[Dict] = None
-                ) -> None:
+                control, options: Optional[Dict] = None) -> None:
     """One pipeline stage process: load the stage plan, stream batches.
 
     Messages on the ready queues:
@@ -116,7 +122,11 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
       future.  ``kind == "corrupt"`` marks a CRC failure so the parent
       can classify it as a re-dispatchable transport fault.
     * ``("attach", descs)`` — ring coordinates for every edge; the stage
-      attaches its input/output rings and forwards the message.
+      attaches its input/output rings and forwards the message.  Batch
+      ``seq`` is written to output slot ``seq % slots`` (see the module
+      docstring for why that slot is free).  An output that is a view of
+      the input slot (a reshape-only stage) is safe to hand on: the slot
+      is not rewritten before the batch has left the last edge.
     * ``None`` — shutdown; forwarded downstream before exiting.
 
     ``options`` carries the robustness extras: ``checksum`` switches the
@@ -165,7 +175,9 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
                 if fault_injector.get_installed() is not None:
                     # Downstream handoff corruption is injected post-CRC
                     # into the slot this stage just wrote.
-                    out_ring.fault_site = "pipeline.edge"
+                    last = stage_index + 2 == len(descs)
+                    out_ring.fault_site = ("shm.response" if last
+                                           else "pipeline.edge")
                 ready_out.put(message)
                 continue
             if kind == "err":
@@ -176,13 +188,11 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
             if served_first:
                 bubble_s += waited
             served_first = True
-            slot_in: Optional[int] = None
             batch_forward_s = 0.0
             batch_spans: List = []
             try:
                 if desc[0] == "shm":
-                    slot_in, shape = desc[1], desc[2]
-                    batch = in_ring.read(slot_in, shape)
+                    batch = in_ring.read(desc[1], desc[2])
                 else:
                     batch = desc[1]
                 fault_injector.fire("worker.forward")
@@ -198,21 +208,13 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
                 forward_s += batch_forward_s
                 result = np.ascontiguousarray(
                     np.asarray(result, dtype=np.float64))
-                if slot_in is not None and np.may_share_memory(result, batch):
-                    # A copy-free stage (reshape-only) would hand downstream
-                    # a view into a slot about to be recycled.
-                    result = np.array(result)
             except BaseException as exc:  # noqa: BLE001 — fail the batch only
-                if slot_in is not None:
-                    free_in.put(slot_in)
                 err_kind = ("corrupt" if isinstance(exc, IntegrityError)
                             else "error")
                 ready_out.put(("err", seq,
                                f"stage {stage_index}: {exc!r}", stats,
                                err_kind))
                 continue
-            if slot_in is not None:
-                free_in.put(slot_in)
             rows = max(int(np.asarray(batch).shape[0]), 1)
             in_row_nbytes = max(in_row_nbytes,
                                 int(np.asarray(batch).nbytes) // rows)
@@ -220,7 +222,7 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
             out_row_nbytes = max(out_row_nbytes, result.nbytes // out_rows)
             tick = time.perf_counter()
             if out_ring is not None and out_ring.fits(result.nbytes):
-                slot_out = free_out.get()  # backpressure: wait, don't buffer
+                slot_out = seq % out_ring.slots
                 out_ring.write(slot_out, result)
                 desc_out: Tuple = ("shm", slot_out, result.shape)
             else:
@@ -287,10 +289,9 @@ class ShardedPipeline:
     ``submit`` enqueues one micro-batch and returns a
     :class:`concurrent.futures.Future` resolving to ``(logits, stats)``;
     multiple submissions stream through the stages concurrently (that is
-    the whole point), with in-flight batches capped at ``stages + 2 *
-    slots`` (and, once the rings are live, additionally by the per-edge
-    free-slot queues).  ``forward`` is the synchronous single-batch
-    convenience.
+    the whole point), with in-flight batches capped at the window
+    ``stages + slots`` — also the slot count of every edge ring.
+    ``forward`` is the synchronous single-batch convenience.
 
     The parent owns every shared-memory segment and every queue; ``close``
     shuts the chain down (sentinel first, terminate stragglers), fails any
@@ -308,6 +309,9 @@ class ShardedPipeline:
         self._payloads = list(payloads)
         self.max_batch = max(int(max_batch), 1)
         self.slots = max(int(slots), 1)
+        #: In-flight batch bound and ring slots per edge (batch ``seq``
+        #: owns slot ``seq % window`` on every edge).
+        self.window = self.num_stages + self.slots
         self.start_timeout_s = start_timeout_s
         #: CRC32 slot headers on every stage ring (see repro.serve.shm).
         self.checksum = bool(checksum)
@@ -320,7 +324,6 @@ class ShardedPipeline:
         self.stage_macros: List[int] = []
         self._procs: List[multiprocessing.Process] = []
         self._ready: List = []
-        self._free: List = []
         self._control = None
         self._rings: List[Optional[SlotRing]] = []
         self._shm_ready = False
@@ -333,6 +336,8 @@ class ShardedPipeline:
         self._state_lock = threading.Lock()
         self._latest_stats: List[Dict] = []
         self._in_row_nbytes: Optional[int] = None
+        self._response_reads = 0
+        self._response_bytes = 0
         self._collector: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -345,7 +350,6 @@ class ShardedPipeline:
         context = multiprocessing.get_context()
         edges = self.num_stages + 1
         self._ready = [context.Queue() for _ in range(edges)]
-        self._free = [context.Queue() for _ in range(edges)]
         self._control = context.Queue()
         self._rings = [None] * edges
         heartbeat = None
@@ -367,8 +371,7 @@ class ShardedPipeline:
             context.Process(
                 target=_stage_main,
                 args=(self._payloads[index], index, self._ready[index],
-                      self._ready[index + 1], self._free[index],
-                      self._free[index + 1], self._control, options),
+                      self._ready[index + 1], self._control, options),
                 daemon=True,
                 name=f"pipeline-stage-{index}",
             )
@@ -386,6 +389,8 @@ class ShardedPipeline:
                                            daemon=True,
                                            name="pipeline-collector")
         self._collector.start()
+        threading.Thread(target=self._watch_stages, daemon=True,
+                         name="pipeline-watcher").start()
 
     def _await_stage_readiness(self) -> None:
         deadline = time.monotonic() + self.start_timeout_s
@@ -436,7 +441,7 @@ class ShardedPipeline:
             self._heartbeat_ring.close()
             self._heartbeat_ring.unlink()
             self._heartbeat_ring = None
-        for q in self._ready + self._free + [self._control]:
+        for q in self._ready + [self._control]:
             if q is None:
                 continue
             try:
@@ -484,11 +489,11 @@ class ShardedPipeline:
                traced: bool = False) -> "concurrent.futures.Future":
         """Enqueue one micro-batch; future resolves to ``(logits, stats)``.
 
-        Blocks only for edge-0 backpressure (a free request slot once the
-        rings are live); the returned future completes when the batch has
-        flowed through every stage.  ``traced=True`` asks every stage to
-        record per-layer plan spans for this batch and ship them back in
-        its stats dict (see :func:`_stage_main`).
+        Blocks only while ``window`` batches are in flight; the returned
+        future completes when the batch has flowed through every stage.
+        ``traced=True`` asks every stage to record per-layer plan spans for
+        this batch and ship them back in its stats dict (see
+        :func:`_stage_main`).
         """
         if not self._started or self._closed:
             raise PipelineStageError("pipeline is not running")
@@ -510,12 +515,10 @@ class ShardedPipeline:
                 self._in_row_nbytes = max(batch.nbytes // rows, 1)
             ring = self._rings[0]
             if self._shm_ready and ring is not None and ring.fits(batch.nbytes):
-                slot = self._take_request_slot()
-                if slot is not None:
-                    ring.write(slot, batch)
-                    self._ready[0].put(("batch", seq, ("shm", slot,
-                                                       batch.shape), [],
-                                        traced))
+                slot = seq % self.window
+                ring.write(slot, batch)
+                self._ready[0].put(("batch", seq, ("shm", slot, batch.shape),
+                                    [], traced))
             else:
                 self._ready[0].put(("batch", seq, ("data", batch), [],
                                     traced))
@@ -530,41 +533,19 @@ class ShardedPipeline:
         return future
 
     def _wait_for_inflight_capacity(self) -> bool:
-        """Bound in-flight batches even before the rings exist.
+        """Hold ``submit`` while ``window`` batches are in flight.
 
-        The free-slot queues only backpressure once the shared-memory
-        edges are live; until then (and for oversized by-value batches) an
-        eager caller could pickle its whole workload into the
-        coordination queues at once.  Cap outstanding futures at
-        ``stages + 2 * slots`` — enough to fill every stage and keep the
-        edges busy, nothing more.  Returns False when the pipeline failed
-        or closed while waiting.
+        This is the backpressure, and what makes slot ``seq % window``
+        free: a future leaves ``_futures`` only once its batch left the
+        last edge (a cancelled future stays until then), and batches
+        complete in order.  Returns False when the pipeline failed or
+        closed while waiting.
         """
-        bound = self.num_stages + 2 * self.slots
-        while len(self._futures) >= bound:
+        while len(self._futures) >= self.window:
             if self._closed or self._failure is not None:
-                return False
-            if any(not proc.is_alive() for proc in self._procs):
                 return False
             time.sleep(0.001)
         return True
-
-    def _take_request_slot(self) -> Optional[int]:
-        """Wait for a free edge-0 slot, bailing out on failure/close.
-
-        A plain blocking ``get`` could wedge forever when a stage dies
-        while the ring is full (nothing would ever free a slot) — and a
-        submitter stuck under the submit lock would in turn deadlock the
-        collector's pending-future cleanup.
-        """
-        while True:
-            try:
-                return self._free[0].get(timeout=0.2)
-            except queue_module.Empty:
-                if self._closed or self._failure is not None:
-                    return None
-                if any(not proc.is_alive() for proc in self._procs):
-                    return None
 
     def forward(self, images: np.ndarray) -> np.ndarray:
         """Run one batch through the whole chain and return its logits."""
@@ -580,13 +561,7 @@ class ShardedPipeline:
             try:
                 message = final_ready.get(timeout=0.2)
             except queue_module.Empty:
-                if self._closed:
-                    return
-                if any(not proc.is_alive() for proc in self._procs):
-                    dead = [i for i, proc in enumerate(self._procs)
-                            if not proc.is_alive()]
-                    self._abort(StageDiedError(
-                        f"pipeline stage process(es) {dead} died"))
+                if self._closed or self._failure is not None:
                     return
                 continue
             except (OSError, ValueError, EOFError):
@@ -600,32 +575,52 @@ class ShardedPipeline:
                 _, seq, text, stats = message[:4]
                 corrupt = len(message) > 4 and message[4] == "corrupt"
                 self._record_stats(stats)
-                future = self._futures.pop(seq, None)
-                if future is not None:
-                    error_class = (StageCorruptionError if corrupt
-                                   else PipelineStageError)
-                    future.set_exception(error_class(text))
+                error_class = (StageCorruptionError if corrupt
+                               else PipelineStageError)
+                self._settle(seq, error=error_class(text))
                 continue
             _, seq, desc, stats = message[:4]
             if desc[0] == "shm":
                 try:
                     logits = np.array(self._rings[-1].read(desc[1], desc[2]))
                 except IntegrityError as exc:
-                    self._free[-1].put(desc[1])
                     self._record_stats(stats)
-                    future = self._futures.pop(seq, None)
-                    if future is not None:
-                        future.set_exception(StageCorruptionError(
-                            f"final stage ring: {exc}"))
+                    self._settle(seq, error=StageCorruptionError(
+                        f"final stage ring: {exc}"))
                     continue
-                self._free[-1].put(desc[1])
+                self._response_reads += 1
+                self._response_bytes += logits.nbytes
             else:
                 logits = desc[1]
             self._record_stats(stats)
             self._maybe_build_rings(stats)
-            future = self._futures.pop(seq, None)
-            if future is not None:
-                future.set_result((logits, stats))
+            self._settle(seq, result=(logits, stats))
+
+    def _settle(self, seq: int, result=None,
+                error: Optional[BaseException] = None) -> None:
+        """Complete batch ``seq``'s future, unless its waiter cancelled it."""
+        future = self._futures.pop(seq, None)
+        if future is None or not future.set_running_or_notify_cancel():
+            return
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
+
+    def _watch_stages(self) -> None:
+        """Fail every in-flight batch as soon as any stage process exits.
+
+        Waiting on the process sentinels makes death detection immediate,
+        so batches do not pile up behind a dead worker while the serving
+        layer still places work on it.
+        """
+        multiprocessing.connection.wait([proc.sentinel
+                                         for proc in self._procs])
+        if not self._closed:
+            dead = [index for index, proc in enumerate(self._procs)
+                    if not proc.is_alive()]
+            self._abort(StageDiedError(
+                f"pipeline stage process(es) {dead} died"))
 
     def _record_stats(self, stats: List[Dict]) -> None:
         if stats:
@@ -646,7 +641,7 @@ class ShardedPipeline:
         rings: List[SlotRing] = []
         try:
             for nbytes in row_nbytes:
-                rings.append(SlotRing(self.slots, nbytes * self.max_batch,
+                rings.append(SlotRing(self.window, nbytes * self.max_batch,
                                       checksum=self.checksum))
         except Exception as exc:  # noqa: BLE001 — /dev/shm unavailable
             for ring in rings:
@@ -663,11 +658,8 @@ class ShardedPipeline:
         if self.fault_spec:
             # Edge 0 is written by the parent process; the other edges'
             # writers set their own site when they attach.
-            rings[0].fault_site = "pipeline.edge"
-        for edge, ring in enumerate(rings):
-            for slot in range(self.slots):
-                self._free[edge].put(slot)
-        descs = [(ring.name, self.slots, ring.slot_nbytes, ring.checksum)
+            rings[0].fault_site = "shm.request"
+        descs = [(ring.name, self.window, ring.slot_nbytes, ring.checksum)
                  for ring in rings]
         self._ready[0].put(("attach", descs))
         self._shm_ready = True
@@ -687,7 +679,7 @@ class ShardedPipeline:
             pending = list(self._futures.values())
             self._futures.clear()
         for future in pending:
-            if not future.done():
+            if future.set_running_or_notify_cancel():
                 future.set_exception(error)
 
     # ------------------------------------------------------------------
@@ -703,6 +695,21 @@ class ShardedPipeline:
         """Latest raw per-stage accounting dicts (profiles included)."""
         with self._state_lock:
             return [dict(stage) for stage in self._latest_stats]
+
+    def transport_counters(self) -> Dict[str, int]:
+        """Parent-side shm traffic: edge-0 writes and final-edge copy-outs.
+
+        The ``response_*`` keys count the parent's reads of the last edge
+        (the logits it copies out); the stage processes' own writes are
+        not visible here.
+        """
+        ring = self._rings[0] if self._rings else None
+        return {
+            "request_writes": ring.writes if ring is not None else 0,
+            "request_bytes": ring.bytes_written if ring is not None else 0,
+            "response_writes": self._response_reads,
+            "response_bytes": self._response_bytes,
+        }
 
     @property
     def segment_names(self) -> List[str]:

@@ -42,12 +42,10 @@ def _seed_serve_and_exec(fresh, baselines, fresh_factor=1.0):
     _write(baselines, "BENCH_exec.json", {"plan_speedup": 3.0})
     _write(fresh, "BENCH_exec.json", {"plan_speedup": 3.0 * fresh_factor})
     _write(baselines, "BENCH_serve.json",
-           {"transport_speedup": 1.6,
-            "modes": {"thread": {"speedup": 6.0},
+           {"modes": {"thread": {"speedup": 6.0},
                       "process": {"speedup": 9.0}}})
     _write(fresh, "BENCH_serve.json",
-           {"transport_speedup": 1.6 * fresh_factor,
-            "modes": {"thread": {"speedup": 6.0 * fresh_factor},
+           {"modes": {"thread": {"speedup": 6.0 * fresh_factor},
                       "process": {"speedup": 9.0 * fresh_factor}}})
 
 

@@ -298,7 +298,13 @@ class TestChaosRecovery:
         # so the chaos run must be bit-identical to the fault-free run.
         assert np.array_equal(chaos.logits, clean.logits)
 
-    def test_corrupt_slot_redispatches_without_killing(self, trained_setup):
+    @pytest.mark.parametrize("site", ["shm.request.write",
+                                      "shm.response.write"])
+    def test_corrupt_slot_redispatches_without_killing(self, trained_setup,
+                                                        site):
+        # The request site fires on the parent's write into the worker's
+        # input ring, the response site on the worker's write into its
+        # output ring; the CRC check catches either on the read side.
         model, x_test = trained_setup
         base = dict(backend="ideal", max_batch=8, max_wait_ms=2.0,
                     num_workers=2, workers="process", shm_integrity=True)
@@ -307,8 +313,8 @@ class TestChaosRecovery:
         chaos_config = ServeConfig(
             **base, max_retries=8, redispatch_backoff_base_s=0.01,
             faults=FaultSpec(seed=11, rules=(
-                FaultRule(site="shm.request.write", action="corrupt",
-                          at=(1,), max_fires=1),)))
+                FaultRule(site=site, action="corrupt", at=(1,),
+                          max_fires=1),)))
         chaos = _chaos_load(model, x_test, chaos_config)
         assert chaos.chaos["corruptions"] >= 1, "the corruption went uncaught"
         assert chaos.failures == 0
@@ -384,8 +390,11 @@ class TestHeartbeatWatchdog:
             warm = await service.submit(x_test[0])
             pid = service.process_worker_pids()[0][0]
             os.kill(pid, signal.SIGSTOP)
+            # Wait for the trip *and* the respawn it starts: stopping at
+            # the trip alone races the respawn against the assertions.
             deadline = asyncio.get_running_loop().time() + 10.0
-            while (service.metrics_snapshot().heartbeat_trips < 1
+            while ((service.metrics_snapshot().heartbeat_trips < 1
+                    or not service.pool_recovered())
                    and asyncio.get_running_loop().time() < deadline):
                 await asyncio.sleep(0.05)
             after = await service.submit(x_test[0])

@@ -775,11 +775,11 @@ class TestTransportCounters:
 
         async def scenario():
             service = InferenceService(model, ServeConfig(
-                max_batch=8, workers="process", transport="shm"))
+                max_batch=8, workers="process"))
             await service.start()
             try:
-                # First batch rides pickle (teaches the ring); later
-                # batches go zero-copy and bump the counters.
+                # The first batch travels by value (it teaches the rings
+                # their layout); later batches go zero-copy both ways.
                 await service.submit_many(x_test[:8])
                 await service.submit_many(x_test[8:16])
                 return service.transport_counters()
@@ -789,3 +789,5 @@ class TestTransportCounters:
         counters = run_async(scenario())
         assert counters["request_writes"] >= 1
         assert counters["request_bytes"] > 0
+        assert counters["response_writes"] >= 1
+        assert counters["response_bytes"] > 0

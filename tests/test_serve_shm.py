@@ -1,11 +1,12 @@
-"""Tests for the shared-memory process transport (:mod:`repro.serve.shm`)
-and the sliced ``submit_many`` fast path.
+"""Tests for the shared-memory slot rings (:mod:`repro.serve.shm`), the
+process workers that serve over them, and the sliced ``submit_many`` fast
+path.
 
-The transport contract: process workers serve bit-identical logits over
-the shared-memory rings and the pickle pipe, oversized batches fall back
-to pickling transparently, and the parent-owned segments are unlinked on
-``service.stop()`` — including when the worker process crashed mid-serving
-(no ``/dev/shm`` leaks).
+The transport contract: process workers serve logits bit-identical to a
+direct ``run_model`` over the shared-memory rings, oversized batches
+travel by value transparently, and the parent-owned segments are unlinked
+on ``service.stop()`` — including when the worker process crashed
+mid-serving (no ``/dev/shm`` leaks).
 """
 
 import asyncio
@@ -19,7 +20,7 @@ from repro.exec import run_model
 from repro.nn import DatasetConfig, SGD, Sequential, SyntheticImageDataset, Trainer
 from repro.nn.layers import Flatten, Linear, ReLU
 from repro.serve import InferenceService, ServeConfig, serve_requests
-from repro.serve.shm import ShmChannel, SlotRing, segment_exists
+from repro.serve.shm import SlotRing, segment_exists
 
 
 def run_async(coro):
@@ -71,45 +72,38 @@ class TestSlotRing:
             ring.close()
             ring.unlink()
 
-    def test_channel_unlink_is_idempotent(self):
-        channel = ShmChannel(2, 128, 64)
-        names = channel.segment_names
-        channel.close(unlink=True)
-        channel.close(unlink=True)
-        assert not any(segment_exists(name) for name in names)
+    def test_ring_unlink_is_idempotent(self):
+        ring = SlotRing(slots=2, slot_nbytes=128)
+        ring.close()
+        ring.unlink()
+        ring.unlink()
+        assert not segment_exists(ring.name)
 
 
 class TestShmServing:
-    def test_shm_and_pickle_serve_bit_identical_logits(self, trained_setup):
+    def test_shm_serves_bit_identical_logits(self, trained_setup):
         model, x_test = trained_setup
         images = x_test[:24]
         direct = run_model(model, images, backend="ideal", batch_size=24)
-        for transport in ("shm", "pickle"):
-            served, snapshot = serve_requests(
-                model, images,
-                ServeConfig(max_batch=8, workers="process", transport=transport))
-            assert np.array_equal(served, direct.logits), transport
-            assert all(worker.mode == "process" for worker in snapshot.workers)
+        served, snapshot = serve_requests(
+            model, images, ServeConfig(max_batch=8, workers="process"))
+        assert np.array_equal(served, direct.logits)
+        assert all(worker.mode == "process" for worker in snapshot.workers)
 
     def test_transport_seconds_metered_for_process_workers(self, trained_setup):
         model, x_test = trained_setup
         _, snapshot = serve_requests(
             model, x_test[:16],
-            ServeConfig(max_batch=8, workers="process", transport="shm"))
+            ServeConfig(max_batch=8, workers="process"))
         assert sum(worker.transport_s for worker in snapshot.workers) > 0
         assert "transport" in snapshot.render()
-
-    def test_unknown_transport_rejected(self, trained_setup):
-        model, _ = trained_setup
-        with pytest.raises(ValueError, match="transport"):
-            InferenceService(model, ServeConfig(transport="carrier-pigeon"))
 
     def test_segments_unlinked_after_stop(self, trained_setup):
         model, x_test = trained_setup
 
         async def scenario():
             service = InferenceService(model, ServeConfig(
-                max_batch=8, workers="process", transport="shm"))
+                max_batch=8, workers="process"))
             await service.start()
             for _ in range(3):
                 await service.submit(x_test[:8])
@@ -129,16 +123,14 @@ class TestShmServing:
 
         async def scenario():
             service = InferenceService(model, ServeConfig(
-                max_batch=8, workers="process", transport="shm",
+                max_batch=8, workers="process",
                 retry_policy="fail_fast", respawn=False))
             await service.start()
             await service.submit(x_test[:8])  # warm-up builds the rings
             await service.submit(x_test[:8])
             names = service.shm_segment_names()
             assert names
-            worker = service._workers[0]
-            pid = next(iter(worker.executor._processes))
-            os.kill(pid, signal.SIGKILL)
+            os.kill(service.process_worker_pids()[0][0], signal.SIGKILL)
             with pytest.raises(Exception):
                 await service.submit(x_test[:8])
             try:
@@ -169,8 +161,7 @@ class TestShmServing:
             assert np.array_equal(await service.submit(x_test[:8]),
                                   direct.logits)
             await service.submit(x_test[:8])
-            victim = service._workers[0]
-            os.kill(next(iter(victim.executor._processes)), signal.SIGKILL)
+            os.kill(service.process_worker_pids()[0][0], signal.SIGKILL)
             outcomes = []
             for _ in range(4):
                 try:
@@ -192,14 +183,14 @@ class TestShmServing:
     def test_oversized_batch_falls_back_to_pickle(self, trained_setup):
         # A single request larger than max_batch ships as one batch that
         # exceeds the ring's slot size; the worker must still serve it
-        # (transparent per-batch pickle fallback), bit-identically.
+        # (transparent per-batch by-value fallback), bit-identically.
         model, x_test = trained_setup
         images = x_test[:40]
         direct = run_model(model, images, backend="ideal", batch_size=40)
 
         async def scenario():
             service = InferenceService(model, ServeConfig(
-                max_batch=8, workers="process", transport="shm"))
+                max_batch=8, workers="process"))
             await service.start()
             await service.submit(x_test[:8])   # warm-up: slots sized for 8
             served = await service.submit(images)  # 40-row request, one batch
@@ -210,21 +201,6 @@ class TestShmServing:
         served, small = run_async(scenario())
         assert np.array_equal(served, direct.logits)
         assert np.array_equal(small, direct.logits[:8])
-
-    def test_shm_disabled_on_pickle_transport(self, trained_setup):
-        model, x_test = trained_setup
-
-        async def scenario():
-            service = InferenceService(model, ServeConfig(
-                max_batch=8, workers="process", transport="pickle"))
-            await service.start()
-            await service.submit(x_test[:8])
-            await service.submit(x_test[:8])
-            names = service.shm_segment_names()
-            await service.stop()
-            return names
-
-        assert run_async(scenario()) == []
 
 
 class TestSubmitManySlices:

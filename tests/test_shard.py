@@ -13,6 +13,7 @@ Contracts under test:
   over-budget models runnable via sharding.
 """
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -223,6 +224,16 @@ class TestShardedPipeline:
                            context=context)
         report = run_pipelined(model, x_test[:32], backend="analog",
                                context=context, num_stages=3)
+        assert np.array_equal(report.logits, direct.logits)
+        assert report.conversions == direct.conversions
+        # 24 eager submissions through a window of W = 3 stages + 2 slots:
+        # every edge ring wraps around its W sequence-owned slots more
+        # than three times.
+        context = dataclasses.replace(context, batch_size=2)
+        direct = run_model(model, x_test[:48], backend="analog",
+                           context=context)
+        report = run_pipelined(model, x_test[:48], backend="analog",
+                               context=context, num_stages=3, slots=2)
         assert np.array_equal(report.logits, direct.logits)
         assert report.conversions == direct.conversions
 
