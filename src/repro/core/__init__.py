@@ -32,6 +32,7 @@ from repro.core.mapping import (
     TileSpec,
     tile_weight_matrix,
     im2col,
+    patch_index,
     col2im_output,
     conv_weights_to_matrix,
     conv_output_size,
@@ -58,6 +59,7 @@ __all__ = [
     "TileSpec",
     "tile_weight_matrix",
     "im2col",
+    "patch_index",
     "col2im_output",
     "conv_weights_to_matrix",
     "conv_output_size",

@@ -21,6 +21,7 @@ and performs the partial-sum accumulation digitally through
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,44 +44,62 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def im2col(inputs: np.ndarray, kernel: int, stride: int = 1, padding: int = 0,
-           dtype=np.float64, out: Optional[np.ndarray] = None,
-           pad_buffer: Optional[np.ndarray] = None) -> np.ndarray:
+def im2col(inputs: np.ndarray, kernel: int, stride: int = 1,
+           padding: int = 0) -> np.ndarray:
     """Expand NCHW inputs into convolution patches.
 
     Returns an array of shape ``(N * H_out * W_out, C * kernel * kernel)``
     whose rows are the flattened receptive fields, ready to be multiplied by
     a ``(C * k * k, C_out)`` weight matrix.
-
-    ``dtype`` is the working dtype (``None`` keeps the input's own dtype —
-    the code-domain execution plan expands uint16 FP8 activation codes, 4x
-    less memory traffic than float64).  ``out`` (a C-contiguous
-    ``(N, H_out, W_out, C, kernel, kernel)`` staging buffer) and
-    ``pad_buffer`` (``(N, H+2p, W+2p, C)``) let callers reuse arena slabs
-    across batches instead of allocating per call; values are identical
-    either way.
     """
-    inputs = np.asarray(inputs) if dtype is None else np.asarray(inputs, dtype=dtype)
+    inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 4:
         raise ValueError("inputs must be NCHW")
     n, c, h, w = inputs.shape
     h_out = conv_output_size(h, kernel, stride, padding)
     w_out = conv_output_size(w, kernel, stride, padding)
-    source = (pad_buffer if pad_buffer is not None
-              else np.empty((n, h + 2 * padding, w + 2 * padding, c), dtype=inputs.dtype))
-    if padding > 0:
-        source.fill(0)
+    source = np.zeros((n, h + 2 * padding, w + 2 * padding, c))
     # One NHWC copy of the padded input: the k*k patch slices below then
     # copy contiguous channel runs instead of each transposing NCHW again.
     source[:, padding:padding + h, padding:padding + w] = inputs.transpose(0, 2, 3, 1)
-    patches = (out if out is not None
-               else np.empty((n, h_out, w_out, c, kernel, kernel), dtype=inputs.dtype))
+    patches = np.empty((n, h_out, w_out, c, kernel, kernel))
     for i in range(kernel):
         i_end = i + stride * h_out
         for j in range(kernel):
             j_end = j + stride * w_out
             patches[:, :, :, :, i, j] = source[:, i:i_end:stride, j:j_end:stride]
     return patches.reshape(n * h_out * w_out, c * kernel * kernel)
+
+
+@functools.lru_cache(maxsize=128)
+def patch_index(channels: int, height: int, width: int, kernel: int,
+                stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Where every im2col patch element sits in one padded NCHW sample.
+
+    Entry ``[s, f]`` of the returned read-only ``(H_out * W_out,
+    C * kernel * kernel)`` intp array is the flat position, in one
+    ``(C, H + 2p, W + 2p)`` zero-padded sample, of feature ``f`` of patch
+    row ``s``.  So for a padded batch ``padded`` of ``n`` samples,
+    ``np.take(padded.reshape(n, -1), index, axis=1)`` reshaped to
+    ``(n * H_out * W_out, C * kernel * kernel)`` is :func:`im2col` of the
+    unpadded batch, and any per-element map of ``padded`` (a table gather,
+    say) can be taken before the k*k-fold expansion instead of after it.
+    The index depends on the sample geometry only, not on the batch size,
+    and is built once per geometry.
+    """
+    h_out = conv_output_size(height, kernel, stride, padding)
+    w_out = conv_output_size(width, kernel, stride, padding)
+    padded_h, padded_w = height + 2 * padding, width + 2 * padding
+    rows = np.arange(h_out)[:, None, None, None, None] * stride
+    cols = np.arange(w_out)[None, :, None, None, None] * stride
+    chans = np.arange(channels)[None, None, :, None, None]
+    taps_i = np.arange(kernel)[None, None, None, :, None]
+    taps_j = np.arange(kernel)[None, None, None, None, :]
+    index = ((chans * padded_h + rows + taps_i) * padded_w + cols + taps_j)
+    index = np.ascontiguousarray(
+        index.reshape(h_out * w_out, channels * kernel * kernel), dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
 def col2im_output(columns: np.ndarray, batch: int, out_channels: int,

@@ -15,23 +15,27 @@ context)``:
 * compiled tiles run in the **code domain**: activations are encoded
   into FP8 activation codes (sign + the DAC's 7-bit exponent/mantissa
   rank, plus the zero-detect level, stored as uint16) and
-  :meth:`CompiledTile.matvec_codes` — the one analog pass of a compiled
-  tile — turns them into voltages with one table gather.  Each tile's
-  quantiser (flush-to-zero, RNE rounding, saturation — the DAC bucket
-  indexer) is composed with its reference-ladder/PGA voltage
-  reconstruction and the crossbar input clip into one signed code→voltage
-  table (and a code→raw-voltage twin for offset mapping) at compile time.
-  A row range whose tiles share one table is encoded *once* at the layer
-  boundary and the codes thread through im2col, the two sign passes and
-  every tile of the range — conv layers even expand patches as uint16
-  code gathers, 4x less memory traffic than float64 im2col; any other
-  compiled tile encodes its own row slice with its own table;
+  :meth:`RowCodec.voltages` — the DAC — turns them into voltages with one
+  table gather.  Each tile's quantiser (flush-to-zero, RNE rounding,
+  saturation — the DAC bucket indexer) is composed with its
+  reference-ladder/PGA voltage reconstruction and the crossbar input clip
+  into one signed code→voltage table (and a code→raw-voltage twin for
+  offset mapping) at compile time.  A row range whose tiles share one
+  table is encoded and converted *once* at the layer boundary, and every
+  column tile of the range consumes the same voltages through
+  :meth:`CompiledTile.matvec_volts`, the one analog pass of a compiled
+  tile.  Conv layers **expand voltages, not codes**: the DAC gathers on
+  the zero-padded input code map, k*k times fewer elements than its
+  patches, and one take through the layer's
+  :func:`~repro.core.mapping.patch_index` expands the voltages into patch
+  rows; any other compiled tile encodes its own row slice with its own
+  table;
 * planned execution is **allocation-free** after the first forward: a
-  per-plan :class:`PlanArena` grows reusable scratch slabs for the DAC
-  gathers, the crossbar matmul, the ADC ranking and gather and the
-  blocked-row path (which writes block slices into one arena output instead of
-  recursively concatenating), and im2col / code staging reuses the same
-  slabs across batches;
+  per-plan :class:`PlanArena` grows reusable scratch slabs for the code
+  maps, the DAC gathers and patch expansion, the crossbar matmul, the ADC
+  ranking and gather and the blocked-row path (which writes block slices
+  into one arena output instead of recursively concatenating), reused
+  across batches;
 * fake-quant adapters get LUT-compiled quantisers
   (:func:`repro.formats.quantizer.compile_quantizer`).
 
@@ -70,7 +74,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.macro import AFPRMacro
-from repro.core.mapping import MappedLayer, conv_output_size, im2col
+from repro.core.mapping import MappedLayer, conv_output_size, patch_index
 from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.backends import AnalogBackend, FakeQuantBackend
 from repro.formats.fp8 import BucketIndexer, pull_back_bounds, round_to_format
@@ -125,11 +129,14 @@ class PlanArena:
 class StageProfile:
     """Wall-clock accumulators of the plan's pipeline stages.
 
-    ``dac`` / ``crossbar`` / ``adc`` are metered inside the compiled tiles
-    (code-domain layer-boundary encoding counts as DAC time — it *is* the
-    DAC's quantiser); ``digital`` is everything else in the forward pass
-    (digital layers, im2col, routing adder, quantisers), of which
-    ``im2col`` and ``adder`` are metered.  ``transport`` is
+    ``dac`` / ``crossbar`` / ``adc`` are metered inside the compiled
+    kernels: ``dac`` is the layer-boundary encoding (it *is* the DAC's
+    quantiser) plus the code→voltage table gathers — for a conv, on the
+    un-expanded input map.  ``digital`` is everything else in the forward
+    pass (digital layers, patch expansion, routing adder, quantisers), of
+    which ``im2col`` and ``adder`` are metered; ``im2col`` times the patch
+    expansion — of a coded conv's DAC voltages, or of an uncoded conv's
+    float input.  ``transport`` is
     time spent moving batches to and from process workers — zero for
     in-process execution, filled in by :mod:`repro.serve` for
     ``workers="process"``.  ``python -m repro run --profile`` and the serve
@@ -192,7 +199,7 @@ class TileNotCompilable(Exception):
 
 
 class RowCodec:
-    """Layer-boundary FP8 encoder shared by every tile of one row range.
+    """Layer-boundary FP8 encoder and DAC of one row range.
 
     Composes the DAC's quantiser (the exact bucket indexer over the float
     lattice) with the sign split into one uint16 code per activation:
@@ -203,13 +210,20 @@ class RowCodec:
     for offset mapping) then turn a code directly into the voltage the
     generic path would have produced for the matching sign pass — zero
     voltage for the opposite sign, exactly like ``clip(±x, 0)`` ranking to
-    the zero bucket.
+    the zero bucket.  :meth:`voltages` is the DAC: it gathers the row
+    voltages once, and every column tile of the row range consumes them.
+    A conv layer hands it the code map of the un-expanded input plus a
+    :func:`~repro.core.mapping.patch_index`, so the table gathers run on
+    k*k times fewer elements and the voltages, not the codes, are
+    expanded into patches.
     """
 
     def __init__(self, tile: "CompiledTile") -> None:
         self.indexer = tile.act_indexer
         #: Number of magnitude levels (zero + the DAC's non-zero codes).
         self.levels = int(tile.dac_volts.shape[0])
+        #: Offset mapping: the tiles also need pre-clip voltage row sums.
+        self.raw = not tile.differential
         zeros = np.zeros(self.levels, dtype=np.float64)
         self.volts_pos = np.ascontiguousarray(
             np.concatenate([tile.dac_volts, zeros]))
@@ -221,12 +235,14 @@ class RowCodec:
             np.concatenate([zeros, tile.dac_volts_raw]))
 
     def matches(self, tile: "CompiledTile") -> bool:
-        """Whether ``tile`` can consume this codec's codes bit-identically."""
+        """Whether ``tile`` can consume this codec's voltages bit-identically."""
         return (np.array_equal(tile.act_indexer.bounds, self.indexer.bounds)
                 and np.array_equal(tile.dac_volts, self.volts_pos[:self.levels])
-                and np.array_equal(tile.dac_volts_raw, self.raw_pos[:self.levels]))
+                and np.array_equal(tile.dac_volts_raw, self.raw_pos[:self.levels])
+                and self.raw == (not tile.differential))
 
-    def encode(self, acts: np.ndarray, arena: PlanArena, key: str) -> np.ndarray:
+    def encode(self, acts: np.ndarray, arena: PlanArena, key: str,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Encode float activations of any shape into signed uint16 codes.
 
         Bit-exact against the generic sign-split ranking: for ``x >= 0`` the
@@ -234,6 +250,8 @@ class RowCodec:
         equals ``|x|`` (exact negation), so ranking ``|x|`` once reproduces
         the rank either sign pass would compute, and the opposite pass's
         zero-clip collapses to the zero entries of the signed tables.
+        ``out`` (any uint16 view of ``acts``' shape, e.g. the interior of a
+        padded map) receives the codes instead of arena scratch.
         """
         shape = acts.shape
         mag = arena.take(key + ":mag", shape)
@@ -242,7 +260,7 @@ class RowCodec:
             mag, out=arena.take(key + ":rank", shape, np.int64),
             work=arena.take(key + ":work", shape),
             work_int=arena.take(key + ":wint", shape, np.int64))
-        codes = arena.take(key + ":codes", shape, np.uint16)
+        codes = arena.take(key + ":codes", shape, np.uint16) if out is None else out
         np.copyto(codes, rank, casting="unsafe")
         negative = arena.take(key + ":neg", shape, bool)
         np.less(acts, 0.0, out=negative)
@@ -251,32 +269,83 @@ class RowCodec:
         codes += offset
         return codes
 
-    def any_negative(self, codes: np.ndarray) -> bool:
-        """Whether any code carries the sign bit (one max-reduction pass)."""
-        return codes.size > 0 and int(codes.max()) >= self.levels
+    def voltages(self, codes: np.ndarray, index: Optional[np.ndarray],
+                 arena: PlanArena, key: str, profile: StageProfile) -> tuple:
+        """``(volts, voltage_sums, needs_negative)`` of a batch of rows.
 
+        ``codes`` is a ``(n, m)`` uint16 code map.  Without ``index`` its
+        rows are the input rows.  With a ``(p, f)`` ``index`` (see
+        :func:`~repro.core.mapping.patch_index`) input row ``b * p + s``
+        is ``codes[b, index[s]]``: each table is gathered on the map and
+        the voltages are expanded through the index by one take.
+        ``volts`` stacks the positive pass of every row and then the
+        negative pass of the rows ``needs_negative`` marks;
+        ``needs_negative`` is ``None`` when no code carries the sign bit.
+        A code at or beyond ``levels`` carries it, so a row needs the
+        second pass exactly when the generic path's ``any(clip(-x, 0) >
+        0)`` holds — including tiny negatives that flush to the zero rank
+        but still owe a (zero-voltage) pass.  ``voltage_sums`` are the
+        rows' pre-clip voltage sums for offset mapping (``None`` for
+        differential columns).  The expansions count as ``im2col`` time,
+        the rest as DAC time.
+        """
+        tick = time.perf_counter()
+        n, m = codes.shape
+        per_sample, width = (1, m) if index is None else index.shape
+        batch = n * per_sample
+        needs_negative = None
+        negative_rows = ()
+        if codes.size and int(codes.max()) >= self.levels:  # any sign bit
+            flags = arena.take(key + ":sflag", codes.shape, bool)
+            np.greater_equal(codes, np.uint16(self.levels), out=flags)
+            if index is not None:
+                flags = flags.take(index, axis=1, mode="clip", out=arena.take(
+                    key + ":pflag", (n, per_sample, width), bool))
+            needs_negative = flags.reshape(batch, width).any(axis=1)
+            negative_rows = np.flatnonzero(needs_negative)
+        rows = batch + len(negative_rows)
+        tables = [(":volts", self.volts_pos, self.volts_neg)]
+        if self.raw:
+            tables.append((":raw", self.raw_pos, self.raw_neg))
+        signed_codes = None
+        if index is None and len(negative_rows):
+            signed_codes = codes.take(negative_rows, axis=0, mode="clip", out=arena.take(
+                key + ":scodes", (len(negative_rows), m), np.uint16))
+        expand_s = 0.0
+        gathered = []
+        for name, positive, negative in tables:
+            out = arena.take(key + name, (rows, width))
+            expand_s += self._convert(positive, codes, index, out[:batch], arena, key)
+            if signed_codes is not None:  # rows are the input rows: keep the signed ones
+                negative.take(signed_codes, mode="clip", out=out[batch:])
+            elif len(negative_rows):  # expand the whole map, then keep the signed rows
+                full = arena.take(key + name + ":neg", (batch, width))
+                expand_s += self._convert(negative, codes, index, full, arena, key)
+                full.take(negative_rows, axis=0, mode="clip", out=out[batch:])
+            gathered.append(out)
+        voltage_sums = None
+        if self.raw:
+            voltage_sums = gathered[1].sum(axis=-1,
+                                           out=arena.take(key + ":vsum", (rows,)))
+        profile.im2col_s += expand_s
+        profile.dac_s += time.perf_counter() - tick - expand_s
+        return gathered[0], voltage_sums, needs_negative
 
-def _split_signs(codec: RowCodec, codes: np.ndarray, arena: PlanArena,
-                 key: str, signed: Optional[bool] = None) -> tuple:
-    """``(codes, compressed, mask)``: the rows needing a negative pass.
-
-    A code at or beyond ``levels`` carries the sign bit, so
-    ``any(code >= levels)`` is exactly the generic path's
-    ``any(clip(-x, 0) > 0)`` — including tiny negatives that flush to the
-    zero rank but still owe a (zero-voltage) second pass.  When no code
-    carries the sign bit (``signed``, probed here when not given) the row
-    scan is skipped.
-    """
-    if not (codec.any_negative(codes) if signed is None else signed):
-        return codes, codes[:0], None
-    sign_flags = arena.take(key + ":sflag", codes.shape, bool)
-    np.greater_equal(codes, np.uint16(codec.levels), out=sign_flags)
-    needs_negative = np.any(sign_flags, axis=1)
-    extra = int(np.count_nonzero(needs_negative))
-    compressed = arena.take(key + ":cneg", (extra, codes.shape[1]), np.uint16)
-    if extra:
-        np.compress(needs_negative, codes, axis=0, out=compressed)
-    return codes, compressed, needs_negative
+    @staticmethod
+    def _convert(table: np.ndarray, codes: np.ndarray,
+                 index: Optional[np.ndarray], out: np.ndarray,
+                 arena: PlanArena, key: str) -> float:
+        """``out = table[codes]``, expanded through ``index`` when given;
+        returns the seconds the expansion took."""
+        if index is None:
+            table.take(codes, mode="clip", out=out)
+            return 0.0
+        volts_map = table.take(codes, mode="clip",
+                               out=arena.take(key + ":vmap", codes.shape))
+        tick = time.perf_counter()
+        volts_map.take(index, axis=1, mode="clip",
+                       out=out.reshape(codes.shape[0], *index.shape))
+        return time.perf_counter() - tick
 
 
 class CompiledTile:
@@ -428,11 +497,12 @@ class CompiledTile:
             np.subtract(measured[..., 0::2], measured[..., 1::2], out=out_block)
         else:
             # The generic path sums the DAC voltages *before* the crossbar
-            # input clip; the caller gathered the unclipped table.  Each
-            # block's sum slice is consumed exactly once, so the common-mode
-            # scale folds in place.
-            voltage_sum *= self.g_mid
-            np.subtract(measured, voltage_sum[..., None], out=out_block)
+            # input clip; the codec gathered the unclipped table.  The sums
+            # are shared by every column tile, so the common-mode scale
+            # goes to scratch.
+            common = np.multiply(voltage_sum, self.g_mid,
+                                 out=arena.take(key + ":common", voltage_sum.shape))
+            np.subtract(measured, common[..., None], out=out_block)
         out_block *= self.output_scale
         profile.adc_s += time.perf_counter() - tock
 
@@ -443,7 +513,8 @@ class CompiledTile:
         return RowCodec(self)
 
     def matvec(self, activations: np.ndarray) -> np.ndarray:
-        """``activations @ W``: encode with :attr:`codec`, then the analog pass."""
+        """``activations @ W``: encode and convert with :attr:`codec`, then
+        the analog pass."""
         acts = np.asarray(activations, dtype=np.float64)
         squeeze = acts.ndim == 1
         acts = np.atleast_2d(acts)
@@ -454,45 +525,27 @@ class CompiledTile:
             )
         tick = time.perf_counter()
         codes = self.codec.encode(acts, self.arena, self.key + ":x")
-        split = _split_signs(self.codec, codes, self.arena, self.key + ":x")
         self.profile.dac_s += time.perf_counter() - tick
-        result = self.matvec_codes(self.codec, *split)
+        result = self.matvec_volts(*self.codec.voltages(
+            codes, None, self.arena, self.key + ":x", self.profile))
         return result[0] if squeeze else result
 
-    def matvec_codes(self, codec: RowCodec, codes: np.ndarray,
-                     codes_negative: np.ndarray,
+    def matvec_volts(self, volts: np.ndarray,
+                     voltage_sums: Optional[np.ndarray],
                      needs_negative: Optional[np.ndarray]) -> np.ndarray:
-        """``activations @ W`` from pre-encoded signed activation codes.
+        """``activations @ W`` from DAC output voltages.
 
-        ``codes`` is the whole batch (``(batch, in_features)`` uint16),
-        ``codes_negative`` the pre-compressed rows that need the second sign
-        pass, ``needs_negative`` the matching mask (or ``None``) — computed
-        once per layer row range and shared by every column tile, or by :meth:`matvec` for
-        this tile alone.  The DAC stage is two table gathers; ranking
-        already happened when the codes were encoded.
+        ``(volts, voltage_sums, needs_negative)`` is what
+        :meth:`RowCodec.voltages` returns: the positive pass of every row,
+        then the negative pass of the rows the mask marks, plus the
+        pre-clip voltage sums for offset mapping — gathered once per layer
+        row range and shared by every column tile, or by :meth:`matvec`
+        for this tile alone.  Read-only here: the DAC already ran.
         """
-        arena, key, profile = self.arena, self.key, self.profile
-        batch = codes.shape[0]
-        extra = codes_negative.shape[0]
-        rows = batch + extra
-
-        tick = time.perf_counter()
-        volts = arena.take(key + ":volts", (rows, self.in_features))
-        np.take(codec.volts_pos, codes, out=volts[:batch], mode="clip")
-        if extra:
-            np.take(codec.volts_neg, codes_negative, out=volts[batch:], mode="clip")
-        voltage_sums: Optional[np.ndarray] = None
-        if not self.differential:
-            raw = arena.take(key + ":raw", (rows, self.in_features))
-            np.take(codec.raw_pos, codes, out=raw[:batch], mode="clip")
-            if extra:
-                np.take(codec.raw_neg, codes_negative, out=raw[batch:], mode="clip")
-            voltage_sums = np.sum(raw, axis=-1,
-                                  out=arena.take(key + ":vsum", (rows,)))
-        profile.dac_s += time.perf_counter() - tick
-
+        rows = volts.shape[0]
+        batch = rows if needs_negative is None else needs_negative.shape[0]
         block = self.macro.ANALOG_PASS_BLOCK_ROWS
-        out = arena.take(key + ":out", (rows, self.out_width))
+        out = self.arena.take(self.key + ":out", (rows, self.out_width))
         for start in range(0, max(rows, 1), block):
             stop = min(start + block, rows)
             if stop <= start:
@@ -502,7 +555,7 @@ class CompiledTile:
                 None if voltage_sums is None else voltage_sums[start:stop],
                 out[start:stop])
         result = out[:batch]
-        if extra:
+        if rows > batch:
             result[needs_negative] -= out[batch:]
         return result[..., : self.out_features]
 
@@ -582,9 +635,10 @@ class CompiledMappedLayer:
 
     Each row range whose tiles all compiled and share one DAC transfer
     gets a :class:`RowCodec`: the forward encodes that row slice into FP8
-    codes once and every column tile consumes the codes through its fused
-    tables.  In any other row range (fallback tiles, mismatched calibration
-    scales) each compiled tile encodes its own slice with its own codec.
+    codes and gathers its voltages once, and every column tile consumes
+    the same voltage slab.  In any other row range (fallback tiles,
+    mismatched calibration scales) each compiled tile encodes and converts
+    its own slice with its own codec.
     """
 
     def __init__(self, mapped: MappedLayer, profile: StageProfile,
@@ -641,22 +695,10 @@ class CompiledMappedLayer:
     def full_row_codec(self) -> Optional[RowCodec]:
         """The codec covering the whole input, when the layer has one.
 
-        This is what lets conv layers encode *before* im2col — codes thread
-        through the patch expansion as uint16 gathers.
+        This is what lets conv layers run the DAC on the un-expanded input
+        and expand voltages into patches (see :meth:`RowCodec.voltages`).
         """
         return self.codecs.get((0, self.in_features))
-
-    def _encode_rows(self, acts: np.ndarray) -> Dict[Tuple[int, int], tuple]:
-        """Encode each codec'd row slice once: (codes, compressed, mask)."""
-        encoded = {}
-        tick = time.perf_counter()
-        for (row_start, row_stop), codec in self.codecs.items():
-            codes = codec.encode(acts[:, row_start:row_stop], self.arena,
-                                 f"{self.key}:r{row_start}")
-            encoded[(row_start, row_stop)] = _split_signs(
-                codec, codes, self.arena, f"{self.key}:r{row_start}")
-        self.profile.dac_s += time.perf_counter() - tick
-        return encoded
 
     def forward(self, activations: np.ndarray,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -675,31 +717,31 @@ class CompiledMappedLayer:
             )
         if out is None:
             out = np.empty((acts.shape[0], self.out_features), dtype=np.float64)
-        encoded = self._encode_rows(acts) if self.codecs else {}
-        self._accumulate(acts, encoded, out)
+        converted = {}
+        for (row_start, row_stop), codec in self.codecs.items():
+            key = f"{self.key}:r{row_start}"
+            tick = time.perf_counter()
+            codes = codec.encode(acts[:, row_start:row_stop], self.arena, key)
+            self.profile.dac_s += time.perf_counter() - tick
+            converted[(row_start, row_stop)] = codec.voltages(
+                codes, None, self.arena, key, self.profile)
+        self._accumulate(acts, converted, out)
         return out[0] if squeeze else out
 
     __call__ = forward
 
-    def forward_coded(self, cols_codes: np.ndarray, codec: RowCodec,
-                      signed: bool, out: np.ndarray) -> np.ndarray:
-        """Forward pre-encoded codes covering the whole input width.
+    def forward_volts(self, converted: tuple, out: np.ndarray) -> np.ndarray:
+        """Forward DAC voltages covering the whole input width.
 
-        Used by the planned conv forward, which encodes the NCHW input once
-        and expands patches in the code domain; ``cols_codes`` is the
-        ``(rows, in_features)`` uint16 im2col matrix of those codes and
-        ``out`` the output view :meth:`forward` describes.
-        ``signed``: whether the NCHW code map held a sign bit; without one
-        no patch row can (padding is code 0), so the patches go unscanned.
+        Used by the planned conv forward: ``converted`` is what
+        :attr:`full_row_codec`'s :meth:`RowCodec.voltages` returned for the
+        layer's patch rows, and ``out`` the output view :meth:`forward`
+        describes.
         """
-        tick = time.perf_counter()
-        encoded = {(0, self.in_features): _split_signs(
-            codec, cols_codes, self.arena, f"{self.key}:r0", signed)}
-        self.profile.dac_s += time.perf_counter() - tick
-        return self._accumulate(None, encoded, out)
+        return self._accumulate(None, {(0, self.in_features): converted}, out)
 
     def _accumulate(self, acts: Optional[np.ndarray],
-                    encoded: Dict[Tuple[int, int], tuple],
+                    converted: Dict[Tuple[int, int], tuple],
                     out: np.ndarray) -> np.ndarray:
         """Run every placement; each column range's routed sum lands in
         its slice of ``out``."""
@@ -708,10 +750,8 @@ class CompiledMappedLayer:
             partials = []
             for row_start, row_stop, tile in placements:
                 row_range = (row_start, row_stop)
-                if row_range in encoded:
-                    codes, compressed, mask = encoded[row_range]
-                    partials.append(tile.matvec_codes(
-                        self.codecs[row_range], codes, compressed, mask))
+                if row_range in converted:
+                    partials.append(tile.matvec_volts(*converted[row_range]))
                 else:
                     partials.append(tile.matvec(acts[:, row_start:row_stop]))
             tick = time.perf_counter()
@@ -740,7 +780,7 @@ class CompiledMappedLayer:
 
     @property
     def coded_row_ranges(self) -> int:
-        """How many row ranges run in the code domain."""
+        """How many row ranges share one codec (and one voltage slab)."""
         return len(self.codecs)
 
 
@@ -750,47 +790,56 @@ class _PlannedMatmulForward:
     The hook path computes the layer's full digital output (im2col + GEMM +
     bias) only for ``process_output`` to discard it and recompute the same
     im2col for the macros.  This override runs the layer straight on the
-    compiled mapped layer — one im2col, no dead GEMM — producing the exact
-    arrays the hook path produced.  When the layer has a full-width code
-    table, the input is encoded into FP8 codes *before* im2col and the
-    patch expansion happens in the code domain (uint16 gathers staged in
-    arena slabs); otherwise the float im2col itself is staged in the arena.
-    Being a plain object (not a closure or bound method) it survives
-    pickling, which keeps plans shippable to process workers.
+    compiled mapped layer — no dead GEMM — producing the exact arrays the
+    hook path produced.  A conv never builds the im2col matrix of its
+    input: it zero-pads the input once into an arena map and expands
+    through the layer geometry's :func:`~repro.core.mapping.patch_index`.
+    When the layer has a full-width codec, the map holds FP8 codes (padding
+    is the zero code), the DAC tables are gathered on the map and the
+    *voltages* are expanded into patches; otherwise the float input itself
+    is expanded.  Being a plain object (not a closure or bound method) it
+    survives pickling, which keeps plans shippable to process workers.
     """
 
     def __init__(self, layer: Layer, mapped, arena: Optional[PlanArena] = None,
                  key: str = "fwd") -> None:
         # Grouped convolutions map like any other conv: the block-diagonal
         # weight matrix (per-group tile placement in MappedLayer) consumes
-        # the same full-width im2col the hook path feeds it.
+        # the same full-width patch rows the hook path feeds it.
         self.layer = layer
         self.mapped = mapped
         self.arena = arena if arena is not None else PlanArena()
         self.key = key
 
-    def _conv_cols(self, x: np.ndarray, h_out: int, w_out: int):
-        """``(cols, codec, signed)``: the im2col matrix — code-domain uint16
-        when the layer allows it — and whether any input code is signed."""
+    def _conv(self, x: np.ndarray, out: np.ndarray) -> None:
+        """The conv's patch rows through the mapped layer into ``out``."""
         layer, arena, key = self.layer, self.arena, self.key
-        n, c = x.shape[0], x.shape[1]
-        k, p = layer.kernel_size, layer.padding
-        codec = getattr(self.mapped, "full_row_codec", None)
-        dtype = np.float64 if codec is None else np.uint16
-        staging = arena.take(key + ":patches", (n, h_out, w_out, c, k, k), dtype)
-        source = arena.take(
-            key + ":nhwc", (n, x.shape[2] + 2 * p, x.shape[3] + 2 * p, c), dtype)
-        signed = True
-        if codec is not None:
-            tick = time.perf_counter()
-            x = codec.encode(x, arena, key + ":x")
-            signed = codec.any_negative(x)
-            self.mapped.profile.dac_s += time.perf_counter() - tick
+        mapped, profile = self.mapped, self.mapped.profile
+        k, stride, p = layer.kernel_size, layer.stride, layer.padding
+        if k == 1 and p == 0:
+            # A 1x1 conv reads every stride-th pixel only: convert just those.
+            x, stride = x[:, :, ::stride, ::stride], 1
+        n, c, h, w = x.shape
+        index = patch_index(c, h, w, k, stride, p)
+        codec = mapped.full_row_codec
         tick = time.perf_counter()
-        cols = im2col(x, k, layer.stride, p, dtype=None, out=staging,
-                      pad_buffer=source)
-        self.mapped.profile.im2col_s += time.perf_counter() - tick
-        return cols, codec, signed
+        padded = arena.take(key + ":map", (n, c, h + 2 * p, w + 2 * p),
+                            np.float64 if codec is None else np.uint16)
+        if p:
+            padded.fill(0)
+        interior = padded[:, :, p:p + h, p:p + w]
+        if codec is None:
+            interior[...] = x
+            cols = arena.take(key + ":cols", (n * index.shape[0], index.shape[1]))
+            padded.reshape(n, -1).take(index, axis=1, mode="clip",
+                                       out=cols.reshape(n, *index.shape))
+            profile.im2col_s += time.perf_counter() - tick
+            mapped.forward(cols, out=out)
+            return
+        codec.encode(x, arena, key + ":x", out=interior)
+        profile.dac_s += time.perf_counter() - tick
+        mapped.forward_volts(codec.voltages(
+            padded.reshape(n, -1), index, arena, key, profile), out)
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         # Per-layer tracing hook: when a plan-trace buffer is active on
@@ -826,16 +875,11 @@ class _PlannedMatmulForward:
                                  layer.padding)
         w_out = conv_output_size(x.shape[3], layer.kernel_size, layer.stride,
                                  layer.padding)
-        cols, codec, signed = self._conv_cols(x, h_out, w_out)
         # The routing adder writes each column range straight into the
         # NCHW result through its (n, h, w, C) transpose, so BN, ReLU and
         # the residual add downstream read contiguous memory.
         result = np.empty((x.shape[0], layer.out_channels, h_out, w_out))
-        rows = result.transpose(0, 2, 3, 1)
-        if codec is not None:
-            self.mapped.forward_coded(cols, codec, signed, rows)
-        else:
-            self.mapped.forward(cols, out=rows)
+        self._conv(x, result.transpose(0, 2, 3, 1))
         if layer.bias is not None:
             result += layer.bias.value[None, :, None, None]
         return result
@@ -1122,7 +1166,7 @@ def split_plan(plan: ModelPlan,
 #: pickled plan layout (or anything the fingerprint cannot see) changes in
 #: a way that makes old entries wrong to reuse; the version is folded into
 #: every fingerprint, so a bump invalidates the whole cache at once.
-PLAN_CACHE_VERSION = 3
+PLAN_CACHE_VERSION = 4
 
 
 def _model_descriptor(model: Model) -> list:

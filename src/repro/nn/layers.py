@@ -254,17 +254,24 @@ class BatchNorm2d(Layer):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != self.num_features:
             raise ValueError(f"expected NCHW input with {self.num_features} channels")
-        if training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean, var = self.running_mean, self.running_var
+        if not training:
+            # The four operations of the training path, in its order, run
+            # in place on one fresh output (same bits, no temporaries).
+            n, c, h, w = x.shape
+            out = np.empty(x.shape)
+            np.subtract(x, self.running_mean[:, None, None], out=out)
+            flat = out.reshape(n, c, h * w)
+            flat /= np.sqrt(self.running_var + self.eps)[:, None]
+            flat *= self.gamma.value[:, None]
+            flat += self.beta.value[:, None]
+            return out
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         std = np.sqrt(var + self.eps)
         x_hat = (x - mean[None, :, None, None]) / std[None, :, None, None]
-        if training:
-            self._cache = {"x_hat": x_hat, "std": std}
+        self._cache = {"x_hat": x_hat, "std": std}
         return self.gamma.value[None, :, None, None] * x_hat + self.beta.value[None, :, None, None]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

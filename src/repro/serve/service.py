@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.engine import BatchRunner
-from repro.exec.plan import PlanCache, plan_fingerprint
+from repro.exec.plan import PlanCache, StageProfile, plan_fingerprint
 from repro.exec.registry import create_backend
 from repro.faults import injector as fault_injector
 from repro.faults.injector import FaultInjector, FaultSpec
@@ -238,15 +238,13 @@ class _PipelineWorker:
 
     async def stage_profile(self) -> Dict[str, float]:
         """Summed plan-stage breakdown (plus a per-stage list when sharded)."""
-        combined: Dict[str, float] = {
-            "dac_s": 0.0, "crossbar_s": 0.0, "adc_s": 0.0, "digital_s": 0.0,
-            "total_s": 0.0, "forwards": 0.0, "transport_s": 0.0,
-        }
+        combined: Dict[str, float] = StageProfile().as_dict()
+        summed = [key for key in combined
+                  if key not in ("forwards", "transport_s", "bubble_s")]
         stages = []
         for stage in self.pipeline.stage_stats():
             profile = dict(stage.get("profile", {}))
-            for key in ("dac_s", "crossbar_s", "adc_s", "digital_s",
-                        "total_s"):
+            for key in summed:
                 combined[key] += float(profile.get(key, 0.0))
             combined["forwards"] = max(combined["forwards"],
                                        float(profile.get("forwards", 0.0)))
@@ -261,7 +259,7 @@ class _PipelineWorker:
             })
         if self.sharded:
             # Bubble time is input starvation between stages; a single
-            # stage's is plain idle time, so it is not reported.
+            # stage's is plain idle time, so a one-stage worker reports 0.
             combined["bubble_s"] = sum(stage["profile"]["bubble_s"]
                                        for stage in stages)
             combined["stages"] = stages

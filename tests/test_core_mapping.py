@@ -10,6 +10,7 @@ from repro.core import (
     conv_output_size,
     conv_weights_to_matrix,
     im2col,
+    patch_index,
     tile_weight_matrix,
 )
 from repro.core.config import MacroConfig
@@ -51,9 +52,10 @@ class TestIm2Col:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_im2col_random_geometry_matches_naive_loop(self, seed):
-        # Kernels 1-5 with random stride / padding, both working dtypes,
-        # caller buffers on and off, and a channel-sliced non-contiguous
-        # input as grouped Conv2d passes, against an explicit-loop reference.
+        # Kernels 1-5 with random stride / padding and a channel-sliced
+        # non-contiguous input as grouped Conv2d passes, against an
+        # explicit-loop reference: im2col itself, and the patch-index
+        # expansion of the zero-padded map (uint16 or float64).
         rng = np.random.default_rng(seed)
         kernel = 1 + seed % 5
         stride, padding = int(rng.integers(1, 4)), int(rng.integers(0, 3))
@@ -73,16 +75,17 @@ class TestIm2Col:
                     reference[b, i, j] = padded[b, :, i * stride:i * stride + kernel,
                                                 j * stride:j * stride + kernel]
         reference = reference.reshape(n * h_out * w_out, -1)
-        buffers = {}
-        if seed % 4 >= 2:
-            buffers = dict(
-                out=np.full((n, h_out, w_out, c, kernel, kernel), 7, dtype=dtype),
-                pad_buffer=np.full((n, h + 2 * padding, w + 2 * padding, c), 7,
-                                   dtype=dtype))
-        for _ in range(2):  # reused buffers must not leak the previous call
-            cols = im2col(x, kernel, stride, padding, dtype=None, **buffers)
-            assert cols.dtype == dtype
-            assert np.array_equal(cols, reference)
+        cols = im2col(x, kernel, stride, padding)
+        assert cols.dtype == np.float64
+        assert np.array_equal(cols, reference)
+
+        index = patch_index(c, h, w, kernel, stride, padding)
+        assert index.shape == (h_out * w_out, c * kernel * kernel)
+        assert index.dtype == np.intp and not index.flags.writeable
+        assert patch_index(c, h, w, kernel, stride, padding) is index  # cached
+        expanded = np.take(padded.reshape(n, -1), index, axis=1)
+        assert expanded.dtype == dtype
+        assert np.array_equal(expanded.reshape(n * h_out * w_out, -1), reference)
 
     def test_im2col_strided(self):
         rng = np.random.default_rng(1)

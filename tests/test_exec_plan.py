@@ -9,6 +9,7 @@ multi-tile layers, whole-model plans on all four backends, pickled plans,
 and process-pool serving.
 """
 
+import dataclasses
 import pickle
 import warnings
 
@@ -65,6 +66,7 @@ from repro.formats.quantizer import (
     compile_quantizer,
 )
 from repro.nn import DatasetConfig, SGD, Sequential, SyntheticImageDataset, Trainer
+from repro.nn.mobilenet import build_mobilenet_lite
 from repro.nn.layers import Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU
 from repro.rram.device import RRAMStatistics
 
@@ -730,8 +732,9 @@ class TestModelPlan:
 
     def test_conv_model_threads_codes_through_im2col(self):
         # A padded conv (zero-pad codes!), signed inputs (both sign passes)
-        # and a bias: the planned forward encodes before im2col and must
-        # reproduce the generic hook path bit for bit.
+        # and a bias: the planned forward encodes the un-expanded input,
+        # expands its DAC voltages into patches and must reproduce the
+        # generic hook path bit for bit.
         dataset = SyntheticImageDataset(DatasetConfig(num_classes=4, image_size=10,
                                                       noise_sigma=0.3, seed=5))
         x_train, y_train, x_test, _ = dataset.train_test_split(96, 16)
@@ -748,7 +751,7 @@ class TestModelPlan:
         runner = BatchRunner(model, backend, context=context)
         try:
             mapped = backend._mapped.adapters[0].mapped
-            assert mapped.full_row_codec is not None  # pre-im2col encoding on
+            assert mapped.full_row_codec is not None  # voltage expansion on
             coded = runner.forward(x_test)
         finally:
             runner.close()
@@ -786,6 +789,56 @@ class TestModelPlan:
         assert bitwise_equal(planned.logits, generic.logits)
         assert planned.conversions == generic.conversions
 
+    @pytest.mark.parametrize("case", ["mobilenet", "offset_mapping", "column_tiles"])
+    def test_conv_voltage_expansion_bit_identical_to_oracle(self, case):
+        # Depthwise convs (one row range per group, no full-row codec) expand
+        # their float input; pointwise and dense convs expand DAC voltages.
+        # Offset mapping gathers the raw voltage row sums through the same
+        # index; a conv over two column tiles shares one voltage slab (and,
+        # under offset mapping, one set of row sums).  Both feed a strided
+        # 1x1 conv, which converts only the pixels it reads.
+        dataset = SyntheticImageDataset(DatasetConfig(num_classes=4, image_size=10,
+                                                      noise_sigma=0.3, seed=8))
+        x_train, _, x_test, _ = dataset.train_test_split(32, 16)
+        macro_config = MacroConfig(device_statistics=quiet_stats())
+        if case == "mobilenet":
+            model = build_mobilenet_lite(num_classes=4, widths=(8, 16), seed=3)
+        else:
+            # Two column tiles either way: 128 signed outputs fit one
+            # differential tile, 256 one offset-mapped tile.
+            out_channels = 130 if case == "column_tiles" else 260
+            model = Sequential(
+                Conv2d(3, out_channels, 3, padding=1, rng=np.random.default_rng(7)),
+                ReLU(),
+                Conv2d(out_channels, 6, 1, stride=2, rng=np.random.default_rng(8)),
+                GlobalAvgPool2d(),
+                Linear(6, 4, rng=np.random.default_rng(9)),
+            )
+            if case == "offset_mapping":
+                macro_config = dataclasses.replace(macro_config,
+                                                   differential_columns=False)
+        context = plan_context(x_train, macro_config=macro_config,
+                               max_mapped_layers=None)
+        backend = AnalogBackend()
+        with BatchRunner(model, backend, context=context) as runner:
+            mapped = [adapter.mapped for adapter in backend._mapped.adapters]
+            before = runner.conversions()
+            planned = runner.forward(x_test)
+            conversions = runner.conversions() - before
+        oracle = run_model(model, x_test, backend="analog",
+                           context=dataclasses.replace(context, compile_plan=False))
+        assert bitwise_equal(planned, oracle.logits)
+        assert conversions == oracle.conversions
+        if case == "mobilenet":
+            groups = [getattr(layer, "groups", 1) for layer in model.matmul_layers()]
+            assert max(groups) > 1
+            for group_count, compiled in zip(groups, mapped):
+                assert (compiled.full_row_codec is None) == (group_count > 1)
+        else:
+            assert mapped[0].full_row_codec.raw == (case == "offset_mapping")
+            assert len(mapped[0].column_ranges) == 2
+            assert mapped[0].coded_row_ranges == 1
+
     def test_registered_backends_are_the_expected_four(self):
         assert set(available_backends()) == {"ideal", "fake_quant",
                                              "fast_noise", "analog"}
@@ -822,6 +875,34 @@ class TestModelPlan:
             b = clone.forward(x_test[:6])
             assert bitwise_equal(a, b)
             assert runner.conversions() == clone.conversions()
+        finally:
+            runner.close()
+
+    def test_plan_pickled_after_forward_matches_live_plan(self):
+        # Pickled after a batch-64 forward (grown arena, cached patch
+        # index), the clone regrows its scratch for smaller batches and
+        # tracks the live plan bit for bit, read-noise draws included.
+        dataset = SyntheticImageDataset(DatasetConfig(num_classes=4, image_size=10,
+                                                      noise_sigma=0.3, seed=9))
+        x_train, _, x_test, _ = dataset.train_test_split(32, 64)
+        model = Sequential(
+            Conv2d(3, 6, 3, padding=1, rng=np.random.default_rng(10)),
+            ReLU(),
+            Conv2d(6, 8, 3, stride=2, padding=1, rng=np.random.default_rng(11)),
+            ReLU(),
+            GlobalAvgPool2d(),
+            Linear(8, 4, rng=np.random.default_rng(12)),
+        )
+        runner = BatchRunner(model, "analog",
+                             context=plan_context(x_train, max_mapped_layers=None))
+        try:
+            runner.plan.forward(x_test)
+            clone = pickle.loads(pickle.dumps(runner.plan))
+            for rows in (1, 5):
+                live = runner.plan.forward(x_test[:rows])
+                cloned = clone.forward(x_test[:rows])
+                assert bitwise_equal(live, cloned)
+                assert runner.conversions() == clone.conversions()
         finally:
             runner.close()
 
@@ -915,6 +996,25 @@ class TestProcessServing:
                 model, images, ServeConfig(backend="analog", max_batch=8,
                                            context=context, workers=mode))
         assert snapshots["thread"].conversions == snapshots["process"].conversions
+
+    def test_process_stage_profile_carries_thread_keys(self, plan_setup):
+        # A process worker reports the same breakdown rows as a thread
+        # worker, the digital sub-stages (im2col, adder) included.
+        from repro.serve import ServeConfig
+        from repro.serve.loadgen import run_loadtest
+
+        model, x_train, x_test, _ = plan_setup
+        keys = {}
+        for mode in ("thread", "process"):
+            result = run_loadtest(
+                model, x_test[:8],
+                ServeConfig(backend="analog", max_batch=4,
+                            context=plan_context(x_train), workers=mode),
+                num_requests=8, collect_profile=True)
+            (profile,) = result.stage_profiles
+            keys[mode] = set(profile)
+            assert profile["adder_s"] > 0
+        assert keys["thread"] == keys["process"]
 
     def test_unknown_worker_mode_rejected(self, plan_setup):
         from repro.serve import InferenceService, ServeConfig

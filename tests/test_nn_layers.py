@@ -169,6 +169,30 @@ class TestBatchNorm:
         assert np.all(np.isfinite(out))
         assert bn.running_mean == pytest.approx(np.ones(2), abs=0.3)
 
+    def test_eval_bit_identical_to_broadcast_expression(self):
+        # Eval runs the training path's four operations in place; the bits
+        # must match the plain broadcast expression on contiguous and
+        # transposed inputs, and the input must be left alone.
+        rng = np.random.default_rng(10)
+        bn = BatchNorm2d(5)
+        bn.running_mean = rng.standard_normal(5)
+        bn.running_var = rng.random(5) + 0.1
+        bn.gamma.value[:] = rng.standard_normal(5)
+        bn.beta.value[:] = rng.standard_normal(5)
+        shape = (4, 5, 3, 6)
+        for x in (rng.standard_normal(shape),
+                  rng.standard_normal((4, 3, 6, 5)).transpose(0, 3, 1, 2),
+                  np.zeros((0, 5, 3, 6))):
+            before = x.copy()
+            std = np.sqrt(bn.running_var + bn.eps)
+            x_hat = (x - bn.running_mean[None, :, None, None]) / std[None, :, None, None]
+            expected = (bn.gamma.value[None, :, None, None] * x_hat
+                        + bn.beta.value[None, :, None, None])
+            out = bn.forward(x, training=False)
+            assert out.shape == x.shape
+            assert np.array_equal(out, expected)
+            assert np.array_equal(x, before)
+
     def test_input_gradient_matches_numerical(self):
         rng = np.random.default_rng(9)
         bn = BatchNorm2d(2)
