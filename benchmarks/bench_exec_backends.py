@@ -6,12 +6,9 @@ Three acceptance bars, measured on a small trained CNN:
   workload (throughput table),
 * the batch-vectorised ``analog`` backend is >= 3x faster than the seed's
   per-sample full-array readout path (the PR-1 gate),
-* the compiled execution plan is >= 2x faster than the generic
-  ``BatchRunner`` path on the analog backend while producing
-  **bit-identical** logits and conversion counts on every registered
-  backend.  The measured numbers land in ``BENCH_exec.json`` so future
-  changes can track the performance trajectory, and the CI regression
-  gate diffs the speedup ratio against the committed baseline.
+* the compiled execution plan produces **bit-identical** logits and
+  conversion counts to the ``compile_plan=False`` oracle on every
+  registered backend; the outcome lands in ``BENCH_exec.json``.
 
 Timing uses the shared best-of-N helpers in :mod:`_timing`.
 ``BENCH_SMOKE=1`` selects the reduced-size CI configuration.
@@ -128,21 +125,22 @@ def test_batched_analog_vs_seed_per_sample_path(benchmark, workload):
 
 
 @pytest.mark.benchmark(group="exec-backends")
-def test_compiled_plan_beats_batchrunner_2x_bit_identical(benchmark, workload):
-    """The compiled execution plan is >= 2x faster than the generic
-    ``BatchRunner`` path on the analog backend, with bit-identical logits on
-    every registered backend, and writes the ``BENCH_exec.json`` trajectory.
+def test_compiled_plan_bit_identical_every_backend(benchmark, workload):
+    """The compiled execution plan produces bit-identical logits and
+    conversion counts to the ``compile_plan=False`` oracle on every
+    registered backend, and writes the ``BENCH_exec.json`` record.
 
     Bit identity is checked with a *fresh* backend per path so both consume
     identical random streams (programming noise at prepare, read noise per
     forward) from the same seeds — the plan's LUT kernels then reproduce the
-    generic arithmetic exactly.  The identity check maps every matmul layer,
-    so each one runs analog and is compared bit for bit.
+    generic arithmetic exactly.  The check maps every matmul layer, so each
+    one runs analog and is compared bit for bit.  Plan speed is measured by
+    perfbench (``offline-resnet-analog`` ``samples_per_s`` and the per-layer
+    ``exec.L<i>.vs_matmul`` ratios), not against the oracle.
     """
     model, x_train, x_test, y_test, macro_config = workload
-    kwargs = dict(calibration=x_train[:16], macro_config=macro_config,
-                  max_mapped_layers=2, seed=0)
-    all_mapped = dict(kwargs, max_mapped_layers=None)
+    all_mapped = dict(calibration=x_train[:16], macro_config=macro_config,
+                      max_mapped_layers=None, seed=0)
 
     def check_identity():
         outcomes = {}
@@ -161,44 +159,7 @@ def test_compiled_plan_beats_batchrunner_2x_bit_identical(benchmark, workload):
     print("\nPlanned-vs-generic bit identity:")
     for backend, identical in sorted(outcomes.items()):
         print(f"  {backend:12s} {'bit-identical' if identical else 'MISMATCH'}")
+    path = write_bench_json("exec", {"samples": SAMPLES,
+                                     "bit_identical": outcomes})
+    print(f"Record written to {path}")
     assert all(outcomes.values()), outcomes
-
-    # Steady-state speed: both backends prepared once, forward-only clocks.
-    planned_backend = AnalogBackend()
-    generic_backend = AnalogBackend()
-    run_model(model, x_test[:1], backend=planned_backend, **kwargs)
-    run_model(model, x_test[:1], backend=generic_backend, compile_plan=False,
-              **kwargs)
-    planned_time, planned_report = best_metric(
-        lambda: run_model(model, x_test, y_test, backend=planned_backend,
-                          batch_size=SAMPLES, **kwargs),
-        lambda r: r.wall_time_s, rounds=ROUNDS)
-    generic_time, _ = best_metric(
-        lambda: run_model(model, x_test, y_test, backend=generic_backend,
-                          batch_size=SAMPLES, compile_plan=False, **kwargs),
-        lambda r: r.wall_time_s, rounds=ROUNDS)
-
-    speedup = generic_time / planned_time
-    print(f"Compiled plan: {planned_time * 1e3:.1f} ms, "
-          f"generic BatchRunner: {generic_time * 1e3:.1f} ms, "
-          f"speedup {speedup:.2f}x")
-    if planned_report.stage_profile:
-        profile = planned_report.stage_profile
-        print("Plan stage breakdown: "
-              f"DAC {profile['dac_s'] * 1e3:.1f} ms, "
-              f"crossbar {profile['crossbar_s'] * 1e3:.1f} ms, "
-              f"ADC {profile['adc_s'] * 1e3:.1f} ms, "
-              f"digital {profile['digital_s'] * 1e3:.1f} ms")
-
-    path = write_bench_json("exec", {
-        "samples": SAMPLES,
-        "planned_s": planned_time,
-        "generic_s": generic_time,
-        "plan_speedup": speedup,
-        "planned_samples_per_second": SAMPLES / planned_time,
-        "bit_identical": outcomes,
-        "stage_profile": planned_report.stage_profile,
-    })
-    print(f"Trajectory written to {path}")
-
-    assert speedup >= 2.0, f"compiled plan only {speedup:.2f}x faster"

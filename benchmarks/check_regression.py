@@ -1,10 +1,9 @@
 """CI perf-regression gate: diff fresh ``BENCH_*.json`` against baselines.
 
 The bench-smoke job measures the benchmark suite on whatever runner it got,
-writes fresh ``BENCH_exec.json`` / ``BENCH_serve.json`` trajectories, and
-then runs this script against the baselines committed under
-``benchmarks/baselines/``.  Absolute wall times are machine-dependent, so
-the gate compares the **speedup ratios** — compiled plan vs generic,
+writes fresh ``BENCH_*.json`` trajectories, and then runs this script
+against the baselines committed under ``benchmarks/baselines/``.  Absolute
+wall times are machine-dependent, so the gate compares **ratios** — e.g.
 dynamic batching vs batch-1 — which are measured within one run on one
 machine and therefore travel across runners.  A fresh ratio dropping more
 than its per-key floor below the committed baseline (20-50% depending on
@@ -39,15 +38,13 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 #: file stem -> {ratio key: allowed fractional drop below baseline}.  The
-#: per-key floors reflect each ratio's observed cross-run variance:
-#: plan_speedup divides two separately-timed runs and swings with machine
-#: load; the dynamic-batching ratios time whole asyncio serving runs whose
-#: batch-1 side is hundreds of tiny forwards — run-to-run variance of 25%+
-#: on one machine is normal, so their floor is widest.  Every guarded ratio
+#: per-key floors reflect each ratio's observed cross-run variance: the
+#: dynamic-batching ratios time whole asyncio serving runs whose batch-1
+#: side is hundreds of tiny forwards — run-to-run variance of 25%+ on one
+#: machine is normal, so their floor is widest.  Every guarded ratio
 #: also carries a hard absolute assert inside its benchmark, so widening a
 #: floor here never lets an outright failure through.
 GUARDED_RATIOS: Dict[str, Dict[str, float]] = {
-    "BENCH_exec.json": {"plan_speedup": 0.4},
     "BENCH_serve.json": {"modes.thread.speedup": 0.5,
                          "modes.process.speedup": 0.5},
     # The committed pipeline baseline starts at the 1.5x contract floor the

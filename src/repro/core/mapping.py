@@ -221,7 +221,7 @@ class RoutingAdder:
             total = total + np.asarray(partial, dtype=np.float64)
             self.additions += total.size
             if self.accumulate_format is not None:
-                scale = float(np.max(np.abs(total))) or 1.0
+                scale = float(np.max(np.abs(total), initial=0.0)) or 1.0
                 norm = self.accumulate_format.max_value
                 total = self.accumulate_format.quantize(total / scale * norm) / norm * scale
         return total

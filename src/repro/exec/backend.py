@@ -16,7 +16,6 @@ the same model skip re-calibration.
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 from typing import ClassVar, Optional, Union
 
@@ -113,7 +112,7 @@ class ExecutionReport:
         return self.samples / self.wall_time_s
 
 
-class ExecutionBackend(abc.ABC):
+class ExecutionBackend:
     """Common lifecycle of every execution substrate.
 
     ``prepare`` installs whatever the backend needs on the model (adapters,
@@ -129,9 +128,14 @@ class ExecutionBackend(abc.ABC):
     def prepare(self, model: Model, context: ExecutionContext) -> None:
         """Install the backend on ``model`` (default: nothing to do)."""
 
-    @abc.abstractmethod
     def forward(self, model: Model, images: np.ndarray) -> np.ndarray:
-        """Run one minibatch through the prepared model."""
+        """Run one minibatch through the prepared model.
+
+        The default runs ``model.forward``, which a
+        :class:`~repro.exec.plan.ModelPlan` lowers into its op program; a
+        backend that overrides this runs whole, as one op.
+        """
+        return model.forward(np.asarray(images, dtype=np.float64), training=False)
 
     def teardown(self, model: Model) -> None:
         """Restore plain digital execution (default: nothing to do)."""

@@ -42,9 +42,6 @@ class IdealBackend(ExecutionBackend):
     def prepare(self, model: Model, context: ExecutionContext) -> None:
         restore_model(model)
 
-    def forward(self, model: Model, images: np.ndarray) -> np.ndarray:
-        return model.forward(np.asarray(images, dtype=np.float64), training=False)
-
 
 @register_backend
 class FakeQuantBackend(ExecutionBackend):
@@ -70,9 +67,6 @@ class FakeQuantBackend(ExecutionBackend):
         )
         if context.calibration is not None:
             calibrate_adapters(model, self._adapters, context.calibration)
-
-    def forward(self, model: Model, images: np.ndarray) -> np.ndarray:
-        return model.forward(np.asarray(images, dtype=np.float64), training=False)
 
     def teardown(self, model: Model) -> None:
         restore_model(model)
@@ -160,11 +154,6 @@ class AnalogBackend(ExecutionBackend):
             restore_model(model)
             raise
         self._cache_key = key
-
-    def forward(self, model: Model, images: np.ndarray) -> np.ndarray:
-        if self._mapped is None:
-            raise RuntimeError("prepare must be called before forward")
-        return self._mapped.forward(images)
 
     def teardown(self, model: Model) -> None:
         # Keep the mapped macros for the next prepare; only restore digital

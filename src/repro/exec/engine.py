@@ -104,7 +104,7 @@ class BatchRunner:
         return self.plan.stage_profile()
 
     def close(self) -> None:
-        """Restore generic kernels and tear the backend off (idempotent)."""
+        """Tear the backend off the model (idempotent)."""
         if not self._closed:
             self._closed = True
             self.plan.close()

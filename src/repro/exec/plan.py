@@ -6,6 +6,9 @@ quantiser rounding) and re-walked the Python-level tile bookkeeping on every
 forward.  A :class:`ModelPlan` pays those costs once per ``(model, backend,
 context)``:
 
+* the prepared model is lowered into a flat **op program** that
+  :meth:`ModelPlan.forward` walks in ``model.forward``'s evaluation order,
+  without patching a single layer or adapter of the model;
 * every analog tile is compiled into a :class:`CompiledTile` — the tile's
   conductance block packed contiguous, the DAC's 2^8 code→voltage transfer
   and the ADC's charge→code conversion baked into lookup tables
@@ -57,11 +60,14 @@ that hook path is the bit-identity oracle the plan is tested against.
 
 Plans are picklable, which is what lets :mod:`repro.serve` ship one to each
 process of a ``workers="process"`` pool and run replicas on real cores (the
-arena's scratch slabs are dropped on pickling and regrown by the worker).
+arena's scratch slabs are dropped on pickling and regrown by the worker),
+and :mod:`repro.shard` ship one op range of the program to each pipeline
+stage.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -80,7 +86,7 @@ from repro.exec.backends import AnalogBackend, FakeQuantBackend
 from repro.formats.fp8 import BucketIndexer, pull_back_bounds, round_to_format
 from repro.formats.quantizer import compile_quantizer
 from repro.nn.layers import Layer, Linear
-from repro.nn.model import Model
+from repro.nn.model import DepthwiseSeparableBlock, Model, ResidualBlock, Sequential
 from repro.obs.trace import plan_trace_buffer
 
 
@@ -600,8 +606,10 @@ class _CompiledRoutingAdder:
                 continue
             if total is not None:
                 partial = np.add(total, partial, out=scratch)
-            # (The first partial needs no zero start: rounding sends -0 to +0.)
-            scale = max(float(partial.max()), -float(partial.min())) or 1.0
+            # (The first partial needs no zero start: rounding sends -0 to +0.
+            # The zero initial only matters for an empty batch.)
+            scale = max(float(partial.max(initial=0.0)),
+                        -float(partial.min(initial=0.0))) or 1.0
             np.divide(partial, scale, out=scratch)
             scratch *= self.norm
             if self.exact:
@@ -627,8 +635,8 @@ class _FallbackTile:
 class CompiledMappedLayer:
     """A :class:`MappedLayer` whose tiles run on compiled kernels.
 
-    Swapped into ``CIMExecutionAdapter.mapped`` by the plan; the original
-    mapped layer stays untouched (the plan restores it on ``close``).  The
+    Built by the plan next to the mapped layer, which it reads but never
+    replaces: the adapter keeps running the generic hook path.  The
     per-layer column ranges and tile groupings are precomputed, so the
     forward iterates plain lists instead of re-deriving the tiling, and the
     shared routing adder keeps its accumulation format and counters.
@@ -680,17 +688,6 @@ class CompiledMappedLayer:
             if all(codec.matches(t) for t in row_tiles):
                 self.codecs[row_range] = codec
 
-    # The adapter probes these like the original MappedLayer.
-    @property
-    def in_features(self) -> int:
-        """Input feature count of the mapped layer."""
-        return self.mapped.in_features
-
-    @property
-    def out_features(self) -> int:
-        """Output feature count of the mapped layer."""
-        return self.mapped.out_features
-
     @property
     def full_row_codec(self) -> Optional[RowCodec]:
         """The codec covering the whole input, when the layer has one.
@@ -698,7 +695,7 @@ class CompiledMappedLayer:
         This is what lets conv layers run the DAC on the un-expanded input
         and expand voltages into patches (see :meth:`RowCodec.voltages`).
         """
-        return self.codecs.get((0, self.in_features))
+        return self.codecs.get((0, self.mapped.in_features))
 
     def forward(self, activations: np.ndarray,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -711,12 +708,11 @@ class CompiledMappedLayer:
         acts = np.asarray(activations, dtype=np.float64)
         squeeze = acts.ndim == 1
         acts = np.atleast_2d(acts)
-        if acts.shape[1] != self.in_features:
-            raise ValueError(
-                f"activation length {acts.shape[1]} does not match {self.in_features}"
-            )
+        if acts.shape[1] != self.mapped.in_features:
+            raise ValueError(f"activation length {acts.shape[1]} does not "
+                             f"match {self.mapped.in_features}")
         if out is None:
-            out = np.empty((acts.shape[0], self.out_features), dtype=np.float64)
+            out = np.empty((acts.shape[0], self.mapped.out_features))
         converted = {}
         for (row_start, row_stop), codec in self.codecs.items():
             key = f"{self.key}:r{row_start}"
@@ -728,8 +724,6 @@ class CompiledMappedLayer:
         self._accumulate(acts, converted, out)
         return out[0] if squeeze else out
 
-    __call__ = forward
-
     def forward_volts(self, converted: tuple, out: np.ndarray) -> np.ndarray:
         """Forward DAC voltages covering the whole input width.
 
@@ -738,7 +732,7 @@ class CompiledMappedLayer:
         layer's patch rows, and ``out`` the output view :meth:`forward`
         describes.
         """
-        return self._accumulate(None, {(0, self.in_features): converted}, out)
+        return self._accumulate(None, {(0, self.mapped.in_features): converted}, out)
 
     def _accumulate(self, acts: Optional[np.ndarray],
                     converted: Dict[Tuple[int, int], tuple],
@@ -763,16 +757,6 @@ class CompiledMappedLayer:
         """Macro conversions performed so far (stats live on the macros)."""
         return self.mapped.total_conversions()
 
-    def set_vectorized_readout(self, enabled: bool) -> None:
-        """Unsupported on a compiled layer — close the plan first."""
-        raise RuntimeError(
-            "cannot switch readout mode on a compiled layer; close the plan")
-
-    @property
-    def num_macros(self) -> int:
-        """Number of macros the underlying mapped layer occupies."""
-        return self.mapped.num_macros
-
     @property
     def compiled_tiles(self) -> int:
         """How many tiles run on LUT kernels (vs. generic fallback)."""
@@ -784,12 +768,18 @@ class CompiledMappedLayer:
         return len(self.codecs)
 
 
-class _PlannedMatmulForward:
-    """Picklable forward override for a macro-mapped Conv2d / Linear layer.
+# ----------------------------------------------------------------------
+# The op program: a prepared model lowered into a flat list of ops
+# ----------------------------------------------------------------------
+# An op is a picklable callable ``op(x, stack) -> x``: ``x`` is the one
+# tensor flowing through the program, and ``stack`` holds the tensors a
+# residual block keeps alive beside it.
+class _MatmulOp:
+    """A macro-mapped Conv2d / Linear layer run on its compiled mapped layer.
 
     The hook path computes the layer's full digital output (im2col + GEMM +
     bias) only for ``process_output`` to discard it and recompute the same
-    im2col for the macros.  This override runs the layer straight on the
+    im2col for the macros.  This op runs the layer straight on the
     compiled mapped layer — no dead GEMM — producing the exact arrays the
     hook path produced.  A conv never builds the im2col matrix of its
     input: it zero-pads the input once into an arena map and expands
@@ -797,77 +787,48 @@ class _PlannedMatmulForward:
     When the layer has a full-width codec, the map holds FP8 codes (padding
     is the zero code), the DAC tables are gathered on the map and the
     *voltages* are expanded into patches; otherwise the float input itself
-    is expanded.  Being a plain object (not a closure or bound method) it
-    survives pickling, which keeps plans shippable to process workers.
+    is expanded.  Grouped convolutions map like any other conv: the
+    block-diagonal weight matrix consumes the same full-width patch rows.
     """
 
-    def __init__(self, layer: Layer, mapped, arena: Optional[PlanArena] = None,
-                 key: str = "fwd") -> None:
-        # Grouped convolutions map like any other conv: the block-diagonal
-        # weight matrix (per-group tile placement in MappedLayer) consumes
-        # the same full-width patch rows the hook path feeds it.
+    def __init__(self, layer: Layer, compiled: CompiledMappedLayer) -> None:
         self.layer = layer
-        self.mapped = mapped
-        self.arena = arena if arena is not None else PlanArena()
-        self.key = key
+        self.compiled = compiled
 
     def _conv(self, x: np.ndarray, out: np.ndarray) -> None:
         """The conv's patch rows through the mapped layer into ``out``."""
-        layer, arena, key = self.layer, self.arena, self.key
-        mapped, profile = self.mapped, self.mapped.profile
+        layer, compiled = self.layer, self.compiled
+        arena, key, profile = compiled.arena, compiled.key, compiled.profile
         k, stride, p = layer.kernel_size, layer.stride, layer.padding
         if k == 1 and p == 0:
             # A 1x1 conv reads every stride-th pixel only: convert just those.
             x, stride = x[:, :, ::stride, ::stride], 1
         n, c, h, w = x.shape
         index = patch_index(c, h, w, k, stride, p)
-        codec = mapped.full_row_codec
+        codec = compiled.full_row_codec
         tick = time.perf_counter()
         padded = arena.take(key + ":map", (n, c, h + 2 * p, w + 2 * p),
                             np.float64 if codec is None else np.uint16)
         if p:
             padded.fill(0)
         interior = padded[:, :, p:p + h, p:p + w]
+        flat = padded.reshape(n, c * (h + 2 * p) * (w + 2 * p))
         if codec is None:
             interior[...] = x
             cols = arena.take(key + ":cols", (n * index.shape[0], index.shape[1]))
-            padded.reshape(n, -1).take(index, axis=1, mode="clip",
-                                       out=cols.reshape(n, *index.shape))
+            flat.take(index, axis=1, mode="clip", out=cols.reshape(n, *index.shape))
             profile.im2col_s += time.perf_counter() - tick
-            mapped.forward(cols, out=out)
+            compiled.forward(cols, out=out)
             return
         codec.encode(x, arena, key + ":x", out=interior)
         profile.dac_s += time.perf_counter() - tick
-        mapped.forward_volts(codec.voltages(
-            padded.reshape(n, -1), index, arena, key, profile), out)
+        compiled.forward_volts(codec.voltages(flat, index, arena, key, profile), out)
 
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        # Per-layer tracing hook: when a plan-trace buffer is active on
-        # this thread (a sampled request is being served), time the layer
-        # and turn the profile-timer deltas this forward accumulated into
-        # DAC/crossbar/ADC child spans.  The disabled path costs one
-        # thread-local read.
-        buffer = plan_trace_buffer()
-        if buffer is None:
-            return self._forward(x, training)
-        profile = self.mapped.profile
-        before = (profile.dac_s, profile.crossbar_s, profile.adc_s)
-        start = time.perf_counter()
-        result = self._forward(x, training)
-        buffer.record_layer(
-            getattr(self.mapped, "key", self.key), start, time.perf_counter(),
-            dac_s=profile.dac_s - before[0],
-            crossbar_s=profile.crossbar_s - before[1],
-            adc_s=profile.adc_s - before[2])
-        return result
-
-    def _forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def __call__(self, x: np.ndarray, stack: list) -> np.ndarray:
         layer = self.layer
-        if training:
-            return type(layer).forward(layer, x, training=True)
         x = np.asarray(x, dtype=np.float64)
         if isinstance(layer, Linear):
-            result = self.mapped.forward(x)
+            result = self.compiled.forward(x)
             if layer.bias is not None:
                 result += layer.bias.value
             return result
@@ -885,28 +846,118 @@ class _PlannedMatmulForward:
         return result
 
 
+class _CallOp:
+    """``layer.forward``: a digital layer, a mapped layer on the hook path,
+    or a composite the lowering does not know, run whole."""
+
+    def __init__(self, layer: Layer) -> None:
+        self.layer = layer
+
+    def __call__(self, x: np.ndarray, stack: list) -> np.ndarray:
+        return self.layer.forward(x, training=False)
+
+
+class _BackendOp:
+    """A backend that overrides ``forward`` runs the model as one op."""
+
+    def __init__(self, backend: ExecutionBackend, model: Model) -> None:
+        self.backend = backend
+        # As ``layer``, the model's macros and parameters count for the op.
+        self.layer = model
+
+    def __call__(self, x: np.ndarray, stack: list) -> np.ndarray:
+        return self.backend.forward(self.layer, x)
+
+
+def _save(x: np.ndarray, stack: list) -> np.ndarray:
+    """Residual fork: keep the block input alive for the shortcut."""
+    stack.append(x)
+    return x
+
+
+def _shortcut(x: np.ndarray, stack: list) -> np.ndarray:
+    """Park the main-path output; continue on the saved block input."""
+    x, stack[-1] = stack[-1], x
+    return x
+
+
+def _residual_add(x: np.ndarray, stack: list) -> np.ndarray:
+    """``out + identity``: the parked main-path output plus the shortcut."""
+    return stack.pop() + x
+
+
+#: How many tensors each op leaves alive beside ``x`` (cut-point tracking).
+_STACK_DELTA = {_save: 1, _residual_add: -1}
+
+#: Composites whose forward runs these children in sequence.
+_INLINED = {
+    Sequential: lambda model: model.layers,
+    DepthwiseSeparableBlock: lambda block: (
+        block.depthwise, block.bn1, block.relu1,
+        block.pointwise, block.bn2, block.relu2),
+}
+
+
+def _lower(layer: Layer, mapped_ops: Dict[int, _MatmulOp]):
+    """Yield the ops of ``layer`` in the evaluation order of its forward.
+
+    Exact types only: a subclass may override ``forward``, so it is run
+    whole, like any composite the lowering does not know.
+    """
+    kind = type(layer)
+    if kind is ResidualBlock:
+        yield _save
+        for child in (layer.conv1, layer.bn1, layer.relu1, layer.conv2, layer.bn2):
+            yield from _lower(child, mapped_ops)
+        yield _shortcut
+        if layer.projection is not None:
+            yield from _lower(layer.projection, mapped_ops)
+            yield from _lower(layer.projection_bn, mapped_ops)
+        yield _residual_add
+        yield from _lower(layer.relu2, mapped_ops)
+    elif kind in _INLINED:
+        for child in _INLINED[kind](layer):
+            yield from _lower(child, mapped_ops)
+    else:
+        yield mapped_ops.get(id(layer)) or _CallOp(layer)
+
+
+def _op_mapped(op) -> List[MappedLayer]:
+    """The mapped layers an op runs: its macros and conversion counters."""
+    if isinstance(op, _MatmulOp):
+        return [op.compiled.mapped]
+    layer = getattr(op, "layer", None)
+    layers = layer.modules() if isinstance(layer, Model) else [layer]
+    mapped = (getattr(getattr(sub, "quantization", None), "mapped", None)
+              for sub in layers)
+    return [m for m in mapped if m is not None]
+
+
 class ModelPlan:
     """A prepared, compiled ``(model, backend, context)`` execution plan.
 
     Construction prepares the backend on the model (programming/calibrating
-    macros, attaching adapters) and then compiles the prepared state:
-    analog mapped layers get :class:`CompiledMappedLayer` kernels running
-    in the code domain, fake quantisation adapters get LUT quantisers, the
-    ``ideal`` backend needs nothing.  ``forward`` runs batches through the
-    compiled state; ``close`` restores the backend exactly as the generic
-    path would leave it.  Set ``context.compile_plan=False`` to keep the
-    generic kernels: that hook path is the bit-identity oracle.
+    macros, attaching adapters) and lowers the prepared model into a flat
+    list of ops (:attr:`ops`) that :meth:`forward` walks in exactly the
+    evaluation order of ``model.forward``: ``Sequential`` and
+    ``DepthwiseSeparableBlock`` inline their children, a ``ResidualBlock``
+    becomes its children around save / shortcut / add ops, each analog mapped
+    layer becomes a :class:`CompiledMappedLayer` op running in the code
+    domain, and every other layer (or unknown composite) runs its own
+    ``forward``.  Fake quantisation adapters get LUT quantisers; the
+    ``ideal`` backend needs nothing.  A backend that overrides ``forward``
+    runs whole, as one op.  The model's layers and adapters are never
+    rewritten, so two plans on one backend stay independent, and ``close``
+    only tears the backend off the model.  Set
+    ``context.compile_plan=False`` to run the mapped layers on the hook
+    path instead: that program is the bit-identity oracle.
 
-    Plans are picklable: a pickled plan carries its replica model, packed
-    tiles, code tables and generator states, so a worker process can
-    reconstruct identical execution in another interpreter (arena scratch
-    regrows there).  A plan also speaks the stage interface of
-    :class:`PipelineStagePlan` (``layer_start`` / ``layer_stop``,
-    :meth:`num_macros`), so a one-stage pipeline runs it whole.
+    A pipeline stage is an op range of the program (:meth:`stage`), cut
+    only where one tensor is live (:meth:`cut_points`).  Plans are
+    picklable: a pickled plan carries its ops' layers, packed tiles, code
+    tables and generator states, so a worker process reconstructs identical
+    execution in another interpreter (arena scratch regrows there).
     """
-
-    #: First top-level layer this plan runs (the stage interface).
-    layer_start = 0
 
     def __init__(self, model: Model, backend: ExecutionBackend,
                  context: ExecutionContext) -> None:
@@ -915,104 +966,135 @@ class ModelPlan:
         self.context = context
         self.profile = StageProfile()
         self.arena = PlanArena()
-        self._swapped: List[Tuple[object, MappedLayer]] = []
-        self._patched_layers: List[Layer] = []
         prepare_start = time.perf_counter()
         try:
             # A failure mid-setup (bad calibration batch, unmappable layer)
             # must still tear the backend off the model instead of leaving
             # adapters attached.
             backend.prepare(model, context)
-            if getattr(context, "compile_plan", True):
-                self._compile()
+            self.ops = self._lower_model()
         except Exception:
             self.close()
             raise
+        #: ``(start, stop)`` op indices this plan runs of its program.
+        self.op_range = (0, len(self.ops))
+        #: Per op, the mapped layers it runs (macros, conversion counters).
+        self.op_mapped = [_op_mapped(op) for op in self.ops]
+        #: Whether compiled kernels run.  An analog plan whose every tile
+        #: fell back to the generic macro path (stochastic converters
+        #: everywhere) reports ``False``: no plan kernel executes there.
+        self.compiled = (
+            any(isinstance(op, _MatmulOp) and op.compiled.compiled_tiles > 0
+                for op in self.ops)
+            or (isinstance(backend, FakeQuantBackend) and context.compile_plan))
         self.prepare_time_s = time.perf_counter() - prepare_start
 
     # ------------------------------------------------------------------
-    def _compile(self) -> None:
-        backend = self.backend
-        if isinstance(backend, AnalogBackend) and backend._mapped is not None:
+    def _lower_model(self) -> list:
+        backend, model = self.backend, self.model
+        if type(backend).forward is not ExecutionBackend.forward:
+            return [_BackendOp(backend, model)]
+        mapped_ops: Dict[int, _MatmulOp] = {}
+        compile_plan = self.context.compile_plan
+        if (compile_plan and isinstance(backend, AnalogBackend)
+                and backend._mapped is not None):
+            # Arena slabs grow on the first forward (or a larger batch) and
+            # are reused allocation-free after that.
             for index, adapter in enumerate(backend._mapped.adapters):
-                original = adapter.mapped
-                if isinstance(original, CompiledMappedLayer):
-                    # Another live plan on the same backend instance; leave
-                    # its compiled state alone (its close restores it).
-                    continue
-                compiled = CompiledMappedLayer(
-                    original, self.profile, arena=self.arena,
-                    key=f"L{index}")
-                adapter.mapped = compiled
-                self._swapped.append((adapter, original))
-                # Arena slabs grow on the first forward (or a larger batch)
-                # and are reused allocation-free after that.
-                try:
-                    override = _PlannedMatmulForward(
-                        adapter.layer, compiled, arena=self.arena,
-                        key=f"F{index}")
-                except TileNotCompilable:
-                    continue
-                adapter.layer.forward = override
-                self._patched_layers.append(adapter.layer)
-        elif isinstance(backend, FakeQuantBackend):
+                compiled = CompiledMappedLayer(adapter.mapped, self.profile,
+                                               arena=self.arena, key=f"L{index}")
+                mapped_ops[id(adapter.layer)] = _MatmulOp(adapter.layer, compiled)
+        elif compile_plan and isinstance(backend, FakeQuantBackend):
             for adapter in backend._adapters:
                 adapter.activation_quantizer = compile_quantizer(
                     adapter.activation_quantizer)
                 adapter.weight_quantizer = compile_quantizer(
                     adapter.weight_quantizer)
-
-    @property
-    def compiled(self) -> bool:
-        """Whether any compiled kernels are active on the backend.
-
-        An analog plan whose every tile fell back to the generic macro path
-        (stochastic converters everywhere) reports ``False`` — no plan
-        kernel actually executes there.
-        """
-        if any(isinstance(adapter.mapped, CompiledMappedLayer)
-               and adapter.mapped.compiled_tiles > 0
-               for adapter, _ in self._swapped):
-            return True
-        return (isinstance(self.backend, FakeQuantBackend)
-                and getattr(self.context, "compile_plan", True))
+        return list(_lower(model, mapped_ops))
 
     # ------------------------------------------------------------------
     def forward(self, images: np.ndarray) -> np.ndarray:
-        """Run one assembled batch through the compiled backend state."""
+        """Run one assembled batch through the op program."""
         start = time.perf_counter()
-        logits = self.backend.forward(
-            self.model, np.asarray(images, dtype=np.float64))
+        x = np.asarray(images, dtype=np.float64)
+        stack: list = []
+        buffer = plan_trace_buffer()
+        for op in self.ops:
+            if buffer is None or not isinstance(op, _MatmulOp):
+                x = op(x, stack)
+                continue
+            # A sampled request is being traced on this thread: time the
+            # layer and turn the profile-timer deltas its forward
+            # accumulated into DAC/crossbar/ADC child spans.
+            profile = op.compiled.profile
+            before = (profile.dac_s, profile.crossbar_s, profile.adc_s)
+            tick = time.perf_counter()
+            x = op(x, stack)
+            buffer.record_layer(
+                op.compiled.key, tick, time.perf_counter(),
+                dac_s=profile.dac_s - before[0],
+                crossbar_s=profile.crossbar_s - before[1],
+                adc_s=profile.adc_s - before[2])
         self.profile.total_s += time.perf_counter() - start
         self.profile.forwards += 1
-        return logits
+        return x
 
-    @property
-    def layer_stop(self) -> int:
-        """One past the last top-level layer (0 for non-``Sequential``)."""
-        return len(getattr(self.model, "layers", ()))
+    def cut_points(self) -> List[int]:
+        """Op indices where exactly one tensor is live, ends included.
+
+        A pipeline stage may only start and stop at these: anywhere else a
+        residual block holds a second tensor the next stage never sees.
+        """
+        cuts, depth = [0], 0
+        for index, op in enumerate(self.ops, 1):
+            depth += _STACK_DELTA.get(op, 0)
+            if depth == 0:
+                cuts.append(index)
+        return cuts
+
+    def stage(self, start: int, stop: int) -> "ModelPlan":
+        """Ops ``[start, stop)`` as a plan of their own: a pipeline stage.
+
+        Both ends must be :meth:`cut_points`.  The stage shares this plan's
+        ops, compiled layers and profile; it holds neither the model nor
+        the backend, so pickling it ships only its own ops' layers and
+        tiles, and gives the stage process a profile of its own.  Pickle
+        it before this plan runs a forward or closes, so the stage starts
+        from the post-prepare state (generator streams included).
+        """
+        cuts = self.cut_points()
+        if start not in cuts or stop not in cuts or stop <= start:
+            raise ValueError(
+                f"stage ops [{start}, {stop}) must be a non-empty range "
+                f"between cut points {cuts}")
+        stage = copy.copy(self)
+        stage.model = stage.backend = stage.context = None
+        stage.ops = self.ops[start:stop]
+        stage.op_mapped = self.op_mapped[start:stop]
+        stage.op_range = (start, stop)
+        return stage
+
+    def op_macros(self) -> List[int]:
+        """Macros each op occupies (its crossbar footprint)."""
+        return [sum(m.num_macros for m in mapped) for mapped in self.op_mapped]
 
     def num_macros(self) -> int:
-        """Macros occupied by the whole model (its crossbar footprint)."""
-        return layer_macro_count(self.model)
+        """Macros occupied by the plan's ops."""
+        return sum(self.op_macros())
 
     def conversions(self) -> int:
-        """Analog macro conversions spent so far by the backend."""
-        return self.backend.conversions()
+        """Analog macro conversions spent so far by the plan's ops."""
+        return sum(m.total_conversions() for mapped in self.op_mapped
+                   for m in mapped)
 
     def stage_profile(self) -> Dict[str, float]:
         """Per-stage wall-clock breakdown accumulated so far."""
         return self.profile.as_dict()
 
     def close(self) -> None:
-        """Restore the generic kernels and tear the backend off the model."""
-        for layer in self._patched_layers:
-            layer.__dict__.pop("forward", None)
-        self._patched_layers = []
-        for adapter, original in self._swapped:
-            adapter.mapped = original
-        self._swapped = []
-        self.backend.teardown(self.model)
+        """Tear the backend off the model (a pipeline stage has none)."""
+        if self.backend is not None:
+            self.backend.teardown(self.model)
 
     def __enter__(self) -> "ModelPlan":
         return self
@@ -1032,133 +1114,6 @@ def build_plan(model: Model, backend: ExecutionBackend,
 
 
 # ----------------------------------------------------------------------
-# Plan splitting: partial plans for pipeline-parallel stage workers
-# ----------------------------------------------------------------------
-def _layer_mapped(layer: Layer):
-    """The mapped layer behind ``layer``'s CIM adapter, if any."""
-    adapter = getattr(layer, "quantization", None)
-    return getattr(adapter, "mapped", None)
-
-
-def iter_sublayers(layer: Layer):
-    """Yield ``layer`` and (for containers) every nested sub-layer."""
-    yield layer
-    if isinstance(layer, Model):
-        yield from layer.modules()
-
-
-def layer_macro_count(layer: Layer) -> int:
-    """Macros occupied by ``layer`` (including nested container layers)."""
-    total = 0
-    for sub in iter_sublayers(layer):
-        mapped = _layer_mapped(sub)
-        if mapped is not None:
-            total += int(mapped.num_macros)
-    return total
-
-
-class PipelineStagePlan:
-    """A picklable contiguous slice of a compiled plan's layers.
-
-    :func:`split_plan` cuts a prepared :class:`ModelPlan` at top-level layer
-    boundaries of its ``Sequential`` model; each slice carries the layers
-    *with their compiled state attached* — CIM adapters, swapped
-    :class:`CompiledMappedLayer` kernels, planned forward overrides — so a
-    pickled stage reconstructs exactly the execution the full plan would
-    have performed over those layers, including every macro's generator
-    state.  Pickle the stages **before** ``plan.close()`` (close pops the
-    forward overrides and restores the generic mapped layers).
-
-    Inside a stage worker the plan is self-contained: :meth:`forward` runs
-    one batch through the slice, :meth:`conversions` meters only this
-    stage's macros, and :meth:`stage_profile` reports the slice's own
-    DAC/crossbar/ADC/digital breakdown.  The profile isolation comes from
-    the pickle boundary: the parent-side stage objects all reference the
-    *live, shared* plan profile (the compiled layers are wired to it), and
-    it is pickling each stage separately that gives every worker its own
-    copy.  Running unpickled stages in-process therefore merges their
-    profile accumulators — fine for bit-identity checks, wrong for
-    per-stage cost attribution; ship stages through pickle when the
-    breakdown matters.
-    """
-
-    def __init__(self, layers: List[Layer], profile: StageProfile,
-                 stage_index: int, layer_start: int, layer_stop: int) -> None:
-        self.layers = layers
-        self.profile = profile
-        self.stage_index = stage_index
-        self.layer_start = layer_start
-        self.layer_stop = layer_stop
-
-    def forward(self, activations: np.ndarray) -> np.ndarray:
-        """Run one batch through this stage's layer slice."""
-        start = time.perf_counter()
-        x = np.asarray(activations, dtype=np.float64)
-        for layer in self.layers:
-            x = layer.forward(x, training=False)
-        self.profile.total_s += time.perf_counter() - start
-        self.profile.forwards += 1
-        return x
-
-    def conversions(self) -> int:
-        """Analog macro conversions spent so far by this stage's layers."""
-        total = 0
-        for layer in self.layers:
-            for sub in iter_sublayers(layer):
-                mapped = _layer_mapped(sub)
-                if mapped is not None:
-                    total += mapped.total_conversions()
-        return total
-
-    def num_macros(self) -> int:
-        """Macros occupied by this stage (its crossbar footprint)."""
-        return sum(layer_macro_count(layer) for layer in self.layers)
-
-    def stage_profile(self) -> Dict[str, float]:
-        """Per-stage wall-clock breakdown accumulated so far."""
-        return self.profile.as_dict()
-
-
-def split_plan(plan: ModelPlan,
-               boundaries: List[Tuple[int, int]]) -> List[PipelineStagePlan]:
-    """Cut a prepared plan into contiguous per-stage partial plans.
-
-    ``boundaries`` is a list of ``(start, stop)`` top-level layer index
-    ranges that must tile ``plan.model.layers`` exactly (contiguous,
-    in order, no gaps).  The returned stage plans reference the *live*
-    layers of the plan — pickle each one (e.g. for shipping to a pipeline
-    stage process) before calling ``plan.close()`` or running any further
-    forwards on the parent plan.
-    """
-    layers = getattr(plan.model, "layers", None)
-    if layers is None:
-        raise TypeError(
-            "pipeline splitting requires a Sequential model with a flat "
-            f"top-level layer list; got {type(plan.model).__name__}"
-        )
-    if not boundaries:
-        raise ValueError("need at least one stage boundary")
-    expected = 0
-    for start, stop in boundaries:
-        if start != expected or stop <= start:
-            raise ValueError(
-                f"stage boundaries {boundaries} do not tile the "
-                f"{len(layers)} top-level layers contiguously"
-            )
-        expected = stop
-    if expected != len(layers):
-        raise ValueError(
-            f"stage boundaries {boundaries} cover {expected} of "
-            f"{len(layers)} top-level layers"
-        )
-    return [
-        PipelineStagePlan(list(layers[start:stop]), plan.profile,
-                          index, start, stop)
-        for index, (start, stop) in enumerate(boundaries)
-    ]
-
-
-# ----------------------------------------------------------------------
 # On-disk plan cache
 # ----------------------------------------------------------------------
 
@@ -1166,7 +1121,7 @@ def split_plan(plan: ModelPlan,
 #: pickled plan layout (or anything the fingerprint cannot see) changes in
 #: a way that makes old entries wrong to reuse; the version is folded into
 #: every fingerprint, so a bump invalidates the whole cache at once.
-PLAN_CACHE_VERSION = 4
+PLAN_CACHE_VERSION = 5
 
 
 def _model_descriptor(model: Model) -> list:

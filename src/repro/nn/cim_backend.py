@@ -44,12 +44,10 @@ class CIMExecutionAdapter:
     so the adapter recomputes the layer's matrix product on the macro and
     replaces the digital result.
 
-    The execution-plan layer (:mod:`repro.exec.plan`) builds on two swap
-    points of this adapter: ``self.mapped`` may be replaced by a
-    :class:`~repro.exec.plan.CompiledMappedLayer` exposing the same
-    ``forward`` / ``total_conversions`` surface, and ``self.layer.forward``
-    may be overridden to skip the discarded digital matmul entirely.  Both
-    swaps are reverted when the plan closes.
+    The execution-plan layer (:mod:`repro.exec.plan`) reads ``self.layer``
+    and ``self.mapped`` to build a compiled op for the layer, which skips
+    the discarded digital matmul entirely; it never rewrites either, so
+    this hook path stays intact as the plan's bit-identity oracle.
     """
 
     def __init__(self, layer: Layer, macro_config: MacroConfig,
@@ -152,6 +150,7 @@ class CIMMappedNetwork:
         """Capture the inputs a specific layer sees for a calibration batch."""
         captured: Dict[str, np.ndarray] = {}
         original_forward = layer.forward
+        own_forward = vars(layer).get("forward")
 
         def capturing_forward(x, training=False):
             if isinstance(layer, Conv2d):
@@ -164,7 +163,11 @@ class CIMMappedNetwork:
         try:
             self.model.forward(images, training=False)
         finally:
-            layer.forward = original_forward
+            # Leave no bound method behind in the instance dict.
+            if own_forward is None:
+                del layer.forward
+            else:
+                layer.forward = own_forward
         return captured["value"]
 
     def _map_layers(self, calibration: Optional[np.ndarray],
@@ -176,9 +179,11 @@ class CIMMappedNetwork:
             if calibration is not None:
                 layer_inputs = self._layer_calibration_inputs(layer, calibration)
             else:
+                # A grouped conv maps its block-diagonal matrix, which
+                # reads every input channel's patch.
                 in_features = (
                     layer.in_features if isinstance(layer, Linear)
-                    else int(np.prod(layer.weight.value.shape[1:]))
+                    else layer.in_channels * layer.kernel_size ** 2
                 )
                 layer_inputs = np.abs(np.random.default_rng(0).standard_normal((8, in_features)))
             adapter = CIMExecutionAdapter(layer, self.macro_config, layer_inputs,

@@ -149,7 +149,8 @@ class Conv2d(Layer):
             cols = im2col(x[:, in_slice], self.kernel_size, self.stride, self.padding)
             w_mat = weight_value[out_slice].reshape(out_slice.stop - out_slice.start, -1)
             result = cols @ w_mat.T
-            out[:, out_slice] = result.reshape(n, h_out, w_out, -1).transpose(0, 3, 1, 2)
+            out[:, out_slice] = result.reshape(
+                n, h_out, w_out, w_mat.shape[0]).transpose(0, 3, 1, 2)
             if training:
                 self._cache["cols"].append(cols)
         if self.bias is not None:
@@ -403,7 +404,7 @@ class Flatten(Layer):
         x = np.asarray(x, dtype=np.float64)
         if training:
             self._input_shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         return np.asarray(grad_output, dtype=np.float64).reshape(self._input_shape)

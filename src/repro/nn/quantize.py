@@ -152,7 +152,7 @@ class FakeQuantAdapter:
             return out
         sigma = self.nonidealities.mac_noise_sigma
         if sigma > 0:
-            scale = float(np.max(np.abs(out))) or 1.0
+            scale = float(np.max(np.abs(out), initial=0.0)) or 1.0
             out = out + sigma * scale * self._rng.standard_normal(out.shape)
         return out
 

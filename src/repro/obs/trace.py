@@ -252,9 +252,10 @@ class PlanTraceBuffer:
     the existing result messages.  ``parent_index`` refers to an earlier
     record in the same buffer; ``-1`` parents the record at the remote
     forward root.  :meth:`record_layer` is the hook
-    :class:`~repro.exec.plan._PlannedMatmulForward` calls: one layer span
-    plus sequential DAC / crossbar / ADC child spans carrying the profile
-    deltas that layer's forward accumulated.
+    :meth:`~repro.exec.plan.ModelPlan.forward` calls around each compiled
+    mapped-layer op: one layer span plus sequential DAC / crossbar / ADC
+    child spans carrying the profile deltas that layer's forward
+    accumulated.
     """
 
     def __init__(self, t0: Optional[float] = None) -> None:

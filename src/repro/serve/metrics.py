@@ -63,6 +63,9 @@ class StageOccupancy:
     time it sat starved for upstream input after its first batch (the
     pipeline-imbalance signal), ``transport_s`` time spent on slot waits
     and shared-memory copies toward the next stage.
+    ``[layer_start, layer_stop)`` is the stage's op range in the plan's op
+    program (:meth:`repro.exec.plan.ModelPlan.stage`); for a flat
+    ``Sequential`` of leaf layers ops are layers.
     """
 
     index: int

@@ -154,7 +154,7 @@ class _PipelineWorker:
     gets a real core of its own (NumPy sections that hold the GIL no longer
     serialise against the other replicas), and batches in and logits out
     cross shared-memory slot rings.  ``pipeline_stages >= 2`` instead ships
-    per-stage partial plans cut at layer boundaries (greedy cost balance
+    one op range of the plan's op program per stage (greedy cost balance
     under the ``macro_budget`` crossbar constraint — see
     :mod:`repro.shard.partition`), one process per stage.
 
@@ -331,16 +331,11 @@ class ServeConfig:
         batches, and each of its shared-memory rings has that many slots.
     pipeline_stages:
         ``>= 2`` serves each replica as a sharded stage pipeline: the
-        compiled plan is cut at layer boundaries into that many per-stage
-        partial plans (cost-balanced on ``pipeline_probe`` /
-        ``context.calibration`` when available), each stage runs in its
-        own process, and batches stream between stages over shared-memory
+        compiled plan's op program is cut into that many op ranges
+        (cost-balanced on ``context.calibration`` when available), each
+        stage runs in its own process, and batches stream between stages over shared-memory
         slot rings with backpressure (:mod:`repro.shard`).  ``1`` (the
         default) keeps the ordinary one-worker-per-replica modes.
-    pipeline_probe:
-        Optional representative input batch used to measure per-layer cost
-        for the pipeline partitioner (falls back to ``context.calibration``,
-        then to a parameter-count proxy).
     macro_budget:
         Per-worker crossbar capacity in macros.  With ``pipeline_stages >=
         2`` it caps every stage's mapped-macro footprint (the partitioner
@@ -487,7 +482,6 @@ class ServeConfig:
     workers: str = "thread"
     transport_slots: int = 4
     pipeline_stages: int = 1
-    pipeline_probe: Optional[np.ndarray] = None
     macro_budget: Optional[int] = None
     macros_per_worker: int = 8
     policy: str = "round_robin"
@@ -1068,10 +1062,9 @@ class InferenceService:
         from repro.shard.partition import build_stage_payloads
 
         config = self.config
-        probe = (config.pipeline_probe if config.pipeline_probe is not None
-                 else config.context.calibration)
         return build_stage_payloads(
-            runner.plan, config.pipeline_stages, probe=probe,
+            runner.plan, config.pipeline_stages,
+            probe=config.context.calibration,
             max_macros_per_stage=config.macro_budget)
 
     def _enforce_macro_budget(self, runner: BatchRunner) -> None:
@@ -1079,9 +1072,9 @@ class InferenceService:
         self._enforce_plan_budget(runner.plan)
 
     def _enforce_plan_budget(self, plan) -> None:
-        from repro.shard.partition import CapacityError, count_plan_macros
+        from repro.shard.partition import CapacityError
 
-        used = count_plan_macros(plan)
+        used = plan.num_macros()
         budget = self.config.macro_budget
         if used > budget:
             raise CapacityError(

@@ -2,8 +2,8 @@
 
 PRs 1-4 made a single worker fast (compiled plans, code-domain kernels,
 shared-memory process serving); this package scales *out*: a compiled
-:class:`~repro.exec.plan.ModelPlan` is cut at layer boundaries into
-per-stage partial plans, each stage runs in its own process worker, and
+:class:`~repro.exec.plan.ModelPlan`'s op program is cut into op ranges
+(one per stage), each stage runs in its own process worker, and
 micro-batches stream between stages over per-edge shared-memory slot
 rings::
 
@@ -11,9 +11,10 @@ rings::
           -> [stage 0 plan | stage 1 plan | ... | stage N-1 plan]
           -> ShardedPipeline: parent ==ring==> P0 ==ring==> P1 ... ==ring==> parent
 
-* :mod:`repro.shard.partition` — measure per-layer cost (probe forward on
-  a pickled plan copy) and cut the layer list greedily under a per-stage
-  crossbar (macro) budget; produces pickled stage payloads.
+* :mod:`repro.shard.partition` — measure per-op cost (probe forward on a
+  pickled plan copy) and cut the op program greedily, only where one
+  tensor is live, under a per-stage crossbar (macro) budget; produces
+  pickled stage payloads.
 * :mod:`repro.shard.pipeline` — the stage-process executor with
   backpressured shared-memory edges, per-stage occupancy / bubble /
   transport accounting and crash-safe segment unlinking.
@@ -44,16 +45,14 @@ import numpy as np
 
 from repro.exec.backend import ExecutionContext
 from repro.exec.engine import BatchRunner
-from repro.exec.plan import PipelineStagePlan, split_plan
 from repro.shard.partition import (
     CapacityError,
     PartitionError,
     StagePartition,
     build_stage_payloads,
-    count_plan_macros,
     plan_partition,
-    probe_layer_costs,
-    static_layer_costs,
+    probe_op_costs,
+    static_op_costs,
 )
 from repro.shard.pipeline import (
     PipelineStageError,
@@ -170,17 +169,14 @@ __all__ = [
     "CapacityError",
     "PartitionError",
     "PipelineStageError",
-    "PipelineStagePlan",
     "PipelineStageSnapshot",
     "PipelinedReport",
     "ShardedPipeline",
     "StageDiedError",
     "StagePartition",
     "build_stage_payloads",
-    "count_plan_macros",
     "plan_partition",
-    "probe_layer_costs",
+    "probe_op_costs",
     "run_pipelined",
-    "split_plan",
-    "static_layer_costs",
+    "static_op_costs",
 ]

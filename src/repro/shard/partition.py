@@ -1,30 +1,33 @@
 """Partition a compiled execution plan into pipeline stages.
 
-The partitioner answers one question: *where to cut a model's top-level
-layer list* so that ``N`` pipeline stage workers carry balanced work and no
-stage exceeds its crossbar budget.  Inputs:
+The partitioner answers one question: *where to cut a plan's op program*
+(see :class:`~repro.exec.plan.ModelPlan`) so that ``N`` pipeline stage
+workers carry balanced work and no stage exceeds its crossbar budget.  A
+stage is an op range of the program, and a cut may only fall where exactly
+one tensor is live (:meth:`~repro.exec.plan.ModelPlan.cut_points` — never
+inside a residual block), so the unit the cut balances is the *segment*
+between two neighbouring cut points.  Inputs, per op:
 
-* **per-layer cost** — measured when a probe batch is available: the plan
-  is pickled, reloaded into a throwaway copy (so the probe forward cannot
-  disturb the real plan's noise-generator streams) and each top-level
-  layer's forward is timed, exactly the wall-clock the ``--profile`` stage
-  instrumentation meters.  Without a probe batch the parameter count of
-  each layer stands in as a static cost proxy (matmul-dominated networks
-  scale with it).
-* **per-layer macro count** — how many AFPR macros the layer's mapped
-  tiles occupy; the capacity constraint ``max_macros_per_stage`` bounds
-  the sum per stage, which is what makes a model whose mapped tiles exceed
-  one worker's crossbar budget runnable: cut it across stages until every
-  stage fits.
+* **cost** — measured when a probe batch is available: the plan is
+  pickled, reloaded into a throwaway copy (so the probe forward cannot
+  disturb the real plan's noise-generator streams) and each op is timed,
+  exactly the wall-clock the ``--profile`` stage instrumentation meters.
+  Without a probe batch the parameter count of each op's layer stands in
+  as a static cost proxy (matmul-dominated networks scale with it).
+* **macro count** — how many AFPR macros the op's mapped tiles occupy; the
+  capacity constraint ``max_macros_per_stage`` bounds the sum per stage,
+  which is what makes a model whose mapped tiles exceed one worker's
+  crossbar budget runnable: cut it across stages until every stage fits.
 
-The cut itself is a greedy balance: each stage takes layers until it
-reaches its fair share of the remaining cost (stopping early when adding
-the next layer would overshoot more than stopping undershoots, or when the
-capacity bound would be exceeded), always leaving at least one layer per
-remaining stage.  When greed paints itself into a capacity corner, an
-exact dynamic program over the (small) boundary space finds the
-minimum-bottleneck feasible cut instead, and :class:`CapacityError` is
-raised only when no contiguous cut can satisfy the budget.
+The cut itself is a greedy balance over the segments: each stage takes
+segments until it reaches its fair share of the remaining cost (stopping
+early when adding the next segment would overshoot more than stopping
+undershoots, or when the capacity bound would be exceeded), always leaving
+at least one segment per remaining stage.  When greed paints itself into a
+capacity corner, an exact dynamic program over the (small) boundary space
+finds the minimum-bottleneck feasible cut instead, and
+:class:`CapacityError` is raised only when no contiguous cut can satisfy
+the budget.
 """
 
 from __future__ import annotations
@@ -36,12 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.plan import (
-    ModelPlan,
-    PipelineStagePlan,
-    layer_macro_count,
-    split_plan,
-)
+from repro.exec.plan import ModelPlan
 
 
 class PartitionError(ValueError):
@@ -52,20 +50,18 @@ class CapacityError(PartitionError):
     """Raised when no contiguous cut satisfies the per-stage macro budget."""
 
 
-def static_layer_costs(model) -> List[float]:
-    """Parameter-count cost proxy per top-level layer (min 1 per layer)."""
-    layers = getattr(model, "layers", None)
-    if layers is None:
-        raise PartitionError(
-            "pipeline sharding requires a Sequential model with a flat "
-            f"top-level layer list; got {type(model).__name__}"
-        )
-    return [float(max(sum(p.value.size for p in layer.parameters()), 1))
-            for layer in layers]
+def static_op_costs(plan: ModelPlan) -> List[float]:
+    """Parameter-count cost proxy per op (min 1 per op)."""
+    costs = []
+    for op in plan.ops:
+        layer = getattr(op, "layer", None)
+        params = layer.parameters() if layer is not None else ()
+        costs.append(float(max(sum(p.value.size for p in params), 1)))
+    return costs
 
 
-def probe_layer_costs(plan_payload: bytes, probe: np.ndarray) -> List[float]:
-    """Measure per-top-level-layer forward seconds on a throwaway plan copy.
+def probe_op_costs(plan_payload: bytes, probe: np.ndarray) -> List[float]:
+    """Measure per-op forward seconds on a throwaway plan copy.
 
     ``plan_payload`` is a pickled :class:`~repro.exec.plan.ModelPlan`; the
     probe forward runs on the reloaded copy, so the caller's plan keeps its
@@ -74,17 +70,13 @@ def probe_layer_costs(plan_payload: bytes, probe: np.ndarray) -> List[float]:
     """
     plan = pickle.loads(plan_payload)
     x = np.asarray(probe, dtype=np.float64)
+    stack: list = []
     costs: List[float] = []
-    for layer in plan.model.layers:
+    for op in plan.ops:
         start = time.perf_counter()
-        x = layer.forward(x, training=False)
+        x = op(x, stack)
         costs.append(time.perf_counter() - start)
     return costs
-
-
-def count_plan_macros(plan: ModelPlan) -> int:
-    """Total macros occupied by a prepared plan (its crossbar footprint)."""
-    return plan.num_macros()
 
 
 def _stage_loads(boundaries: Sequence[Tuple[int, int]],
@@ -99,7 +91,7 @@ def _capacity_dp(costs: Sequence[float], macros: Sequence[int],
     prefix_cost = np.concatenate([[0.0], np.cumsum(costs)])
     prefix_mac = np.concatenate([[0], np.cumsum(macros)])
     infeasible = float("inf")
-    # best[s][i]: minimal max-stage-cost cutting layers [0, i) into s stages.
+    # best[s][i]: minimal max-stage-cost cutting units [0, i) into s stages.
     best = [[infeasible] * (n + 1) for _ in range(num_stages + 1)]
     cut = [[-1] * (n + 1) for _ in range(num_stages + 1)]
     best[0][0] = 0.0
@@ -130,21 +122,23 @@ def plan_partition(costs: Sequence[float], macros: Sequence[int],
                    num_stages: int,
                    max_macros_per_stage: Optional[int] = None
                    ) -> List[Tuple[int, int]]:
-    """Greedy cost-balanced contiguous cut of the layer list into stages.
+    """Greedy cost-balanced contiguous cut of a list of units into stages.
 
-    Returns ``num_stages`` ``(start, stop)`` layer ranges.  Deterministic
-    for identical inputs.  Raises :class:`PartitionError` when there are
-    fewer layers than stages and :class:`CapacityError` when the macro
-    budget cannot be met by any contiguous cut.
+    ``costs`` and ``macros`` give each unit's load (the plan's segments
+    between cut points, see :func:`build_stage_payloads`).  Returns
+    ``num_stages`` ``(start, stop)`` unit ranges.  Deterministic for
+    identical inputs.  Raises :class:`PartitionError` when there are fewer
+    units than stages and :class:`CapacityError` when the macro budget
+    cannot be met by any contiguous cut.
     """
     n = len(costs)
     if len(macros) != n:
-        raise ValueError("costs and macros must align per layer")
+        raise ValueError("costs and macros must align per unit")
     if num_stages < 1:
         raise PartitionError("num_stages must be >= 1")
     if num_stages > n:
         raise PartitionError(
-            f"cannot cut {n} top-level layers into {num_stages} stages"
+            f"cannot cut {n} segments into {num_stages} stages"
         )
     cap = max_macros_per_stage
     if cap is not None:
@@ -154,9 +148,8 @@ def plan_partition(costs: Sequence[float], macros: Sequence[int],
         if worst > cap:
             index = list(macros).index(worst)
             raise CapacityError(
-                f"layer {index} alone occupies {worst} macros, exceeding the "
-                f"{cap}-macro stage budget — it cannot be cut at a layer "
-                "boundary"
+                f"segment {index} alone occupies {worst} macros, exceeding "
+                f"the {cap}-macro stage budget — no cut point splits it"
             )
         if sum(macros) > cap * num_stages:
             raise CapacityError(
@@ -208,15 +201,15 @@ def plan_partition(costs: Sequence[float], macros: Sequence[int],
 class StagePartition:
     """One resolved pipeline partition, ready to ship to stage workers."""
 
-    #: ``(start, stop)`` top-level layer range per stage.
+    #: ``(start, stop)`` op range per stage.
     boundaries: List[Tuple[int, int]]
-    #: Per-top-level-layer cost the cut balanced (seconds or proxy units).
-    layer_costs: List[float]
-    #: Per-top-level-layer macro counts the capacity bound consumed.
-    layer_macros: List[int]
-    #: Whether ``layer_costs`` was measured (probe) or a static proxy.
+    #: Per-op cost the cut balanced (seconds or proxy units).
+    op_costs: List[float]
+    #: Per-op macro counts the capacity bound consumed.
+    op_macros: List[int]
+    #: Whether ``op_costs`` was measured (probe) or a static proxy.
     measured: bool
-    #: Pickled :class:`~repro.exec.plan.PipelineStagePlan` per stage.
+    #: Pickled stage plan (:meth:`~repro.exec.plan.ModelPlan.stage`) per stage.
     payloads: List[bytes]
 
     @property
@@ -225,23 +218,23 @@ class StagePartition:
         return len(self.boundaries)
 
     def stage_costs(self) -> List[float]:
-        """Summed layer cost per stage (what the greedy cut balanced)."""
-        return _stage_loads(self.boundaries, self.layer_costs)
+        """Summed op cost per stage (what the greedy cut balanced)."""
+        return _stage_loads(self.boundaries, self.op_costs)
 
     def stage_macros(self) -> List[int]:
         """Summed macro count per stage (the capacity the budget bounds)."""
         return [int(load) for load in _stage_loads(self.boundaries,
-                                                   self.layer_macros)]
+                                                   self.op_macros)]
 
     def describe(self) -> str:
-        """One line per stage: layer range, cost share and macro count."""
-        total = sum(self.layer_costs) or 1.0
+        """One line per stage: op range, cost share and macro count."""
+        total = sum(self.op_costs) or 1.0
         unit = "measured" if self.measured else "parameter-proxy"
         lines = [f"Pipeline partition ({self.num_stages} stages, {unit} cost):"]
         for index, ((start, stop), cost, macs) in enumerate(
                 zip(self.boundaries, self.stage_costs(), self.stage_macros())):
             lines.append(
-                f"  stage {index}: layers {start}..{stop - 1}  "
+                f"  stage {index}: ops {start}..{stop - 1}  "
                 f"cost {100.0 * cost / total:5.1f} %  macros {macs}"
             )
         return "\n".join(lines)
@@ -254,25 +247,24 @@ def build_stage_payloads(plan: ModelPlan, num_stages: int,
     """Cut a prepared plan into ``num_stages`` pickled stage payloads.
 
     Call with the plan freshly prepared (before any forward): the stage
-    payloads snapshot the layers' exact post-prepare state, which is what
+    payloads snapshot the ops' exact post-prepare state, which is what
     keeps pipelined execution bit-identical to running the uncut plan on
     one worker.  The parent may ``plan.close()`` once the payloads exist.
     """
-    layers = getattr(plan.model, "layers", None)
-    if layers is None:
-        raise PartitionError(
-            "pipeline sharding requires a Sequential model with a flat "
-            f"top-level layer list; got {type(plan.model).__name__}"
-        )
     if probe is not None:
-        costs = probe_layer_costs(pickle.dumps(plan), probe)
+        costs = probe_op_costs(pickle.dumps(plan), probe)
     else:
-        costs = static_layer_costs(plan.model)
-    macros = [layer_macro_count(layer) for layer in layers]
-    boundaries = plan_partition(costs, macros, num_stages,
-                                max_macros_per_stage=max_macros_per_stage)
-    stages: List[PipelineStagePlan] = split_plan(plan, boundaries)
-    payloads = [pickle.dumps(stage) for stage in stages]
-    return StagePartition(boundaries=boundaries, layer_costs=list(costs),
-                          layer_macros=macros, measured=probe is not None,
+        costs = static_op_costs(plan)
+    macros = plan.op_macros()
+    cuts = plan.cut_points()
+    segments = list(zip(cuts, cuts[1:]))
+    chosen = plan_partition(_stage_loads(segments, costs),
+                            _stage_loads(segments, macros), num_stages,
+                            max_macros_per_stage=max_macros_per_stage)
+    boundaries = [(segments[start][0], segments[stop - 1][1])
+                  for start, stop in chosen]
+    payloads = [pickle.dumps(plan.stage(start, stop))
+                for start, stop in boundaries]
+    return StagePartition(boundaries=boundaries, op_costs=costs,
+                          op_macros=macros, measured=probe is not None,
                           payloads=payloads)

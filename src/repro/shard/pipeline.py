@@ -231,7 +231,7 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
             batches += 1
             stage_stats = {
                 "stage": stage_index,
-                "layers": (plan.layer_start, plan.layer_stop),
+                "layers": plan.op_range,
                 "batches": batches,
                 "forward_s": forward_s,
                 "bubble_s": bubble_s,
@@ -255,7 +255,11 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
 
 @dataclasses.dataclass(frozen=True)
 class PipelineStageSnapshot:
-    """Frozen per-stage occupancy summary of a running pipeline."""
+    """Frozen per-stage occupancy summary of a running pipeline.
+
+    ``[layer_start, layer_stop)`` is the stage's op range in the plan's op
+    program; for a flat ``Sequential`` of leaf layers ops are layers.
+    """
 
     stage: int
     layer_start: int

@@ -38,9 +38,7 @@ def dirs(tmp_path):
     return str(fresh), str(baselines)
 
 
-def _seed_serve_and_exec(fresh, baselines, fresh_factor=1.0):
-    _write(baselines, "BENCH_exec.json", {"plan_speedup": 3.0})
-    _write(fresh, "BENCH_exec.json", {"plan_speedup": 3.0 * fresh_factor})
+def _seed_serve(fresh, baselines, fresh_factor=1.0):
     _write(baselines, "BENCH_serve.json",
            {"modes": {"thread": {"speedup": 6.0},
                       "process": {"speedup": 9.0}}})
@@ -52,7 +50,7 @@ def _seed_serve_and_exec(fresh, baselines, fresh_factor=1.0):
 class TestMissingFreshResults:
     def test_baselined_file_missing_from_fresh_warns_not_fails(self, dirs):
         fresh, baselines = dirs
-        _seed_serve_and_exec(fresh, baselines)
+        _seed_serve(fresh, baselines)
         _write(baselines, "BENCH_pipeline.json", {"pipeline_speedup": 1.5})
         # No fresh BENCH_pipeline.json — the benchmark skipped itself.
         lines, failures = check_regression.compare(fresh, baselines)
@@ -62,7 +60,7 @@ class TestMissingFreshResults:
 
     def test_baselined_key_missing_from_fresh_warns_not_fails(self, dirs):
         fresh, baselines = dirs
-        _seed_serve_and_exec(fresh, baselines)
+        _seed_serve(fresh, baselines)
         _write(baselines, "BENCH_pipeline.json", {"pipeline_speedup": 1.5})
         _write(fresh, "BENCH_pipeline.json", {"stages": 3})  # ratio absent
         lines, failures = check_regression.compare(fresh, baselines)
@@ -72,7 +70,7 @@ class TestMissingFreshResults:
 
     def test_strict_restores_hard_failure(self, dirs):
         fresh, baselines = dirs
-        _seed_serve_and_exec(fresh, baselines)
+        _seed_serve(fresh, baselines)
         _write(baselines, "BENCH_pipeline.json", {"pipeline_speedup": 1.5})
         _, failures = check_regression.compare(fresh, baselines, strict=True)
         assert any("BENCH_pipeline.json" in failure for failure in failures)
@@ -80,19 +78,21 @@ class TestMissingFreshResults:
     def test_core_benchmark_missing_from_fresh_still_fails(self, dirs):
         # Only the OPTIONAL_FRESH benchmarks may skip: an unmeasured core
         # file (filtered run, renamed key) must keep failing loudly, or the
-        # gate silently stops guarding the exec/serve ratios.
+        # gate silently stops guarding the serve ratios.
         fresh, baselines = dirs
-        _seed_serve_and_exec(fresh, baselines)
+        _seed_serve(fresh, baselines)
         os.remove(os.path.join(fresh, "BENCH_serve.json"))
         _, failures = check_regression.compare(fresh, baselines)
         assert any("BENCH_serve.json" in failure for failure in failures)
 
     def test_core_key_missing_from_fresh_still_fails(self, dirs):
         fresh, baselines = dirs
-        _seed_serve_and_exec(fresh, baselines)
-        _write(fresh, "BENCH_exec.json", {"planned_speedup": 3.0})  # key renamed
+        _seed_serve(fresh, baselines)
+        _write(fresh, "BENCH_serve.json",  # thread key renamed
+               {"modes": {"threads": {"speedup": 6.0},
+                          "process": {"speedup": 9.0}}})
         _, failures = check_regression.compare(fresh, baselines)
-        assert any("plan_speedup" in failure for failure in failures)
+        assert any("modes.thread.speedup" in failure for failure in failures)
 
     def test_optional_set_only_lists_skippable_benchmarks(self):
         assert check_regression.OPTIONAL_FRESH <= set(
@@ -109,7 +109,7 @@ class TestMissingFreshResults:
 class TestRegressionDetection:
     def test_healthy_ratios_pass(self, dirs):
         fresh, baselines = dirs
-        _seed_serve_and_exec(fresh, baselines, fresh_factor=1.0)
+        _seed_serve(fresh, baselines, fresh_factor=1.0)
         _write(baselines, "BENCH_pipeline.json", {"pipeline_speedup": 1.5})
         _write(fresh, "BENCH_pipeline.json", {"pipeline_speedup": 2.2})
         lines, failures = check_regression.compare(fresh, baselines)
@@ -119,7 +119,7 @@ class TestRegressionDetection:
 
     def test_regressed_pipeline_ratio_fails(self, dirs):
         fresh, baselines = dirs
-        _seed_serve_and_exec(fresh, baselines)
+        _seed_serve(fresh, baselines)
         _write(baselines, "BENCH_pipeline.json", {"pipeline_speedup": 3.0})
         _write(fresh, "BENCH_pipeline.json", {"pipeline_speedup": 1.0})
         _, failures = check_regression.compare(fresh, baselines)
@@ -128,7 +128,7 @@ class TestRegressionDetection:
 
     def test_regressed_existing_ratio_still_fails(self, dirs):
         fresh, baselines = dirs
-        _seed_serve_and_exec(fresh, baselines, fresh_factor=0.4)
+        _seed_serve(fresh, baselines, fresh_factor=0.4)
         _, failures = check_regression.compare(fresh, baselines)
         assert failures
 

@@ -36,6 +36,7 @@ from repro.exec import (
     ExecutionContext,
     StageProfile,
     available_backends,
+    create_backend,
     run_model,
 )
 from repro.exec.plan import (
@@ -67,7 +68,8 @@ from repro.formats.quantizer import (
 )
 from repro.nn import DatasetConfig, SGD, Sequential, SyntheticImageDataset, Trainer
 from repro.nn.mobilenet import build_mobilenet_lite
-from repro.nn.layers import Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU
+from repro.nn.resnet import build_resnet_lite
+from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU
 from repro.rram.device import RRAMStatistics
 
 
@@ -703,6 +705,40 @@ def plan_setup():
     return model, x_train, x_test, y_test
 
 
+def zoo_model(name):
+    """An untrained demo-style CNN, ResNet-lite or MobileNet-lite (4
+    classes) plus a batch of 14 signed 10x10 images."""
+    rng = np.random.default_rng(21)
+    if name == "demo_cnn":
+        model = Sequential(
+            Conv2d(3, 8, 3, padding=1, rng=rng),
+            ReLU(),
+            Conv2d(8, 12, 3, stride=2, padding=1, rng=rng),
+            ReLU(),
+            GlobalAvgPool2d(),
+            Linear(12, 4, rng=rng),
+        )
+    elif name == "resnet_lite":
+        model = build_resnet_lite(num_classes=4, stage_widths=(4, 8),
+                                  blocks_per_stage=1, seed=5)
+    else:
+        model = build_mobilenet_lite(num_classes=4, widths=(8, 16), seed=3)
+    # Untrained BN statistics commute with ReLU; these do not.
+    for layer in model.modules():
+        if isinstance(layer, BatchNorm2d):
+            size = layer.num_features
+            layer.running_mean = rng.normal(0.0, 0.3, size)
+            layer.running_var = rng.uniform(0.5, 2.0, size)
+            layer.gamma.value = rng.normal(1.0, 0.3, size)
+            layer.beta.value = rng.normal(0.0, 0.3, size)
+    return model, rng.standard_normal((14, 3, 10, 10))
+
+
+def compiled_layers(plan):
+    """The plan's compiled mapped layers, in ``L<i>`` order."""
+    return [op.compiled for op in plan.ops if hasattr(op, "compiled")]
+
+
 def plan_context(x_train, **overrides):
     defaults = dict(
         calibration=x_train[:12],
@@ -750,7 +786,7 @@ class TestModelPlan:
         backend = AnalogBackend()
         runner = BatchRunner(model, backend, context=context)
         try:
-            mapped = backend._mapped.adapters[0].mapped
+            mapped = compiled_layers(runner.plan)[0]
             assert mapped.full_row_codec is not None  # voltage expansion on
             coded = runner.forward(x_test)
         finally:
@@ -821,7 +857,7 @@ class TestModelPlan:
                                max_mapped_layers=None)
         backend = AnalogBackend()
         with BatchRunner(model, backend, context=context) as runner:
-            mapped = [adapter.mapped for adapter in backend._mapped.adapters]
+            mapped = compiled_layers(runner.plan)
             before = runner.conversions()
             planned = runner.forward(x_test)
             conversions = runner.conversions() - before
@@ -839,6 +875,63 @@ class TestModelPlan:
             assert len(mapped[0].column_ranges) == 2
             assert mapped[0].coded_row_ranges == 1
 
+    @pytest.mark.parametrize("backend", ["ideal", "fake_quant", "fast_noise", "analog"])
+    @pytest.mark.parametrize("name", ["demo_cnn", "resnet_lite", "mobilenet_lite"])
+    def test_op_program_matches_model_forward_and_oracle(self, name, backend):
+        # Lowering fidelity: the compile_plan=False program equals the
+        # backend's own model.forward bit for bit (fresh backend, same
+        # seed), and the compiled program equals that oracle — logits and
+        # conversions, every layer mapped.  An empty batch gives
+        # (0, classes) logits on both.
+        model, images = zoo_model(name)
+        context = ExecutionContext(
+            calibration=images[:8], max_mapped_layers=None, seed=0,
+            macro_config=MacroConfig(device_statistics=quiet_stats()))
+        direct_backend = create_backend(backend)
+        direct_backend.prepare(model, context)
+        try:
+            direct = direct_backend.forward(model, images)
+            direct_conversions = direct_backend.conversions()
+        finally:
+            direct_backend.teardown(model)
+        results = {}
+        for compile_plan in (False, True):
+            with BatchRunner(model, backend, context=dataclasses.replace(
+                    context, compile_plan=compile_plan)) as runner:
+                logits = runner.forward(images)
+                results[compile_plan] = (logits, runner.conversions())
+                empty = runner.forward(images[:0])
+            assert empty.shape == (0, 4) and empty.dtype == np.float64
+        assert bitwise_equal(results[False][0], direct)
+        assert results[False][1] == direct_conversions
+        assert bitwise_equal(results[True][0], results[False][0])
+        assert results[True][1] == results[False][1]
+
+    def test_two_plans_on_one_backend_stay_independent(self):
+        # Neither plan rewrites the model or the adapters, so both compile,
+        # and closing one (which detaches the backend's adapters) leaves
+        # the other's compiled ops running unchanged.
+        model, images = zoo_model("demo_cnn")
+        context = ExecutionContext(
+            calibration=images[:8], max_mapped_layers=None, seed=0,
+            macro_config=MacroConfig(
+                device_statistics=quiet_stats(read_noise_sigma=0.0),
+                read_noise_enabled=False))
+        backend = AnalogBackend()
+        first = BatchRunner(model, backend, context=context)
+        second = BatchRunner(model, backend, context=context)
+        try:
+            assert first.plan_mode == second.plan_mode == "compiled"
+            before = second.forward(images)
+            assert bitwise_equal(first.forward(images), before)
+            first.close()
+            conversions = second.conversions()
+            assert bitwise_equal(second.forward(images), before)
+            assert second.conversions() > conversions
+        finally:
+            first.close()
+            second.close()
+
     def test_registered_backends_are_the_expected_four(self):
         assert set(available_backends()) == {"ideal", "fake_quant",
                                              "fast_noise", "analog"}
@@ -849,18 +942,25 @@ class TestModelPlan:
         runner = BatchRunner(model, backend, context=plan_context(x_train))
         try:
             adapter = backend._mapped.adapters[0]
-            assert isinstance(adapter.mapped, CompiledMappedLayer)
-            assert adapter.mapped.compiled_tiles == len(adapter.mapped.tiles) == 4
+            (compiled,) = compiled_layers(runner.plan)
+            assert compiled.mapped is adapter.mapped
+            assert compiled.compiled_tiles == len(compiled.tiles) == 4
             logits = runner.forward(x_test[:8])
             assert logits.shape == (8, 4)
+            # Flatten and a multi-tile routing adder on an empty batch.
+            assert runner.forward(x_test[:0]).shape == (0, 4)
             profile = runner.stage_profile()
             assert profile["dac_s"] > 0 and profile["adc_s"] > 0
+            # The plan runs its own ops: the model and the adapter keep
+            # their generic forward and mapped layer.
+            assert isinstance(adapter.mapped, MappedLayer)
+            for layer in model.matmul_layers():
+                assert "forward" not in layer.__dict__
         finally:
             runner.close()
-        # close() restored the generic mapped layer and the layer forwards.
-        assert not isinstance(adapter.mapped, CompiledMappedLayer)
+        # close() only tore the backend off the model.
+        assert isinstance(adapter.mapped, MappedLayer)
         for layer in model.matmul_layers():
-            assert "forward" not in layer.__dict__
             assert layer.quantization is None
 
     def test_plan_survives_pickling_bit_identically(self, plan_setup):

@@ -4,8 +4,9 @@ Contracts under test:
 
 * the greedy partitioner balances measured cost, respects the per-stage
   macro (crossbar) budget and fails loudly when no contiguous cut can;
-* plan splitting produces picklable partial plans whose sequential
-  composition is bit-identical to the uncut plan;
+* a pipeline stage is an op range of the plan's op program, cut only
+  where one tensor is live; pickled stages composed in order are
+  bit-identical to the uncut plan;
 * the stage-process pipeline serves bit-identical logits to single-worker
   execution on every backend (including the order-sensitive analog noise
   streams across multiple batches), survives bad batches, unlinks its
@@ -22,9 +23,18 @@ import numpy as np
 import pytest
 
 from repro.exec import BatchRunner, ExecutionContext, run_model
-from repro.exec.plan import PipelineStagePlan, split_plan
-from repro.nn import DatasetConfig, SGD, Sequential, SyntheticImageDataset, Trainer
+from repro.exec.plan import ModelPlan
+from repro.nn import (
+    DatasetConfig,
+    SGD,
+    Sequential,
+    SyntheticImageDataset,
+    Trainer,
+    build_mobilenet_lite,
+    build_resnet_lite,
+)
 from repro.nn.layers import Flatten, Linear, ReLU
+from repro.nn.model import ResidualBlock
 from repro.serve import InferenceService, ServeConfig, serve_requests
 from repro.serve.shm import segment_exists
 from repro.shard import (
@@ -33,10 +43,9 @@ from repro.shard import (
     PipelineStageError,
     ShardedPipeline,
     build_stage_payloads,
-    count_plan_macros,
     plan_partition,
     run_pipelined,
-    static_layer_costs,
+    static_op_costs,
 )
 
 
@@ -117,22 +126,47 @@ class TestPlanPartition:
         with pytest.raises(PartitionError):
             plan_partition([1.0, 1.0], [0, 0], 3)
 
-    def test_static_costs_require_sequential(self):
-        with pytest.raises(PartitionError):
-            static_layer_costs(object())
+    def test_static_costs_cover_every_op(self):
+        # Any model lowers to ops, a bare ResidualBlock included: every op
+        # gets a cost, the convs their parameter counts, and the block only
+        # splits after its residual add.
+        block = ResidualBlock(3, 4, stride=2)
+        with BatchRunner(block, "ideal") as runner:
+            plan = runner.plan
+            costs = static_op_costs(plan)
+            assert len(costs) == len(plan.ops) and min(costs) >= 1.0
+            conv_cost = float(block.conv1.weight.value.size)
+            assert costs[[getattr(op, "layer", None) for op in plan.ops]
+                         .index(block.conv1)] == conv_cost
+            assert plan.cut_points() == [0, len(plan.ops) - 1, len(plan.ops)]
+            assert build_stage_payloads(plan, 2).boundaries == [
+                (0, len(plan.ops) - 1), (len(plan.ops) - 1, len(plan.ops))]
+            with pytest.raises(PartitionError):
+                build_stage_payloads(plan, 3)
 
 
 # ----------------------------------------------------------------------
 # Plan splitting
 # ----------------------------------------------------------------------
 class TestSplitPlan:
-    def test_boundaries_must_tile_the_layer_list(self, trained_setup):
-        model, x_train, _ = trained_setup
+    def test_stage_ranges_must_cut_where_one_tensor_is_live(self):
+        # Inside a residual block the shortcut tensor is live too: a stage
+        # may neither start nor stop there, nor be empty.
+        model = build_resnet_lite(num_classes=4, stage_widths=(4,),
+                                  blocks_per_stage=1)
         with BatchRunner(model, "ideal") as runner:
-            with pytest.raises(ValueError, match="tile"):
-                split_plan(runner.plan, [(0, 2), (3, 6)])
-            with pytest.raises(ValueError, match="cover"):
-                split_plan(runner.plan, [(0, 2)])
+            plan = runner.plan
+            cuts = plan.cut_points()
+            inside = next(i for i in range(len(plan.ops)) if i not in cuts)
+            with pytest.raises(ValueError, match="cut points"):
+                plan.stage(0, inside)
+            with pytest.raises(ValueError, match="cut points"):
+                plan.stage(inside, len(plan.ops))
+            with pytest.raises(ValueError, match="non-empty"):
+                plan.stage(cuts[1], cuts[1])
+            stage = plan.stage(cuts[1], cuts[-1])
+            assert stage.op_range == (cuts[1], cuts[-1])
+            assert stage.ops == plan.ops[cuts[1]:]
 
     def test_stage_composition_bit_identical_analog(self, trained_setup):
         # Pickle-round-tripped stage plans, composed in order, reproduce
@@ -150,7 +184,12 @@ class TestSplitPlan:
         finally:
             runner.close()
         stages = [pickle.loads(payload) for payload in partition.payloads]
-        assert [type(stage) for stage in stages] == [PipelineStagePlan] * 3
+        assert [type(stage) for stage in stages] == [ModelPlan] * 3
+        # A stage carries its own ops only, not the model or the backend.
+        assert all(stage.model is None and stage.backend is None
+                   for stage in stages)
+        assert [len(stage.ops) for stage in stages] == [
+            stop - start for start, stop in partition.boundaries]
         x = x_test[:16]
         for stage in stages:
             x = stage.forward(x)
@@ -164,7 +203,7 @@ class TestSplitPlan:
         context = ExecutionContext(calibration=x_train[:16],
                                    max_mapped_layers=1, batch_size=16, seed=0)
         with BatchRunner(model, "analog", context=context) as runner:
-            assert count_plan_macros(runner.plan) >= 1
+            assert runner.plan.num_macros() >= 1
             partition = build_stage_payloads(runner.plan, 2,
                                              probe=x_train[:16])
         assert partition.measured
@@ -192,7 +231,7 @@ class TestSplitPlan:
 
 
 def count_plan_macros_value(partition) -> int:
-    return sum(partition.layer_macros)
+    return sum(partition.op_macros)
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +275,30 @@ class TestShardedPipeline:
                                context=context, num_stages=3, slots=2)
         assert np.array_equal(report.logits, direct.logits)
         assert report.conversions == direct.conversions
+
+    def test_cut_inside_depthwise_separable_block_bit_identical(self):
+        # MobileNet-lite's block inlines into the program, so a stage may
+        # start at its pointwise conv: the parameter-count proxy puts a cut
+        # there, and so does the 8-macro budget (depthwise 8 + pointwise 1
+        # macros cannot share a stage).  Every backend still serves the
+        # single-worker logits bit for bit.
+        from repro.exec import available_backends
+
+        model = build_mobilenet_lite(num_classes=4, widths=(8, 16), seed=3)
+        images = np.random.default_rng(4).standard_normal((16, 3, 10, 10))
+        with BatchRunner(model, "ideal") as runner:
+            layers = [getattr(op, "layer", None) for op in runner.plan.ops]
+        pointwise = layers.index(model.layers[3].pointwise)
+        context = ExecutionContext(batch_size=8, seed=0)
+        for backend in available_backends():
+            direct = run_model(model, images, backend=backend, context=context)
+            report = run_pipelined(model, images, backend=backend,
+                                   context=context, num_stages=3,
+                                   max_macros_per_stage=8)
+            assert pointwise in [start for start, _ in
+                                 report.partition.boundaries], backend
+            assert np.array_equal(report.logits, direct.logits), backend
+            assert report.conversions == direct.conversions, backend
 
     def test_stage_stats_surface_occupancy(self, trained_setup):
         model, _, x_test = trained_setup
@@ -358,7 +421,7 @@ class TestPipelineServing:
         images = x_test[:16]
         context = ExecutionContext(calibration=x_train[:16], seed=0)
         with BatchRunner(model, "analog", context=context) as runner:
-            total_macros = count_plan_macros(runner.plan)
+            total_macros = runner.plan.num_macros()
         assert total_macros == 3
         budget = 2
         with pytest.raises(CapacityError, match="crossbar"):
