@@ -11,15 +11,18 @@ contract, not a hope.  Two acceptance bars:
   and compared against the measured per-request serving latency, because
   an end-to-end A/B of the *same* binary with the *same* flag cannot
   resolve a sub-2% delta above CI runner noise;
-* **sampled path** (``trace_sample_rate=0.01``): steady-state serving
-  throughput stays within 5% of the disabled configuration — measured
-  end-to-end, interleaved best-of-N so runner load drift hits both
-  configurations equally.
+* **sampled path** (``trace_sample_rate=0.01``): serving a request costs
+  at most 5% more process CPU than with tracing disabled — CPU seconds
+  (all threads, ``time.process_time``) of a serving run, averaged over
+  the middle half of many interleaved rounds, divided by the requests
+  served.  Wall-clock throughput is printed next to it but not gated: on
+  a shared 2-vCPU runner its ratio read 0.64-1.34 on unchanged code,
+  while CPU time does not count the time the runner spends on other work.
 
 ``BENCH_obs.json`` records the ratios; the CI regression gate diffs
-``sampled_throughput_ratio`` and ``disabled_headroom`` against the
-committed baseline (which sits exactly at the contract floors, so the
-gate and the hard asserts below enforce the same line).
+``sampled_cpu_ratio`` and ``disabled_headroom`` against the committed
+baseline, a measured run, with floors that keep the gate no stricter than
+the hard asserts below.
 
 Run with::
 
@@ -39,7 +42,11 @@ from repro.obs.trace import Tracer
 from repro.serve import InferenceService, ServeConfig
 
 REQUESTS = 96 if smoke_mode() else 256
-ROUNDS = 2 if smoke_mode() else 4
+#: Interleaved serving runs per configuration.  One run's CPU time varies
+#: by 10-20 % on a shared 2-vCPU host, and a GC pass can quadruple it; the
+#: interquartile mean of 80 runs kept the ratio within 0.955-1.016 over 20
+#: smoke reruns of one commit (the median of 40 runs: 0.943-1.033 over 10).
+ROUNDS = 80
 
 #: Tracer touchpoints on a request's hot path while tracing is disabled:
 #: the sampling decision in ``submit_nowait`` plus the ``tracer.enabled``
@@ -73,20 +80,32 @@ def workload():
 
 
 def _serve_once(model, images, config):
-    """One full serving run; returns (wall_time_s, traced_request_count)."""
+    """One full serving run; returns (wall_time_s, cpu_s,
+    traced_request_count), where ``cpu_s`` is the process CPU time spent
+    serving ``images`` (start and stop excluded)."""
 
     async def run():
         service = InferenceService(model, config)
         await service.start()
         try:
+            cpu_start = time.process_time()
             await service.submit_many(images)
+            cpu_s = time.process_time() - cpu_start
         finally:
             await service.stop()
         snapshot = service.metrics_snapshot()
         assert snapshot.dropped == 0 and snapshot.samples == len(images)
-        return snapshot.wall_time_s, service.tracer.traced_requests
+        return snapshot.wall_time_s, cpu_s, service.tracer.traced_requests
 
     return asyncio.run(run())
+
+
+def _interquartile_mean(values) -> float:
+    """Mean of the middle half of ``values``: robust to the rare run a GC
+    pass or a neighbour's burst inflates, less noisy than the median."""
+    ordered = np.sort(values)
+    quarter = len(ordered) // 4
+    return float(ordered[quarter:len(ordered) - quarter].mean())
 
 
 def _disabled_hook_cost_s() -> float:
@@ -104,8 +123,8 @@ def _disabled_hook_cost_s() -> float:
 
 @pytest.mark.benchmark(group="obs")
 def test_tracing_overhead_within_contract(benchmark, workload):
-    """Disabled tracing <= 2% of per-request time; 1% sampling keeps >= 95%
-    of disabled throughput.  Writes ``BENCH_obs.json``."""
+    """Disabled tracing <= 2% of per-request time; 1% sampling costs at
+    most 5% more CPU per request.  Writes ``BENCH_obs.json``."""
     model, requests = workload
     configs = {
         "disabled": ServeConfig(max_batch=8, max_wait_ms=2.0),
@@ -115,34 +134,47 @@ def test_tracing_overhead_within_contract(benchmark, workload):
 
     def measure():
         best = {label: float("inf") for label in configs}
+        cpu = {label: [] for label in configs}
         traced = {label: 0 for label in configs}
-        # Interleaved: a load spike on the runner slows whichever config is
-        # mid-flight, not systematically one side of the ratio.
-        for _ in range(ROUNDS):
-            for label, config in configs.items():
-                wall, count = _serve_once(model, requests, config)
+        labels = list(configs)
+        for label in labels:  # warm-up: lazy imports, first allocations
+            _serve_once(model, requests, configs[label])
+        # Interleaved, alternating which goes first: a load spike on the
+        # runner slows whichever config is mid-flight, not systematically
+        # one side of the ratio.
+        for round_index in range(ROUNDS):
+            for label in labels[::1 if round_index % 2 == 0 else -1]:
+                wall, cpu_s, count = _serve_once(model, requests,
+                                                 configs[label])
                 best[label] = min(best[label], wall)
-                traced[label] = max(traced[label], count)
-        return best, traced
+                cpu[label].append(cpu_s)
+                traced[label] += count
+        return best, cpu, traced
 
-    best, traced = benchmark.pedantic(measure, rounds=1, iterations=1)
+    best, cpu, traced = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert traced["disabled"] == 0
 
+    # submit_many enqueues max_batch-row slices: that slice count is the
+    # request count the per-request budgets divide over.
+    served_requests = -(-len(requests) // configs["disabled"].max_batch)
+    cpu_per_request = {label: _interquartile_mean(cpu[label]) / served_requests
+                       for label in configs}
+    sampled_cpu_ratio = cpu_per_request["disabled"] / cpu_per_request["sampled"]
     sampled_ratio = best["disabled"] / best["sampled"]
     hook_s = _disabled_hook_cost_s()
-    # submit_many enqueues max_batch-row slices: that slice count is the
-    # request count the per-request overhead budget divides over.
-    served_requests = -(-len(requests) // configs["disabled"].max_batch)
     per_request_s = best["disabled"] / served_requests
     overhead_fraction = (DISABLED_HOOKS_PER_REQUEST * hook_s) / per_request_s
     headroom = 0.02 / max(overhead_fraction, 1e-12)
 
     print()
     print(f"disabled   {served_requests / best['disabled']:8.0f} req/s "
-          f"({per_request_s * 1e6:.0f} us/request)")
+          f"({per_request_s * 1e6:.0f} us/request), "
+          f"cpu {cpu_per_request['disabled'] * 1e6:.0f} us/request")
     print(f"sampled 1% {served_requests / best['sampled']:8.0f} req/s "
           f"({traced['sampled']} traced), "
-          f"throughput ratio {sampled_ratio:.3f}")
+          f"cpu {cpu_per_request['sampled'] * 1e6:.0f} us/request; "
+          f"cpu ratio {sampled_cpu_ratio:.3f}, "
+          f"wall throughput ratio {sampled_ratio:.3f}")
     print(f"disabled hook {hook_s * 1e9:.0f} ns/call x "
           f"{DISABLED_HOOKS_PER_REQUEST}/request = "
           f"{overhead_fraction * 100:.4f}% of request time "
@@ -153,7 +185,10 @@ def test_tracing_overhead_within_contract(benchmark, workload):
         "served_requests": served_requests,
         "disabled_wall_s": best["disabled"],
         "sampled_wall_s": best["sampled"],
+        "disabled_cpu_s_per_request": cpu_per_request["disabled"],
+        "sampled_cpu_s_per_request": cpu_per_request["sampled"],
         "sampled_traced_requests": traced["sampled"],
+        "sampled_cpu_ratio": sampled_cpu_ratio,
         "sampled_throughput_ratio": sampled_ratio,
         "disabled_hook_ns": hook_s * 1e9,
         "disabled_overhead_fraction": overhead_fraction,
@@ -164,6 +199,6 @@ def test_tracing_overhead_within_contract(benchmark, workload):
     assert overhead_fraction <= 0.02, (
         f"disabled tracer hooks cost {overhead_fraction * 100:.2f}% of a "
         f"request (budget 2%)")
-    assert sampled_ratio >= 0.95, (
-        f"1% sampling kept only {sampled_ratio * 100:.1f}% of disabled "
-        f"throughput (contract: >= 95%)")
+    assert sampled_cpu_ratio >= 0.95, (
+        f"1% sampling costs {(1 / sampled_cpu_ratio - 1) * 100:.1f}% more "
+        f"CPU per request than disabled tracing (contract: <= 5%)")

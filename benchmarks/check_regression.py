@@ -63,14 +63,14 @@ GUARDED_RATIOS: Dict[str, Dict[str, float]] = {
                             "hang_recovered_fraction": 0.0,
                             "corrupt_success_ratio": 0.0,
                             "corrupt_recovered_fraction": 0.0},
-    # The observability overheads are contract floors the benchmark
-    # hard-asserts (sampling keeps >= 95% of disabled throughput, the
-    # disabled hooks stay within their 2% budget), and the committed
-    # baseline sits exactly on them — so any fresh run that passed the
-    # benchmark also passes the gate, and a zero floor keeps the
-    # arithmetic uniform with the recovery fractions above.
-    "BENCH_obs.json": {"sampled_throughput_ratio": 0.0,
-                       "disabled_headroom": 0.0},
+    # The observability overheads: the committed baseline holds measured
+    # medians.  The CPU ratio's floor sits at about the 0.95 contract the
+    # benchmark hard-asserts (1% sampling costs at most 5% more CPU per
+    # request); the disabled-hook headroom read 24.8-59.0 around its
+    # 36 median on one host, so its floor catches a hook that got 2.5x
+    # costlier, not host noise.
+    "BENCH_obs.json": {"sampled_cpu_ratio": 0.05,
+                       "disabled_headroom": 0.6},
     # Characterization spec-line margins: normalised headroom to the
     # datasheet acceptance limits, measured at fixed seed by elementwise-
     # deterministic math (no BLAS in any guarded scalar), so they are

@@ -87,7 +87,9 @@ class ExecutionReport:
 
     ``wall_time_s`` covers only the forward passes, not ``prepare`` — the
     preparation cost is reported separately so throughput numbers compare
-    steady-state inference.
+    steady-state inference.  ``cpu_time_s`` is the process CPU time (all
+    threads) over the same forwards; above ``wall_time_s`` it shows threads
+    busy beside the forward.
     """
 
     backend: str
@@ -103,6 +105,7 @@ class ExecutionReport:
     #: How the batches executed: ``"compiled"`` (compiled plan kernels) or
     #: ``"generic"`` (no plan kernels ran).
     plan_mode: str = "generic"
+    cpu_time_s: float = 0.0
 
     @property
     def samples_per_second(self) -> float:

@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 from typing import List, Optional, Tuple
 
+from repro.exec import blas
 from repro.exec.backend import ExecutionContext
 from repro.exec.engine import run_model
 from repro.exec.plan import StageProfile
@@ -71,6 +72,16 @@ def render_stage_profile(profile: dict) -> str:
         field.name: type(field.default)(profile.get(field.name, field.default))
         for field in dataclasses.fields(StageProfile)
     }).render()
+
+
+def describe_blas_threads() -> str:
+    """The BLAS thread count plan forwards run on, beside the default."""
+    with blas.single_thread():
+        forwards = blas.blas_threads()
+    default = blas.blas_threads()
+    if default is None:
+        return "BLAS threads in forwards: unknown (no OpenBLAS thread control)"
+    return f"BLAS threads in forwards: {forwards} (process default {default})"
 
 
 def run_run_command(args: argparse.Namespace) -> Tuple[str, int]:
@@ -160,10 +171,12 @@ def run_run_command(args: argparse.Namespace) -> Tuple[str, int]:
     lines = [
         f"Backend {report.backend}: {report.samples} samples in "
         f"{report.wall_time_s * 1e3:.1f} ms "
-        f"({report.samples_per_second:.1f} samples/s), "
+        f"({report.samples_per_second:.1f} samples/s, "
+        f"cpu {report.cpu_time_s / report.samples * 1e3:.3f} ms/sample), "
         f"prepare {report.prepare_time_s * 1e3:.1f} ms, "
         f"{report.conversions} conversions, "
         f"plan={report.plan_mode}",
+        describe_blas_threads(),
     ]
     if tracer is not None:
         lines.append(f"trace: {len(tracer.spans)} spans -> {args.trace_out}")

@@ -152,10 +152,12 @@ def run_model(model: Model, images: np.ndarray,
         conversions_before = runner.conversions()
         logits = []
         forward_start = time.perf_counter()
+        cpu_start = time.process_time()
         for batch_x, _ in iterate_minibatches(images, label_array,
                                               runner.context.batch_size,
                                               shuffle=False):
             logits.append(runner.forward(batch_x))
+        cpu_time = time.process_time() - cpu_start
         wall_time = time.perf_counter() - forward_start
         all_logits = (
             np.concatenate(logits, axis=0) if logits
@@ -173,6 +175,7 @@ def run_model(model: Model, images: np.ndarray,
         logits=all_logits,
         samples=int(images.shape[0]),
         wall_time_s=wall_time,
+        cpu_time_s=cpu_time,
         prepare_time_s=runner.prepare_time_s,
         accuracy=top1,
         conversions=conversions,

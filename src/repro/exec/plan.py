@@ -57,6 +57,10 @@ float64 (:func:`repro.formats.fp8.round_to_format`) and writes each layer's
 output once, in the generic path's layout (C-contiguous NCHW for a conv).
 ``ExecutionContext.compile_plan=False`` runs the generic kernels instead:
 that hook path is the bit-identity oracle the plan is tested against.
+Every forward, and the calibration forwards of ``prepare``, run with
+OpenBLAS held at one thread (:func:`repro.exec.blas.single_thread`), so a
+plan's bits and its CPU cost do not depend on the process's BLAS thread
+count.
 
 Plans are picklable, which is what lets :mod:`repro.serve` ship one to each
 process of a ``workers="process"`` pool and run replicas on real cores (the
@@ -81,6 +85,7 @@ import numpy as np
 
 from repro.core.macro import AFPRMacro
 from repro.core.mapping import MappedLayer, conv_output_size, patch_index
+from repro.exec import blas
 from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.backends import AnalogBackend, FakeQuantBackend
 from repro.formats.fp8 import BucketIndexer, pull_back_bounds, round_to_format
@@ -970,9 +975,11 @@ class ModelPlan:
         try:
             # A failure mid-setup (bad calibration batch, unmappable layer)
             # must still tear the backend off the model instead of leaving
-            # adapters attached.
-            backend.prepare(model, context)
-            self.ops = self._lower_model()
+            # adapters attached.  Calibration forwards run on one BLAS
+            # thread too: their GEMM bits set the calibrated ranges.
+            with blas.single_thread():
+                backend.prepare(model, context)
+                self.ops = self._lower_model()
         except Exception:
             self.close()
             raise
@@ -1014,27 +1021,29 @@ class ModelPlan:
 
     # ------------------------------------------------------------------
     def forward(self, images: np.ndarray) -> np.ndarray:
-        """Run one assembled batch through the op program."""
+        """Run one assembled batch through the op program on one BLAS
+        thread."""
         start = time.perf_counter()
         x = np.asarray(images, dtype=np.float64)
         stack: list = []
         buffer = plan_trace_buffer()
-        for op in self.ops:
-            if buffer is None or not isinstance(op, _MatmulOp):
+        with blas.single_thread():
+            for op in self.ops:
+                if buffer is None or not isinstance(op, _MatmulOp):
+                    x = op(x, stack)
+                    continue
+                # A sampled request is being traced on this thread: time
+                # the layer and turn the profile-timer deltas its forward
+                # accumulated into DAC/crossbar/ADC child spans.
+                profile = op.compiled.profile
+                before = (profile.dac_s, profile.crossbar_s, profile.adc_s)
+                tick = time.perf_counter()
                 x = op(x, stack)
-                continue
-            # A sampled request is being traced on this thread: time the
-            # layer and turn the profile-timer deltas its forward
-            # accumulated into DAC/crossbar/ADC child spans.
-            profile = op.compiled.profile
-            before = (profile.dac_s, profile.crossbar_s, profile.adc_s)
-            tick = time.perf_counter()
-            x = op(x, stack)
-            buffer.record_layer(
-                op.compiled.key, tick, time.perf_counter(),
-                dac_s=profile.dac_s - before[0],
-                crossbar_s=profile.crossbar_s - before[1],
-                adc_s=profile.adc_s - before[2])
+                buffer.record_layer(
+                    op.compiled.key, tick, time.perf_counter(),
+                    dac_s=profile.dac_s - before[0],
+                    crossbar_s=profile.crossbar_s - before[1],
+                    adc_s=profile.adc_s - before[2])
         self.profile.total_s += time.perf_counter() - start
         self.profile.forwards += 1
         return x

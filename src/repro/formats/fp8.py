@@ -469,16 +469,17 @@ class BucketIndexer:
             out = np.empty(v.shape, dtype=np.int64)
             work = np.empty(v.shape, dtype=np.float64)
             work_int = np.empty(v.shape, dtype=np.int64)
-        # Negatives clip to cell 0 and fail its (positive) inner boundary;
-        # values past the grid, +inf and overflowed products clip to the
-        # last cell.  A cell without a boundary holds NaN, which every
-        # comparison fails.  A NaN input survives the clip and casts to
-        # INT64_MIN (x86-64) or 0 (AArch64), both cell 0 under mode="clip",
-        # and fails every comparison too.  All other indices are in range,
-        # so mode="clip" only skips np.take's internal buffering.
+        # Values past the grid, +inf and overflowed products are capped at
+        # the last cell.  Negatives (-inf included) and NaN are not clipped
+        # from below: they cast to a negative index, INT64_MIN (x86-64) or
+        # 0 (NaN on AArch64), which np.take's mode="clip" sends to cell 0,
+        # and fail its (positive or NaN) inner boundary.  A cell without a
+        # boundary holds NaN, which every comparison fails.  A one-sided
+        # minimum is cheaper than a two-sided clip, and mode="clip" also
+        # skips np.take's internal buffering.
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(v, self._inv_step, out=work)
-            np.clip(work, 0.0, self._cells - 1, out=work)
+            np.minimum(work, self._cells - 1, out=work)
             np.copyto(out, work, casting="unsafe")
             np.take(self._inner, out, out=work, mode="clip")
             np.take(self._base, out, out=work_int, mode="clip")

@@ -98,7 +98,8 @@ class PipelinedReport:
                 f"  stage {stage['stage']}: {stage['batches']} batches, "
                 f"busy {stage['forward_s'] * 1e3:.1f} ms, "
                 f"bubble {stage['bubble_s'] * 1e3:.1f} ms, "
-                f"transport {stage['transport_s'] * 1e3:.1f} ms"
+                f"transport {stage['transport_s'] * 1e3:.1f} ms, "
+                f"BLAS threads {stage.get('blas_threads')}"
             )
         return "\n".join(lines)
 

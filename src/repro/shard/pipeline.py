@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exec import blas
 from repro.faults import injector as fault_injector
 from repro.obs.trace import PlanTraceBuffer, plan_trace
 from repro.serve.shm import IntegrityError, SlotRing
@@ -139,6 +140,10 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
     try:
         if options.get("fault_spec"):
             fault_injector.install(options["fault_spec"])
+        # One BLAS thread for the stage process's lifetime: its parallelism
+        # comes from the other stages and workers, and its plan forwards
+        # then find the count at 1 and make no set calls.
+        blas.set_blas_threads(1)
         plan = pickle.loads(payload)
         conversions_baseline = plan.conversions()
         heartbeat = options.get("heartbeat")
@@ -241,6 +246,7 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
                 "in_row_nbytes": in_row_nbytes,
                 "out_row_nbytes": out_row_nbytes,
                 "profile": plan.stage_profile(),
+                "blas_threads": blas.blas_threads(),
             }
             if traced:
                 stage_stats["spans"] = batch_spans

@@ -11,6 +11,7 @@ and process-pool serving.
 
 import dataclasses
 import pickle
+import threading
 import warnings
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.exec import (
     create_backend,
     run_model,
 )
+from repro.exec import blas
 from repro.exec.plan import (
     CompiledTile,
     PlanArena,
@@ -69,7 +71,8 @@ from repro.formats.quantizer import (
 from repro.nn import DatasetConfig, SGD, Sequential, SyntheticImageDataset, Trainer
 from repro.nn.mobilenet import build_mobilenet_lite
 from repro.nn.resnet import build_resnet_lite
-from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU
+from repro.nn.layers import (
+    BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Layer, Linear, ReLU)
 from repro.rram.device import RRAMStatistics
 
 
@@ -155,6 +158,31 @@ class TestBucketIndexer:
             allocated, buffered = both_call_paths(indexer, values)
         assert np.array_equal(allocated, expected)
         assert np.array_equal(buffered, expected)
+
+    @pytest.mark.parametrize("bounds", [
+        np.array([0.25, 0.5, 0.75, 1.0]),
+        FPADC(ADCConfig(exponent_bits=3, mantissa_bits=4)).conversion_lut().indexer.bounds,
+    ])
+    def test_values_off_the_grid_rank_like_searchsorted(self, bounds):
+        # The grid index is capped only from above: negatives, -inf and
+        # NaN reach np.take as negative (or, on AArch64, zero) indices,
+        # which mode="clip" sends to cell 0.
+        indexer = BucketIndexer(bounds)
+        top = bounds[-1]
+        values = np.concatenate([
+            [-0.0, -1e300, -np.inf, np.nan, np.inf, np.nextafter(top, np.inf),
+             1.5 * top, 4.0 * top, 1e300],
+            -np.random.default_rng(2).uniform(0.0, 1.0, size=200),
+            -bounds, np.nextafter(-bounds, 0.0),
+        ])
+        assert np.all((values[9:209] > -1.0) & (values[9:209] <= 0.0))
+        expected = contract_rank(bounds, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            allocated, buffered = both_call_paths(indexer, values)
+        assert np.array_equal(allocated, expected)
+        assert np.array_equal(buffered, expected)
+        assert np.all(expected[:4] == 0) and np.all(expected[4:9] == bounds.size)
 
     def test_fallback_for_huge_dynamic_range(self):
         bounds = np.array([1e-300, 1.0, 1e300])
@@ -1040,6 +1068,174 @@ class TestModelPlan:
         text = StageProfile(dac_s=0.1, total_s=1.0, forwards=1).render()
         assert "digital" in text
         assert "im2col" not in text and "adder" not in text
+
+
+# ----------------------------------------------------------------------
+# One BLAS thread per plan
+# ----------------------------------------------------------------------
+@pytest.fixture
+def blas_default():
+    """Restores the process's BLAS thread count after the test; skips
+    where OpenBLAS's thread control is not found."""
+    default = blas.blas_threads()
+    if default is None:
+        pytest.skip("no OpenBLAS thread control in this numpy")
+    yield default
+    blas.set_blas_threads(default)
+
+
+def set_default_threads(count):
+    blas.set_blas_threads(count)
+    if blas.blas_threads() != count:
+        pytest.skip(f"OpenBLAS refused {count} threads")
+
+
+class BlasProbe(Layer):
+    """Identity layer recording the BLAS thread count inside a forward;
+    ``hold`` pauses the forward until ``release`` is set."""
+
+    def __init__(self, fail=False, hold=False):
+        self.fail = fail
+        self.seen = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not hold:
+            self.release.set()
+
+    def forward(self, x, training=False):
+        self.seen.append(blas.blas_threads())
+        self.entered.set()
+        assert self.release.wait(30)
+        if self.fail:
+            raise RuntimeError("probe failure")
+        return x
+
+
+class FakeOpenBLAS:
+    """A thread count behind the two ctypes functions, counting set calls."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.sets.append(count)
+        self.count = count
+
+
+class TestOneBlasThread:
+    def test_logits_do_not_depend_on_the_process_thread_count(
+            self, plan_setup, blas_default):
+        # Linear(588, 150) gives different bits at 1 and 2 threads from 12
+        # rows up: in fake_quant's 12-row calibration forward and in the
+        # 32-row forwards.  Both run on one thread inside a plan.
+        model, x_train, x_test, _ = plan_setup
+        analog_context = ExecutionContext(
+            max_mapped_layers=None, seed=0,
+            macro_config=MacroConfig(device_statistics=quiet_stats()))
+        results = {}
+        for default in (1, 2):
+            set_default_threads(default)
+            runs = []
+            for backend in ("fake_quant", "ideal"):
+                report = run_model(model, x_test[:32], backend=backend,
+                                   context=plan_context(x_train, batch_size=32))
+                runs.append((report.logits, report.conversions))
+            for name in ("demo_cnn", "resnet_lite", "mobilenet_lite"):
+                zoo, images = zoo_model(name)
+                context = dataclasses.replace(analog_context,
+                                              calibration=images[:8])
+                with BatchRunner(zoo, "analog", context=context) as runner:
+                    runs.append((runner.forward(images), runner.conversions()))
+            assert blas.blas_threads() == default
+            results[default] = runs
+        for (one, one_conv), (two, two_conv) in zip(results[1], results[2]):
+            assert bitwise_equal(one, two)
+            assert one_conv == two_conv
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_forward_restores_the_callers_count(self, blas_default, fail):
+        set_default_threads(2)
+        probe = BlasProbe(fail=fail)
+        model = Sequential(Flatten(), probe,
+                           Linear(12, 3, rng=np.random.default_rng(0)))
+        images = np.ones((4, 3, 2, 2))
+        with BatchRunner(model, "ideal") as runner:
+            if fail:
+                with pytest.raises(RuntimeError, match="probe failure"):
+                    runner.forward(images)
+            else:
+                runner.forward(images)
+        assert probe.seen == [1]
+        assert blas.blas_threads() == 2
+
+    def test_concurrent_forwards_hold_one_thread_until_the_last_exits(
+            self, blas_default):
+        set_default_threads(2)
+        probes = [BlasProbe(hold=True), BlasProbe(hold=True)]
+        runners = [BatchRunner(Sequential(Flatten(), probe), "ideal")
+                   for probe in probes]
+        threads = [threading.Thread(target=runner.forward,
+                                    args=(np.ones((2, 3)),))
+                   for runner in runners]
+        try:
+            for thread, probe in zip(threads, probes):
+                thread.start()
+                assert probe.entered.wait(30)
+            probes[0].release.set()
+            threads[0].join(30)
+            assert not threads[0].is_alive()
+            assert blas.blas_threads() == 1  # the second is still inside
+            probes[1].release.set()
+            threads[1].join(30)
+            assert blas.blas_threads() == 2
+        finally:
+            for probe, thread in zip(probes, threads):
+                probe.release.set()
+                thread.join(30)
+            for runner in runners:
+                runner.close()
+        assert [probe.seen for probe in probes] == [[1], [1]]
+
+    def test_scope_counts_entrants_and_skips_needless_sets(self, monkeypatch):
+        fake = FakeOpenBLAS(2)
+        monkeypatch.setattr(blas, "_functions", (fake.get, fake.set))
+        with blas.single_thread():
+            with blas.single_thread():
+                assert fake.count == 1
+            assert fake.count == 1
+        assert fake.count == 2 and fake.sets == [1, 2]
+        fake.count, fake.sets = 1, []
+        with blas.single_thread():
+            assert blas.blas_threads() == 1
+        assert fake.sets == []
+
+    def test_missing_symbols_make_every_helper_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(blas, "_functions", blas._UNSET)
+        monkeypatch.setattr(blas, "_find_functions", lambda: None)
+        with pytest.warns(RuntimeWarning, match="OpenBLAS"):
+            assert blas.blas_threads() is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # warned once already
+            blas.set_blas_threads(2)
+            with BatchRunner(Sequential(Flatten()), "ideal") as runner:
+                out = runner.forward(np.ones((2, 3)))
+            assert blas.blas_threads() is None
+        assert out.shape == (2, 3)
+
+    def test_stage_processes_run_on_one_thread(self, blas_default):
+        from repro.shard import run_pipelined
+
+        set_default_threads(2)
+        model, images = zoo_model("demo_cnn")
+        report = run_pipelined(model, images, backend="fake_quant",
+                               context=ExecutionContext(calibration=images[:8]),
+                               num_stages=2)
+        assert [stage["blas_threads"] for stage in report.stage_stats] == [1, 1]
+        assert blas.blas_threads() == 2
 
 
 # ----------------------------------------------------------------------
