@@ -134,8 +134,13 @@ def test_compiled_plan_bit_identical_every_backend(benchmark, workload):
     identical random streams (programming noise at prepare, read noise per
     forward) from the same seeds — the plan's LUT kernels then reproduce the
     generic arithmetic exactly.  The check maps every matmul layer, so each
-    one runs analog and is compared bit for bit.  Plan speed is measured by
-    perfbench (``offline-resnet-analog`` ``samples_per_s`` and the per-layer
+    one runs analog and is compared bit for bit.  It covers calibration
+    too: the planned analog runner calibrates each layer on the compiled
+    kernels of the layers before it, the oracle on the hook path, so any
+    calibration drift shows up in the compared logits.  Both runners'
+    ``prepare_time_s`` land in the record, for information only.  Plan
+    speed is measured by perfbench (``offline-resnet-analog``
+    ``samples_per_s``, ``setup_s`` and the per-layer
     ``exec.L<i>.vs_matmul`` ratios), not against the oracle.
     """
     model, x_train, x_test, y_test, macro_config = workload
@@ -143,7 +148,7 @@ def test_compiled_plan_bit_identical_every_backend(benchmark, workload):
                       max_mapped_layers=None, seed=0)
 
     def check_identity():
-        outcomes = {}
+        outcomes, prepare_s = {}, {}
         for backend in available_backends():
             planned = run_model(model, x_test, backend=backend,
                                 batch_size=SAMPLES, **all_mapped)
@@ -153,13 +158,19 @@ def test_compiled_plan_bit_identical_every_backend(benchmark, workload):
             outcomes[backend] = bool(
                 np.array_equal(planned.logits, generic.logits)
                 and planned.conversions == generic.conversions)
-        return outcomes
+            prepare_s[backend] = {"planned": planned.prepare_time_s,
+                                  "oracle": generic.prepare_time_s}
+        return outcomes, prepare_s
 
-    outcomes = benchmark.pedantic(check_identity, rounds=1, iterations=1)
-    print("\nPlanned-vs-generic bit identity:")
+    outcomes, prepare_s = benchmark.pedantic(check_identity, rounds=1,
+                                             iterations=1)
+    print("\nPlanned-vs-generic bit identity (prepare time planned / oracle):")
     for backend, identical in sorted(outcomes.items()):
-        print(f"  {backend:12s} {'bit-identical' if identical else 'MISMATCH'}")
+        print(f"  {backend:12s} {'bit-identical' if identical else 'MISMATCH':14s}"
+              f"{prepare_s[backend]['planned'] * 1e3:8.1f} / "
+              f"{prepare_s[backend]['oracle'] * 1e3:.1f} ms")
     path = write_bench_json("exec", {"samples": SAMPLES,
-                                     "bit_identical": outcomes})
+                                     "bit_identical": outcomes,
+                                     "prepare_time_s": prepare_s})
     print(f"Record written to {path}")
     assert all(outcomes.values()), outcomes

@@ -211,7 +211,7 @@ class AFPRMacro:
         # (only over the driven columns; idle leak columns would dilute the
         # percentile and misplace the ADC full scale).
         active_cols = self.physical_columns if self.vectorized_readout else None
-        voltages = self._activation_voltages(np.abs(acts))
+        voltages = self._activation_voltages(np.abs(acts), exact_lut=True)
         currents = np.abs(self.crossbar.ideal_mac(voltages, active_cols=active_cols))
         if currents.size:
             i_ref = float(np.percentile(currents, current_percentile))
@@ -241,11 +241,21 @@ class AFPRMacro:
     # ------------------------------------------------------------------
     # Compute
     # ------------------------------------------------------------------
-    def _activation_voltages(self, non_negative_activations: np.ndarray) -> np.ndarray:
-        """DAC voltages for a batch of non-negative real activations."""
+    def _activation_voltages(self, non_negative_activations: np.ndarray,
+                             exact_lut: bool = False) -> np.ndarray:
+        """DAC voltages for a batch of non-negative real activations.
+
+        ``exact_lut`` reads them through :meth:`FPDAC.voltage_lut` when the
+        DAC has one: the same voltages bit for bit, without the per-element
+        field split.  A noisy DAC has no table and keeps drawing its noise.
+        """
         code_values = non_negative_activations / self.activation_scale
         code_values = np.clip(code_values, 0.0, self.config.activation_format.max_value)
-        return self.dac.convert_value(code_values)
+        lut = self.dac.voltage_lut() if exact_lut else None
+        if lut is None:
+            return self.dac.convert_value(code_values)
+        indexer, volts = lut
+        return volts[indexer(code_values)]
 
     def _current_to_output(self, adc_values: np.ndarray, voltage_sum: np.ndarray) -> np.ndarray:
         """Convert read-out code values of physical columns to real MAC values."""

@@ -87,9 +87,9 @@ class ExecutionReport:
 
     ``wall_time_s`` covers only the forward passes, not ``prepare`` — the
     preparation cost is reported separately so throughput numbers compare
-    steady-state inference.  ``cpu_time_s`` is the process CPU time (all
-    threads) over the same forwards; above ``wall_time_s`` it shows threads
-    busy beside the forward.
+    steady-state inference.  ``cpu_time_s`` is the calling thread's CPU time
+    over the same forwards, which run on that thread with one BLAS thread;
+    below ``wall_time_s`` it shows the forwards waiting for a core.
     """
 
     backend: str

@@ -16,7 +16,7 @@ These unify the repository's three pre-existing execution paths behind the
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -125,7 +125,13 @@ class AnalogBackend(ExecutionBackend):
         return (id(model), context.macro_config, context.max_mapped_layers,
                 fingerprint, weight_key)
 
-    def prepare(self, model: Model, context: ExecutionContext) -> None:
+    def prepare(self, model: Model, context: ExecutionContext,
+                calibration_forward: Optional[
+                    Callable[[np.ndarray], np.ndarray]] = None) -> None:
+        """Map, program and calibrate the model's matmul layers (or reuse
+        the cached mapping).  ``calibration_forward`` is the forward the
+        layer-by-layer calibration runs (see :class:`CIMMappedNetwork`);
+        it is used during this call only."""
         key = self._context_key(model, context)
         if self._mapped is not None and key == self._cache_key:
             # Same model and configuration: the programmed and calibrated
@@ -145,6 +151,7 @@ class AnalogBackend(ExecutionBackend):
                 calibration_images=context.calibration,
                 max_mapped_layers=context.max_mapped_layers,
                 vectorized_readout=self.vectorized,
+                calibration_forward=calibration_forward,
             )
         except Exception:
             # A failure mid-mapping leaves earlier layers macro-attached with

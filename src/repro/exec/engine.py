@@ -152,12 +152,15 @@ def run_model(model: Model, images: np.ndarray,
         conversions_before = runner.conversions()
         logits = []
         forward_start = time.perf_counter()
-        cpu_start = time.process_time()
+        # Forwards run on this thread with one BLAS thread: its CPU time is
+        # theirs, whatever other threads (a BLAS helper still spinning after
+        # the caller's own GEMMs, say) burn meanwhile.
+        cpu_start = time.thread_time()
         for batch_x, _ in iterate_minibatches(images, label_array,
                                               runner.context.batch_size,
                                               shuffle=False):
             logits.append(runner.forward(batch_x))
-        cpu_time = time.process_time() - cpu_start
+        cpu_time = time.thread_time() - cpu_start
         wall_time = time.perf_counter() - forward_start
         all_logits = (
             np.concatenate(logits, axis=0) if logits

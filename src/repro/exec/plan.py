@@ -40,7 +40,12 @@ context)``:
   into one arena output instead of recursively concatenating), reused
   across batches;
 * fake-quant adapters get LUT-compiled quantisers
-  (:func:`repro.formats.quantizer.compile_quantizer`).
+  (:func:`repro.formats.quantizer.compile_quantizer`);
+* an analog plan **calibrates through its own op program**: the backend
+  calibrates layer ``i`` on the inputs it sees while layers ``0..i-1``
+  run on their calibrated macros, one calibration forward per mapped
+  layer, and the plan hands it a forward in which every layer calibrated
+  so far runs compiled (see :class:`ModelPlan`).
 
 The compiled fast paths are **bit-identical** to the generic ones — the
 lookup tables are built with exact boundary refinement
@@ -57,10 +62,11 @@ float64 (:func:`repro.formats.fp8.round_to_format`) and writes each layer's
 output once, in the generic path's layout (C-contiguous NCHW for a conv).
 ``ExecutionContext.compile_plan=False`` runs the generic kernels instead:
 that hook path is the bit-identity oracle the plan is tested against.
-Every forward, and the calibration forwards of ``prepare``, run with
-OpenBLAS held at one thread (:func:`repro.exec.blas.single_thread`), so a
-plan's bits and its CPU cost do not depend on the process's BLAS thread
-count.
+Calibrating on compiled layers therefore calibrates every macro exactly as
+the hook path does, generator states included.  Every forward, and the
+calibration forwards of ``prepare``, run with OpenBLAS held at one thread
+(:func:`repro.exec.blas.single_thread`), so a plan's bits and its CPU cost
+do not depend on the process's BLAS thread count.
 
 Plans are picklable, which is what lets :mod:`repro.serve` ship one to each
 process of a ``workers="process"`` pool and run replicas on real cores (the
@@ -90,6 +96,7 @@ from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.backends import AnalogBackend, FakeQuantBackend
 from repro.formats.fp8 import BucketIndexer, pull_back_bounds, round_to_format
 from repro.formats.quantizer import compile_quantizer
+from repro.nn.cim_backend import CIMExecutionAdapter
 from repro.nn.layers import Layer, Linear
 from repro.nn.model import DepthwiseSeparableBlock, Model, ResidualBlock, Sequential
 from repro.obs.trace import plan_trace_buffer
@@ -108,13 +115,21 @@ class PlanArena:
     The slabs are deliberately not pickled — a plan shipped to a process
     worker regrows its scratch on first forward instead of shipping
     megabytes of dead scratch bytes.
+
+    While :attr:`pooled` is ``False`` every ``take`` returns a fresh array
+    and nothing is kept: a plan's calibration forwards run on scratch its
+    batches never reuse, so prepare leaves no slab sized for the
+    calibration batch behind.
     """
 
     def __init__(self) -> None:
         self._slabs: Dict[Tuple[str, np.dtype], np.ndarray] = {}
+        self.pooled = True
 
     def take(self, name: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """A C-contiguous ``shape``-d scratch view, contents undefined."""
+        if not self.pooled:
+            return np.empty(shape, dtype=dtype)
         size = 1
         for dim in shape:
             size *= int(dim)
@@ -134,6 +149,7 @@ class PlanArena:
 
     def __setstate__(self, state: dict) -> None:
         self._slabs = {}
+        self.pooled = True
 
 
 @dataclasses.dataclass
@@ -165,6 +181,12 @@ class StageProfile:
     bubble_s: float = 0.0
     im2col_s: float = 0.0
     adder_s: float = 0.0
+
+    def reset(self) -> None:
+        """Zero every accumulator, in place: compiled kernels hold this
+        object."""
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, field.default)
 
     @property
     def digital_s(self) -> float:
@@ -957,6 +979,14 @@ class ModelPlan:
     ``context.compile_plan=False`` to run the mapped layers on the hook
     path instead: that program is the bit-identity oracle.
 
+    An analog backend calibrates layer by layer, one forward per mapped
+    layer; the plan passes it a calibration forward that runs this program
+    with every layer calibrated so far compiled, bit for bit the hook path
+    the oracle calibrates on, so each mapped layer is compiled once, during
+    calibration or (the last one) in lowering.  Those forwards run on
+    scratch the arena does not pool, nothing the backend keeps refers back
+    to the plan, and :meth:`stage_profile` starts from zero.
+
     A pipeline stage is an op range of the program (:meth:`stage`), cut
     only where one tensor is live (:meth:`cut_points`).  Plans are
     picklable: a pickled plan carries its ops' layers, packed tiles, code
@@ -972,17 +1002,31 @@ class ModelPlan:
         self.profile = StageProfile()
         self.arena = PlanArena()
         prepare_start = time.perf_counter()
+        # Mapped layers compiled so far, by id(adapter): calibration
+        # compiles each one the first time it runs it, lowering reuses them.
+        analog_ops: Dict[int, _MatmulOp] = {}
         try:
             # A failure mid-setup (bad calibration batch, unmappable layer)
             # must still tear the backend off the model instead of leaving
             # adapters attached.  Calibration forwards run on one BLAS
             # thread too: their GEMM bits set the calibrated ranges.
             with blas.single_thread():
-                backend.prepare(model, context)
-                self.ops = self._lower_model()
+                if self._compiles_analog():
+                    # Calibration batches are not serving batches: their
+                    # scratch is not pooled.  The forward is handed over
+                    # for this call only, so nothing the backend keeps
+                    # refers back to the plan.
+                    self.arena.pooled = False
+                    backend.prepare(model, context, calibration_forward=(
+                        functools.partial(self._calibration_forward, analog_ops)))
+                else:
+                    backend.prepare(model, context)
+                self.ops = self._lower_model(analog_ops)
         except Exception:
             self.close()
             raise
+        finally:
+            self.arena.pooled = True
         #: ``(start, stop)`` op indices this plan runs of its program.
         self.op_range = (0, len(self.ops))
         #: Per op, the mapped layers it runs (macros, conversion counters).
@@ -994,24 +1038,59 @@ class ModelPlan:
             any(isinstance(op, _MatmulOp) and op.compiled.compiled_tiles > 0
                 for op in self.ops)
             or (isinstance(backend, FakeQuantBackend) and context.compile_plan))
+        # The calibration forwards metered their kernels: start from zero.
+        self.profile.reset()
         self.prepare_time_s = time.perf_counter() - prepare_start
 
     # ------------------------------------------------------------------
-    def _lower_model(self) -> list:
+    def _compiles_analog(self) -> bool:
+        """Whether the program runs the analog backend's mapped layers as
+        compiled ops."""
+        return (self.context.compile_plan
+                and isinstance(self.backend, AnalogBackend)
+                and type(self.backend).forward is ExecutionBackend.forward)
+
+    def _matmul_op(self, adapter: CIMExecutionAdapter, index: int) -> _MatmulOp:
+        """Mapped layer ``L<index>`` compiled onto the plan's arena."""
+        # Arena slabs grow on the first forward (or a larger batch) and
+        # are reused allocation-free after that.
+        compiled = CompiledMappedLayer(adapter.mapped, self.profile,
+                                       arena=self.arena, key=f"L{index}")
+        return _MatmulOp(adapter.layer, compiled)
+
+    def _calibration_forward(self, analog_ops: Dict[int, _MatmulOp],
+                             images: np.ndarray) -> np.ndarray:
+        """``model.forward`` as an op program, for the backend's calibration.
+
+        Every mapped layer attached so far is calibrated and runs as a
+        :class:`_MatmulOp`, compiled the first time a calibration forward
+        meets it; the layer being calibrated and everything after it run
+        their own ``forward``.  The compiled kernels reproduce the hook
+        path bit for bit, read-noise draws and conversion counts included,
+        so every layer calibrates exactly as it would on the hook path.
+        """
+        mapped_ops: Dict[int, _MatmulOp] = {}
+        for index, layer in enumerate(self.model.matmul_layers()):
+            adapter = layer.quantization
+            if isinstance(adapter, CIMExecutionAdapter):
+                if id(adapter) not in analog_ops:
+                    analog_ops[id(adapter)] = self._matmul_op(adapter, index)
+                mapped_ops[id(layer)] = analog_ops[id(adapter)]
+        x, stack = np.asarray(images, dtype=np.float64), []
+        for op in _lower(self.model, mapped_ops):
+            x = op(x, stack)
+        return x
+
+    def _lower_model(self, analog_ops: Dict[int, _MatmulOp]) -> list:
         backend, model = self.backend, self.model
         if type(backend).forward is not ExecutionBackend.forward:
             return [_BackendOp(backend, model)]
         mapped_ops: Dict[int, _MatmulOp] = {}
-        compile_plan = self.context.compile_plan
-        if (compile_plan and isinstance(backend, AnalogBackend)
-                and backend._mapped is not None):
-            # Arena slabs grow on the first forward (or a larger batch) and
-            # are reused allocation-free after that.
+        if self._compiles_analog() and backend._mapped is not None:
             for index, adapter in enumerate(backend._mapped.adapters):
-                compiled = CompiledMappedLayer(adapter.mapped, self.profile,
-                                               arena=self.arena, key=f"L{index}")
-                mapped_ops[id(adapter.layer)] = _MatmulOp(adapter.layer, compiled)
-        elif compile_plan and isinstance(backend, FakeQuantBackend):
+                op = analog_ops.get(id(adapter)) or self._matmul_op(adapter, index)
+                mapped_ops[id(adapter.layer)] = op
+        elif self.context.compile_plan and isinstance(backend, FakeQuantBackend):
             for adapter in backend._adapters:
                 adapter.activation_quantizer = compile_quantizer(
                     adapter.activation_quantizer)

@@ -17,7 +17,7 @@ it directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -127,12 +127,27 @@ class CIMMappedNetwork:
     max_mapped_layers:
         Map at most this many matmul layers (the rest stay digital); keeps
         runtimes manageable for larger models.  ``None`` maps everything.
+    calibration_forward:
+        The forward each calibration pass runs, ``images -> logits``.
+        Layer ``i`` is calibrated on the inputs it sees while layers
+        ``0..i-1`` already run on their calibrated macros, so mapping runs
+        one calibration forward per mapped layer.  The default is
+        ``model.forward``: the hook path, every mapped layer on its generic
+        macro models.  Any replacement must compute the same function
+        bit for bit, draw the same read noise and count the same
+        conversions, and must call the layer being calibrated through its
+        ``forward`` (that is where its inputs are captured);
+        :class:`~repro.exec.plan.ModelPlan` passes its op program with the
+        layers calibrated so far compiled.  It is used while mapping only
+        and never stored.
     """
 
     def __init__(self, model: Model, macro_config: MacroConfig = MacroConfig(),
                  calibration_images: Optional[np.ndarray] = None,
                  max_mapped_layers: Optional[int] = None,
-                 vectorized_readout: bool = True) -> None:
+                 vectorized_readout: bool = True,
+                 calibration_forward: Optional[
+                     Callable[[np.ndarray], np.ndarray]] = None) -> None:
         self.model = model
         self.macro_config = macro_config
         self.vectorized_readout = vectorized_readout
@@ -143,10 +158,14 @@ class CIMMappedNetwork:
             if calibration_images is not None
             else None
         )
-        self._map_layers(calibration, max_mapped_layers)
+        if calibration_forward is None:
+            calibration_forward = self.forward
+        self._map_layers(calibration, max_mapped_layers, calibration_forward)
 
     # ------------------------------------------------------------------
-    def _layer_calibration_inputs(self, layer: Layer, images: np.ndarray) -> np.ndarray:
+    def _layer_calibration_inputs(
+            self, layer: Layer, images: np.ndarray,
+            forward: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Capture the inputs a specific layer sees for a calibration batch."""
         captured: Dict[str, np.ndarray] = {}
         original_forward = layer.forward
@@ -161,7 +180,7 @@ class CIMMappedNetwork:
 
         layer.forward = capturing_forward
         try:
-            self.model.forward(images, training=False)
+            forward(images)
         finally:
             # Leave no bound method behind in the instance dict.
             if own_forward is None:
@@ -171,13 +190,15 @@ class CIMMappedNetwork:
         return captured["value"]
 
     def _map_layers(self, calibration: Optional[np.ndarray],
-                    max_mapped_layers: Optional[int]) -> None:
+                    max_mapped_layers: Optional[int],
+                    calibration_forward: Callable[[np.ndarray], np.ndarray]) -> None:
         layers = self.model.matmul_layers()
         if max_mapped_layers is not None:
             layers = layers[:max_mapped_layers]
         for layer in layers:
             if calibration is not None:
-                layer_inputs = self._layer_calibration_inputs(layer, calibration)
+                layer_inputs = self._layer_calibration_inputs(
+                    layer, calibration, calibration_forward)
             else:
                 # A grouped conv maps its block-diagonal matrix, which
                 # reads every input channel's patch.

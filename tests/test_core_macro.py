@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import AFPRMacro, MacroConfig
+from repro.core.config import DACConfig
 from repro.rram.device import RRAMStatistics
 
 
@@ -126,6 +127,38 @@ class TestCalibration:
         err_uncal = np.mean(np.abs(uncalibrated.matvec(acts) - ideal))
         err_cal = np.mean(np.abs(calibrated.matvec(acts) - ideal))
         assert err_cal <= err_uncal
+
+    @pytest.mark.parametrize("differential", [True, False])
+    @pytest.mark.parametrize("noise_rms", [0.0, 1e-4], ids=["exact", "noisy"])
+    def test_dac_table_calibrates_like_the_generic_dac(self, noise_rms,
+                                                       differential):
+        # calibrate() reads DAC voltages through voltage_lut() when the DAC
+        # has one; forcing the per-element field split must give the same
+        # scales bit for bit.  A noisy DAC has no table and draws its noise
+        # from the macro generator either way.
+        rng = np.random.default_rng(4)
+        weights = rng.standard_normal((96, 40)) * 0.1
+        acts = rng.standard_normal((16, 96)) * 2.0
+        acts[0, :8] = 0.0
+        acts[1, :8] = 1e-9  # flushes to the zero code
+        config = quiet_macro_config(dac=DACConfig(output_noise_rms=noise_rms),
+                                    differential_columns=differential)
+        macros = []
+        for table in (True, False):
+            macro = AFPRMacro(config)
+            macro.program_weights(weights, ideal=True)
+            if not table:
+                macro.dac.voltage_lut = lambda: None
+            start = macro._rng.bit_generator.state
+            macro.calibrate(acts)
+            assert (macro._rng.bit_generator.state != start) == (noise_rms > 0)
+            macros.append(macro)
+        with_table, generic = macros
+        assert (with_table.dac.voltage_lut() is None) == (noise_rms > 0)
+        assert with_table.activation_scale == generic.activation_scale
+        assert with_table.adc.full_scale_current == generic.adc.full_scale_current
+        assert (with_table._rng.bit_generator.state
+                == generic._rng.bit_generator.state)
 
     def test_set_activation_scale_validation(self):
         macro = AFPRMacro(quiet_macro_config())

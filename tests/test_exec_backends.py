@@ -6,6 +6,10 @@ integration test has always used (0.2 absolute Top-1 accuracy against the
 digital reference).
 """
 
+import hashlib
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -135,6 +139,34 @@ class TestRunModel:
         assert report.samples == 40
         assert report.samples_per_second > 0
         assert report.conversions == 0
+
+    def test_cpu_time_is_the_calling_threads(self, trained_setup):
+        # A helper thread burning CPU outside the GIL (hashlib releases it
+        # for large buffers), like a BLAS helper still spinning after the
+        # caller's GEMMs, must not count towards the forwards' CPU time.
+        model, x_train, _, x_test, _ = trained_setup
+        stop = threading.Event()
+        burned = []
+
+        def spin():
+            start = time.thread_time()
+            block = bytes(1 << 20)
+            while not stop.is_set():
+                hashlib.sha256(block).digest()
+            burned.append(time.thread_time() - start)
+
+        helper = threading.Thread(target=spin)
+        helper.start()
+        try:
+            report = run_model(model, x_test, backend="analog",
+                               calibration=x_train[:16], batch_size=16,
+                               macro_config=quiet_macro_config())
+        finally:
+            stop.set()
+            helper.join(timeout=10.0)
+        assert not helper.is_alive() and burned[0] > 0.0
+        # One thread cannot use more CPU than wall time (clock-tick slack).
+        assert 0.0 < report.cpu_time_s <= report.wall_time_s + 0.02
 
     def test_no_labels_no_accuracy(self, trained_setup):
         model, _, _, x_test, _ = trained_setup

@@ -10,9 +10,11 @@ and process-pool serving.
 """
 
 import dataclasses
+import gc
 import pickle
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from repro.exec import (
 from repro.exec import blas
 from repro.exec.plan import (
     CompiledTile,
+    ModelPlan,
     PlanArena,
     RowCodec,
     TileNotCompilable,
@@ -1068,6 +1071,129 @@ class TestModelPlan:
         text = StageProfile(dac_s=0.1, total_s=1.0, forwards=1).render()
         assert "digital" in text
         assert "im2col" not in text and "adder" not in text
+
+
+# ----------------------------------------------------------------------
+# Calibration through the compiled op program
+# ----------------------------------------------------------------------
+#: Context overrides of the calibration cases (read noise on throughout).
+CALIBRATION_CASES = {
+    "default": {},
+    "offset_columns": dict(macro_config=MacroConfig(differential_columns=False)),
+    "ir_drop": dict(macro_config=MacroConfig(wire_resistance=2.0,
+                                             ir_drop_enabled=True)),
+    "stochastic_converters": dict(macro_config=MacroConfig(
+        dac=DACConfig(output_noise_rms=1e-5),
+        adc=ADCConfig(comparator_noise=1e-4))),
+    "two_mapped_layers": dict(max_mapped_layers=2),
+    "no_calibration": dict(calibration=None),
+}
+
+
+def hook_calibrated_plan(model, context):
+    """A compiled plan on a backend whose mapping the hook path calibrated
+    (``model.forward`` on the generic macro models), one BLAS thread."""
+    backend = AnalogBackend()
+    with blas.single_thread():
+        backend.prepare(model, context)
+    mapped = backend._mapped
+    plan = ModelPlan(model, backend, context)
+    assert backend._mapped is mapped  # reused: the plan calibrated nothing
+    return plan, backend
+
+
+def macro_states(backend):
+    """Per macro: calibrated scales, counters and every generator's state."""
+    return [(macro.activation_scale, macro.adc.full_scale_current,
+             dataclasses.astuple(macro.stats),
+             macro.device._rng.bit_generator.state,
+             macro._rng.bit_generator.state)
+            for adapter in backend._mapped.adapters
+            for macro in adapter.mapped.macros]
+
+
+class TestCompiledCalibration:
+    @pytest.mark.parametrize("case", list(CALIBRATION_CASES))
+    @pytest.mark.parametrize("name", ["demo_cnn", "resnet_lite", "mobilenet_lite"])
+    def test_equals_hook_path_calibration(self, name, case):
+        # Each plan gets its own identically built model: calibrating
+        # layer i on compiled layers 0..i-1 must give every macro the
+        # scales, counters and generator states the hook path gives it,
+        # and the same logits and conversions afterwards.
+        _, images = zoo_model(name)
+        context = dataclasses.replace(ExecutionContext(
+            calibration=images[:8], max_mapped_layers=None, seed=0),
+            **CALIBRATION_CASES[case])
+        compiled_plan = ModelPlan(zoo_model(name)[0], AnalogBackend(), context)
+        hook_plan, hook_backend = hook_calibrated_plan(zoo_model(name)[0], context)
+        try:
+            assert (macro_states(compiled_plan.backend)
+                    == macro_states(hook_backend))
+            assert ([adapter.mapped.routing_adder.additions
+                     for adapter in compiled_plan.backend._mapped.adapters]
+                    == [adapter.mapped.routing_adder.additions
+                        for adapter in hook_backend._mapped.adapters])
+            assert compiled_plan.compiled == (case != "stochastic_converters")
+            for _ in range(3):
+                assert bitwise_equal(compiled_plan.forward(images),
+                                     hook_plan.forward(images))
+                assert compiled_plan.conversions() == hook_plan.conversions()
+        finally:
+            compiled_plan.close()
+            hook_plan.close()
+
+    def test_compiles_each_mapped_layer_once(self, monkeypatch):
+        # Calibration compiles layers 0..n-2 as it meets them; lowering
+        # reuses those ops and compiles only the last layer.
+        model, images = zoo_model("resnet_lite")
+        built = []
+        original = CompiledMappedLayer.__init__
+
+        def counting_init(self, mapped, *args, **kwargs):
+            built.append(kwargs["key"])
+            original(self, mapped, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledMappedLayer, "__init__", counting_init)
+        context = ExecutionContext(calibration=images[:8], max_mapped_layers=None)
+        with ModelPlan(model, AnalogBackend(), context) as plan:
+            keys = [layer.key for layer in compiled_layers(plan)]
+        assert sorted(built) == sorted(keys) == sorted(
+            f"L{i}" for i in range(len(model.matmul_layers())))
+
+    def test_fresh_plan_profile_is_zero_and_arena_empty(self):
+        # The calibration forwards ran compiled kernels on unpooled
+        # scratch: none of their time or slabs outlives prepare.
+        model, images = zoo_model("resnet_lite")
+        context = ExecutionContext(calibration=images[:8], max_mapped_layers=None)
+        with ModelPlan(model, AnalogBackend(), context) as plan:
+            assert compiled_layers(plan)
+            assert all(value == 0.0 for value in plan.stage_profile().values())
+            assert plan.arena.nbytes() == 0 and plan.arena.pooled
+            plan.forward(images)
+            assert plan.stage_profile()["forwards"] == 1.0
+            assert plan.arena.nbytes() > 0
+
+    @pytest.mark.parametrize("compile_plan", [True, False])
+    def test_closed_plan_dies_without_a_collection(self, compile_plan):
+        # Nothing the backend or the mapping keeps refers back to the plan
+        # (the calibration forward is handed over for prepare only), and
+        # the plan holds no cycle, so dropping it frees its arena at once.
+        model, images = zoo_model("demo_cnn")
+        context = ExecutionContext(calibration=images[:8], max_mapped_layers=None,
+                                   compile_plan=compile_plan)
+        backend = AnalogBackend()
+        gc.collect()
+        gc.disable()
+        try:
+            plan = ModelPlan(model, backend, context)
+            plan.forward(images)
+            plan.close()
+            ref = weakref.ref(plan)
+            del plan
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert backend._mapped is not None  # the mapping itself is kept
 
 
 # ----------------------------------------------------------------------
