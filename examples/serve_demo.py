@@ -10,8 +10,8 @@ The serving workflow behind ``python -m repro serve`` (:mod:`repro.serve`):
 3. compare dynamic batching (``max_batch=64``) against batch-size-1 serving
    at the same offered load, and print the full metrics report (latency
    percentiles, batch-size histogram, queue depth, energy per request),
-4. repeat on two workers with the ``least_loaded`` policy to show the
-   scheduler spreading the load.
+4. repeat on two workers to show the round-robin scheduler spreading the
+   batches over both (exits non-zero if either worker sat idle).
 
 Run with::
 
@@ -40,12 +40,15 @@ def main() -> None:
     speedup = batched.snapshot.throughput_rps / batch1.snapshot.throughput_rps
     print(f"\nDynamic batching speedup at 4000 req/s offered: {speedup:.2f}x")
 
-    print("\n=== Two workers, least-loaded placement, bursty arrivals ===")
+    print("\n=== Two workers, round-robin placement, bursty arrivals ===")
     scaled = run_loadtest(
-        model, images,
-        ServeConfig(max_batch=32, num_workers=2, policy="least_loaded"),
+        model, images, ServeConfig(max_batch=32, num_workers=2),
         pattern="bursty", rate_rps=6000.0, num_requests=256, seed=1)
     print(scaled.render())
+    idle = [worker.index for worker in scaled.snapshot.workers
+            if worker.batches == 0]
+    if idle:
+        raise SystemExit(f"workers {idle} served no batch")
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ def resolve_registered(registry: Mapping[str, _Registered], name: str,
                        what: str) -> _Registered:
     """Look ``name`` up in a name registry, failing self-documentingly.
 
-    The repo's registries (execution backends here, scheduling policies,
-    characterization sweeps) all share the same contract: an unknown name
+    The repo's registries (execution backends here, characterization
+    sweeps) share the same contract: an unknown name
     raises a ``KeyError`` whose message lists every registered name, so a
     typo on a CLI flag or in a config file is immediately actionable.
     """

@@ -114,10 +114,6 @@ def render_prometheus(snapshot, extra_gauges: Optional[Dict[str, float]] = None
     out.sample("plan_cache_misses_total", "counter",
                "Compiled-plan cache misses during (re)spawns.",
                snapshot.plan_cache_misses)
-    out.sample("scale_up_events_total", "counter",
-               "Autoscaler replica spawns.", snapshot.scale_up_events)
-    out.sample("scale_down_events_total", "counter",
-               "Autoscaler replica retirements.", snapshot.scale_down_events)
     out.sample("conversions_total", "counter",
                "Analog macro conversions spent (metered or estimated).",
                snapshot.conversions)
@@ -250,8 +246,6 @@ def snapshot_to_json(snapshot,
         },
         "plan_cache": {"hits": snapshot.plan_cache_hits,
                        "misses": snapshot.plan_cache_misses},
-        "autoscaling": {"scale_up_events": snapshot.scale_up_events,
-                        "scale_down_events": snapshot.scale_down_events},
         "workers": [
             {
                 "index": worker.index,
@@ -262,7 +256,6 @@ def snapshot_to_json(snapshot,
                 "busy_seconds": worker.busy_seconds,
                 "transport_s": worker.transport_s,
                 "alive": bool(getattr(worker, "alive", True)),
-                "retired": bool(getattr(worker, "retired", False)),
                 "stages": [
                     {
                         "index": stage.index,

@@ -8,9 +8,9 @@ system::
 
 * :mod:`repro.serve.batcher` — request objects and the dynamic micro-batcher
   (flush on ``max_batch`` rows or ``max_wait_ms``, whichever first),
-* :mod:`repro.serve.scheduler` — placement policies (``round_robin``,
-  ``least_loaded``) over occupancy-tracked
-  :class:`~repro.core.accelerator.AFPRAccelerator` worker pools,
+* :mod:`repro.serve.scheduler` — round-robin placement over
+  occupancy-tracked :class:`~repro.core.accelerator.AFPRAccelerator`
+  worker pools,
 * :mod:`repro.serve.service` — the asyncio :class:`InferenceService`
   (worker substrates: in-loop threads, or shipped plans run by a
   :mod:`repro.shard` stage pipeline — one stage for ``workers="process"``,
@@ -53,17 +53,7 @@ from repro.serve.metrics import (
     StageOccupancy,
     WorkerSnapshot,
 )
-from repro.serve.scheduler import (
-    LeastLoadedScheduler,
-    NoAliveWorkersError,
-    RoundRobinScheduler,
-    SCHEDULING_POLICIES,
-    Scheduler,
-    WorkerState,
-    available_policies,
-    create_scheduler,
-    register_policy,
-)
+from repro.serve.scheduler import NoAliveWorkersError, Scheduler, WorkerState
 from repro.serve.service import (
     InferenceService,
     ServeConfig,
@@ -92,15 +82,9 @@ __all__ = [
     "ServiceMetrics",
     "StageOccupancy",
     "WorkerSnapshot",
-    "LeastLoadedScheduler",
     "NoAliveWorkersError",
-    "RoundRobinScheduler",
-    "SCHEDULING_POLICIES",
     "Scheduler",
     "WorkerState",
-    "available_policies",
-    "create_scheduler",
-    "register_policy",
     "InferenceService",
     "ServeConfig",
     "ServiceClosedError",

@@ -5,11 +5,11 @@ CNN, pushes a short seeded warm-up load through it and prints the metrics
 report — the one-command proof that the queue -> batcher -> scheduler ->
 backend pipeline works.  ``loadtest`` exposes the full load-generation
 harness: arrival pattern, offered rate, request count, batching and
-scheduling knobs, and an optional batch-size-1 comparison run::
+worker-pool knobs, and an optional batch-size-1 comparison run::
 
     python -m repro serve
     python -m repro loadtest --pattern bursty --rate 4000 --requests 512
-    python -m repro loadtest --backend fake_quant --workers 4 --policy least_loaded
+    python -m repro loadtest --backend fake_quant --workers 4
     python -m repro loadtest --compare-batch1
     python -m repro loadtest --pipeline-stages 3 --profile
     python -m repro loadtest --worker-mode process --workers 2 \
@@ -36,7 +36,6 @@ from repro.nn import DatasetConfig, SGD, SyntheticImageDataset, Trainer
 from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, ReLU
 from repro.nn.model import Model, Sequential
 from repro.serve.loadgen import ARRIVAL_PROCESSES, LOAD_SCENARIOS, run_loadtest
-from repro.serve.scheduler import available_policies
 from repro.serve.service import ServeConfig
 
 
@@ -117,8 +116,6 @@ def build_serve_parser(command: str) -> argparse.ArgumentParser:
                              "ADC/digital) breakdown after the run")
     parser.add_argument("--macros-per-worker", type=int, default=8,
                         help="modelled AFPR macros per worker")
-    parser.add_argument("--policy", default="round_robin", choices=available_policies(),
-                        help="batch placement policy")
     parser.add_argument("--pattern", default="poisson",
                         choices=sorted(ARRIVAL_PROCESSES),
                         help="open-loop arrival process")
@@ -128,7 +125,9 @@ def build_serve_parser(command: str) -> argparse.ArgumentParser:
                         default=128 if command == "serve" else 512,
                         help="number of requests to fire")
     parser.add_argument("--queue-capacity", type=int, default=None,
-                        help="bound the request queue (drop beyond this depth)")
+                        help="admission bound: reject arrivals while this "
+                             "many admitted requests are outstanding "
+                             "(queued, batched or in flight)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the model, data and arrival process")
     parser.add_argument("--retry-policy", default="redispatch",
@@ -149,13 +148,6 @@ def build_serve_parser(command: str) -> argparse.ArgumentParser:
                         help="SLO classes as name=max_wait_ms pairs, e.g. "
                              "'interactive=0.5,batch=20'; per-class latency "
                              "percentiles appear in the report")
-    parser.add_argument("--autoscale", action="store_true",
-                        help="scale the worker pool with queue depth "
-                             "between --min-workers and --max-workers")
-    parser.add_argument("--min-workers", type=int, default=None,
-                        help="autoscaling floor (default: --workers)")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        help="autoscaling ceiling (default: --workers)")
     parser.add_argument("--fault-spec", default=None, metavar="SPEC",
                         help="seeded deterministic fault-injection spec: "
                              "inline JSON or a path to a JSON file "
@@ -265,16 +257,12 @@ def _config_from_args(args: argparse.Namespace) -> ServeConfig:
         pipeline_stages=args.pipeline_stages,
         macro_budget=args.macro_budget,
         macros_per_worker=args.macros_per_worker,
-        policy=args.policy,
         queue_capacity=args.queue_capacity,
         retry_policy=args.retry_policy,
         max_retries=args.max_retries,
         respawn=not args.no_respawn,
         plan_cache=args.plan_cache,
         priority_classes=priority_classes,
-        autoscale=args.autoscale,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
         trace_sample_rate=trace_sample,
         faults=faults,
         dispatch_timeout_s=dispatch_timeout_s,
@@ -317,8 +305,7 @@ def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]
     lines = [
         f"In-process inference service: backend={args.backend} "
         f"max_batch={args.max_batch} max_wait={args.max_wait_ms}ms "
-        f"workers={args.workers} ({mode_tag}) "
-        f"policy={args.policy}",
+        f"workers={args.workers} ({mode_tag})",
         result.render(),
     ]
     if args.profile and result.stage_profiles:

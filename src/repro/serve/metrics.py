@@ -95,8 +95,6 @@ class WorkerSnapshot:
     #: Whether the worker was accepting placements at snapshot time (a dead
     #: worker awaiting respawn reports False) — the /metrics worker gauge.
     alive: bool = True
-    #: Whether the worker was retired by the autoscaler.
-    retired: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,9 +143,6 @@ class MetricsSnapshot:
     #: On-disk plan-cache lookups (zero when no cache is configured).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: Autoscaling events (replicas spawned / retired while serving).
-    scale_up_events: int = 0
-    scale_down_events: int = 0
 
     def render(self) -> str:
         """ASCII report of the snapshot (the loadtest CLI output)."""
@@ -203,12 +198,6 @@ class MetricsSnapshot:
             lines.append(
                 f"plan cache           {self.plan_cache_hits} hits, "
                 f"{self.plan_cache_misses} misses"
-            )
-        if self.scale_up_events or self.scale_down_events:
-            lines.append(
-                f"autoscaling          {self.scale_up_events} scale-ups, "
-                f"{self.scale_down_events} scale-downs "
-                f"({len(self.workers)} workers at snapshot)"
             )
         transport = sum(worker.transport_s for worker in self.workers)
         if transport > 0:
@@ -281,8 +270,6 @@ class ServiceMetrics:
         self.backoff_total_s = 0.0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        self.scale_up_events = 0
-        self.scale_down_events = 0
         self.first_arrival: Optional[float] = None
         self.last_completion: Optional[float] = None
 
@@ -368,13 +355,6 @@ class ServiceMetrics:
         self.backoff_waits += 1
         self.backoff_total_s += float(seconds)
 
-    def record_scale_event(self, direction: str) -> None:
-        """Autoscaling spawned (``"up"``) or retired (``"down"``) a replica."""
-        if direction == "up":
-            self.scale_up_events += 1
-        else:
-            self.scale_down_events += 1
-
     # -- summary --------------------------------------------------------
     def wall_time_s(self) -> float:
         """Wall time from first arrival to last completion."""
@@ -449,6 +429,4 @@ class ServiceMetrics:
             backoff_total_s=self.backoff_total_s,
             plan_cache_hits=self.plan_cache_hits,
             plan_cache_misses=self.plan_cache_misses,
-            scale_up_events=self.scale_up_events,
-            scale_down_events=self.scale_down_events,
         )

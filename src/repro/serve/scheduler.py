@@ -4,37 +4,25 @@ Each worker owns one model replica, one prepared execution backend and one
 :class:`~repro.core.accelerator.AFPRAccelerator` acting as its occupancy
 ledger (``macros_per_worker`` macros of modelled analog hardware).  The
 scheduler's only job is placement: given the next batch, pick the worker it
-runs on.
-
-Two policies ship:
-
-* ``round_robin`` — cycle through the workers; ideal when batches are
-  uniform.
-* ``least_loaded`` — pick the worker with the fewest in-flight conversions
-  booked on its accelerator, breaking ties by cumulative assigned rows then
-  by index.  Under skewed request sizes this keeps the work (not the batch
-  count) balanced.
-
-Policies register in :data:`SCHEDULING_POLICIES` the same way execution
-backends register in :mod:`repro.exec.registry`, so a new policy (priority
-queues, SLO-aware placement, ...) is one decorated class away.
+runs on.  It cycles round-robin over the alive workers, which balances a
+pool of identical replicas fed uniform batches.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Type
+from typing import List, Optional
 
 from repro.core.accelerator import AFPRAccelerator
 from repro.core.config import MacroConfig
 
 
 class NoAliveWorkersError(RuntimeError):
-    """Raised by :meth:`Scheduler.select` when every worker is dead/retired.
+    """Raised by :meth:`Scheduler.select` when every worker is dead.
 
-    The service treats this as a *transient* condition while a respawn or
-    autoscale spawn is pending, and only fails batches once the recovery
-    wait budget is exhausted.
+    The service treats this as a *transient* condition while a respawn is
+    pending, and only fails batches once the recovery wait budget is
+    exhausted.
     """
 
 
@@ -46,15 +34,12 @@ class WorkerState:
     ``"thread"`` for the in-loop replicas sharing the service process,
     ``"process"`` for a dedicated interpreter on its own core running a
     shipped execution plan, ``"pipeline"`` for a replica sharded across a
-    chain of stage processes (:mod:`repro.shard`).  Placement policies
-    treat them identically; the tag and the per-stage occupancy flow into
-    the per-worker metrics snapshots.
+    chain of stage processes (:mod:`repro.shard`).  Placement treats them
+    identically; the tag and the per-stage occupancy flow into the
+    per-worker metrics snapshots.
 
-    ``alive`` gates placement: a worker whose process died (until its
-    respawn completes) or that autoscaling retired is skipped by every
-    policy.  ``retired`` distinguishes deliberate scale-down from death so
-    pool-recovery accounting does not wait for workers that are never
-    coming back.
+    ``alive`` gates placement: a worker whose process died is skipped
+    until its respawn completes.
     """
 
     index: int
@@ -62,10 +47,8 @@ class WorkerState:
     assigned_rows: int = 0
     assigned_batches: int = 0
     mode: str = "thread"
-    #: Placement eligibility: False while the worker is dead or retired.
+    #: Placement eligibility: False while the worker is dead.
     alive: bool = True
-    #: True when autoscaling deliberately retired this worker.
-    retired: bool = False
     #: Seconds spent moving batches to/from the worker (process transport);
     #: updated by the worker loop so snapshots survive worker shutdown.
     transport_s: float = 0.0
@@ -74,132 +57,31 @@ class WorkerState:
     #: Updated by the worker loop so snapshots survive worker shutdown.
     stage_stats: List[dict] = dataclasses.field(default_factory=list)
 
-    @property
-    def inflight_conversions(self) -> int:
-        """Conversions currently booked on the worker's accelerator."""
-        return self.accelerator.inflight_conversions
-
 
 class Scheduler:
-    """Base class for placement policies over a (mutable) worker pool.
+    """Round-robin placement over a fixed pool whose liveness changes.
 
-    The pool is the *live* ``workers`` list: the service appends states
-    when autoscaling spawns replicas and flips ``alive`` on death/respawn/
-    retirement, so policies must re-derive the eligible set on every pick
-    instead of caching it.
+    The service flips ``alive`` on death and respawn, so the eligible set
+    is re-derived on every pick instead of cached.
     """
-
-    #: Registry name of the policy (set by subclasses).
-    name = "abstract"
 
     def __init__(self, workers: List[WorkerState]) -> None:
         if not workers:
             raise ValueError("scheduler needs at least one worker")
         self.workers = workers
-
-    def alive_workers(self) -> List[WorkerState]:
-        """The placeable workers; raises when the pool is fully down."""
-        alive = [worker for worker in self.workers if worker.alive]
-        if not alive:
-            raise NoAliveWorkersError(
-                f"no alive workers among {len(self.workers)} "
-                "(all dead or retired)"
-            )
-        return alive
+        self._next = 0
 
     def select(self, rows: int) -> WorkerState:
-        """Pick a worker for a batch of ``rows`` sample rows and book it."""
-        worker = self._pick(rows)
+        """Pick the next alive worker for a batch of ``rows`` rows and book it."""
+        pool = [worker for worker in self.workers if worker.alive]
+        if not pool:
+            raise NoAliveWorkersError(
+                f"no alive workers among {len(self.workers)} (all dead)")
+        worker = pool[self._next % len(pool)]
+        self._next += 1
         worker.assigned_rows += rows
         worker.assigned_batches += 1
         return worker
-
-    def pool_stats(self) -> Dict[str, int]:
-        """Alive / dead / retired counts over the live pool.
-
-        This is the placement-eligibility view the readiness probe and
-        the metrics exposition report — derived fresh per call because
-        the service mutates worker states in place.
-        """
-        alive = sum(1 for worker in self.workers if worker.alive)
-        retired = sum(1 for worker in self.workers if worker.retired)
-        dead = len(self.workers) - alive - retired
-        return {"alive": alive, "dead": max(dead, 0), "retired": retired,
-                "total": len(self.workers)}
-
-    def _pick(self, rows: int) -> WorkerState:
-        raise NotImplementedError
-
-
-SCHEDULING_POLICIES: Dict[str, Type[Scheduler]] = {}
-
-
-def register_policy(cls: Type[Scheduler]) -> Type[Scheduler]:
-    """Class decorator registering a :class:`Scheduler` by its name."""
-    name = getattr(cls, "name", None)
-    if not name or name == "abstract":
-        raise ValueError(f"{cls.__name__} must define a concrete `name`")
-    if name in SCHEDULING_POLICIES and SCHEDULING_POLICIES[name] is not cls:
-        raise ValueError(f"scheduling policy {name!r} is already registered")
-    SCHEDULING_POLICIES[name] = cls
-    return cls
-
-
-def available_policies() -> List[str]:
-    """Sorted names of every registered scheduling policy."""
-    return sorted(SCHEDULING_POLICIES)
-
-
-def create_scheduler(name: str, workers: List[WorkerState]) -> Scheduler:
-    """Instantiate a registered policy over a worker pool.
-
-    Raises ``KeyError`` listing the registered policies on an unknown name
-    (mirroring :func:`repro.exec.registry.get_backend_class`).
-    """
-    try:
-        cls = SCHEDULING_POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheduling policy {name!r}; "
-            f"registered policies: {', '.join(available_policies())}"
-        ) from None
-    return cls(workers)
-
-
-@register_policy
-class RoundRobinScheduler(Scheduler):
-    """Cycle through the workers in index order."""
-
-    name = "round_robin"
-
-    def __init__(self, workers: List[WorkerState]) -> None:
-        super().__init__(workers)
-        self._next = 0
-
-    def _pick(self, rows: int) -> WorkerState:
-        pool = self.alive_workers()
-        worker = pool[self._next % len(pool)]
-        self._next += 1
-        return worker
-
-
-@register_policy
-class LeastLoadedScheduler(Scheduler):
-    """Pick the worker with the least booked work.
-
-    Primary key: in-flight conversions on the worker's accelerator (live
-    load).  Tie-break: cumulative assigned rows (total work), then worker
-    index — so the policy is deterministic and degrades to row-balanced
-    placement when batches retire faster than they arrive.
-    """
-
-    name = "least_loaded"
-
-    def _pick(self, rows: int) -> WorkerState:
-        return min(
-            self.alive_workers(),
-            key=lambda w: (w.inflight_conversions, w.assigned_rows, w.index),
-        )
 
 
 def build_worker_states(num_workers: int, macro_config: Optional[MacroConfig] = None,

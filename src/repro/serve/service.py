@@ -83,11 +83,20 @@ from repro.serve.metrics import (
 )
 from repro.serve.scheduler import (
     NoAliveWorkersError,
+    Scheduler,
     WorkerState,
     build_worker_states,
-    create_scheduler,
 )
 from repro.serve.shm import IntegrityError
+
+#: Extra in-flight batches of a process or pipeline worker beyond one per
+#: stage: each worker's window is ``stages + TRANSPORT_SLOTS`` batches, and
+#: each of its shared-memory rings has that many slots.
+TRANSPORT_SLOTS = 4
+#: Cap on one batch re-dispatch backoff (before jitter).
+REDISPATCH_BACKOFF_MAX_S = 1.0
+#: Cap on the backoff between failed respawn attempts (before jitter).
+RESPAWN_BACKOFF_MAX_S = 5.0
 
 
 class _ThreadWorker:
@@ -170,13 +179,14 @@ class _PipelineWorker:
     """
 
     def __init__(self, payloads: List[bytes], max_batch: int = 64,
-                 slots: int = 2, checksum: bool = False,
+                 checksum: bool = False,
                  fault_spec: Optional[Dict] = None,
                  heartbeat_interval_s: Optional[float] = None) -> None:
         from repro.shard.pipeline import ShardedPipeline
 
         self.pipeline = ShardedPipeline(
-            payloads, max_batch=max_batch, slots=slots, checksum=checksum,
+            payloads, max_batch=max_batch, slots=TRANSPORT_SLOTS,
+            checksum=checksum,
             fault_spec=fault_spec, heartbeat_interval_s=heartbeat_interval_s)
         self.sharded = self.pipeline.num_stages > 1
         #: Batches the worker loop may keep in flight at once.
@@ -325,10 +335,6 @@ class ServeConfig:
         shared-memory rings (zero-copy views in the worker, unlinked on
         close); the first batch and batches too large for a slot travel by
         value.
-    transport_slots:
-        Extra in-flight batches of a process or pipeline worker beyond one
-        per stage: each worker's window is ``stages + transport_slots``
-        batches, and each of its shared-memory rings has that many slots.
     pipeline_stages:
         ``>= 2`` serves each replica as a sharded stage pipeline: the
         compiled plan's op program is cut into that many op ranges
@@ -344,8 +350,6 @@ class ServeConfig:
         ``None`` (default) models unlimited capacity.
     macros_per_worker:
         Modelled AFPR macros per worker (occupancy accounting).
-    policy:
-        Scheduling policy name (``round_robin`` or ``least_loaded``).
     queue_capacity:
         Admission-control bound: reject arrivals while this many admitted
         requests are still outstanding (queued, batched or in flight on a
@@ -355,9 +359,6 @@ class ServeConfig:
     context:
         Execution context shared by every worker's backend (calibration,
         macro config, formats, seed).
-    estimate_energy:
-        Estimate conversions for digital backends so energy-per-request is
-        reported even when the backend meters none.
     retry_policy:
         What happens to the in-flight batches of a worker that *died*
         (a worker or stage process exited — never plain forward
@@ -388,18 +389,6 @@ class ServeConfig:
         :class:`~repro.serve.batcher.DynamicBatcher`); unknown class names
         are rejected at submit.  ``None`` keeps the single global
         ``max_wait_ms`` for everyone.
-    autoscale:
-        Enable queue-depth/occupancy driven replica autoscaling: spawn a
-        worker when the outstanding backlog exceeds one ``max_batch`` per
-        alive worker, retire the newest one after a sustained idle period.
-        The pool stays within ``[min_workers, max_workers]``.
-    min_workers / max_workers:
-        Autoscaling bounds (default: both ``num_workers``, i.e. no
-        scaling even when ``autoscale`` is on).
-    autoscale_interval_ms:
-        Period of the autoscaler's signal sampling.
-    scale_down_idle_ticks:
-        Consecutive idle autoscaler ticks before a replica is retired.
     dispatch_timeout_s:
         Per-dispatch deadline: a batch whose worker forward exceeds it is
         treated as served by a *hung* worker — the worker is reaped (hard
@@ -408,10 +397,6 @@ class ServeConfig:
         ``None`` (default) disables the deadline.  Note the first batch
         per worker rides the warm-up path, so leave headroom above the
         steady-state forward time.
-    class_dispatch_timeout_s:
-        Optional ``{class_name: seconds}`` per-SLO-class deadline
-        overrides; a batch uses the tightest deadline over its member
-        requests' classes, falling back to ``dispatch_timeout_s``.
     heartbeat_timeout_s:
         Enables the heartbeat watchdog: process/pipeline workers run a
         daemon beat thread updating a parent-owned shared-memory counter
@@ -425,13 +410,13 @@ class ServeConfig:
         period of the parent watchdog.
     redispatch_backoff_base_s:
         Exponential backoff before each batch re-dispatch: attempt ``k``
-        waits ``base * 2**k`` (capped at ``redispatch_backoff_max_s``)
+        waits ``base * 2**k`` (capped at ``REDISPATCH_BACKOFF_MAX_S``)
         plus seeded jitter, so a dying pool is not hammered with
-        immediate retries.  ``0`` (default) keeps the PR-6 immediate
-        re-dispatch.
-    respawn_backoff_base_s / respawn_backoff_max_s:
-        Exponential backoff (plus seeded jitter) between *failed* respawn
-        attempts of one worker slot.
+        immediate retries.  ``0`` (default) re-dispatches immediately.
+    respawn_backoff_base_s:
+        Exponential backoff (plus seeded jitter, capped at
+        ``RESPAWN_BACKOFF_MAX_S``) between *failed* respawn attempts of
+        one worker slot.
     max_respawn_failures:
         Circuit breaker: after this many consecutive respawn failures the
         slot's breaker opens and respawning stops (capacity stays
@@ -444,17 +429,15 @@ class ServeConfig:
         default (zero extra bytes or work on the hot path).
     shed_alive_fraction:
         Graceful degradation trigger: shed when the alive fraction of the
-        non-retired pool drops *below* this (e.g. ``0.5``).  ``None``
-        disables the alive-fraction trigger.
+        pool drops *below* this (e.g. ``0.5``).  ``None`` disables the
+        alive-fraction trigger.  Degradation sheds the laxest configured
+        priority class (largest ``max_wait_ms``, the lowest SLO tier), or
+        the default class when no classes are configured, with a fast
+        :class:`ServiceDegradedError` rejection at admission, counted in
+        metrics.
     shed_timeout_threshold / shed_timeout_window_s:
         Second trigger: shed while at least this many dispatch timeouts
         landed within the trailing window.  ``None`` disables it.
-    shed_classes:
-        Priority classes shed while degraded (fast
-        :class:`ServiceDegradedError` rejection at admission, counted in
-        metrics).  Default: the laxest configured class (largest
-        ``max_wait_ms``) — the lowest SLO tier — or the default class
-        when no classes are configured.
     faults:
         Optional :class:`repro.faults.FaultSpec` installing the
         deterministic chaos injector into this service and every worker
@@ -469,9 +452,6 @@ class ServeConfig:
         streams, so sampled serving stays bit-identical to untraced
         serving.  ``0`` (default) disables tracing; the remaining cost is
         one attribute check per request.
-    trace_max_spans:
-        Bound on retained spans; spans past it are counted as dropped
-        instead of growing memory without limit.
     """
 
     backend: Union[str, ExecutionBackend] = "ideal"
@@ -480,42 +460,29 @@ class ServeConfig:
     max_wait_ms: float = 2.0
     num_workers: int = 1
     workers: str = "thread"
-    transport_slots: int = 4
     pipeline_stages: int = 1
     macro_budget: Optional[int] = None
     macros_per_worker: int = 8
-    policy: str = "round_robin"
     queue_capacity: Optional[int] = None
     context: ExecutionContext = dataclasses.field(default_factory=ExecutionContext)
-    estimate_energy: bool = True
     retry_policy: str = "redispatch"
     max_retries: int = 2
     respawn: bool = True
     recovery_wait_s: float = 30.0
     plan_cache: Optional[str] = None
     priority_classes: Optional[Dict[str, float]] = None
-    autoscale: bool = False
-    min_workers: Optional[int] = None
-    max_workers: Optional[int] = None
-    autoscale_interval_ms: float = 20.0
-    scale_down_idle_ticks: int = 5
     dispatch_timeout_s: Optional[float] = None
-    class_dispatch_timeout_s: Optional[Dict[str, float]] = None
     heartbeat_timeout_s: Optional[float] = None
     heartbeat_interval_s: float = 0.05
     redispatch_backoff_base_s: float = 0.0
-    redispatch_backoff_max_s: float = 1.0
     respawn_backoff_base_s: float = 0.05
-    respawn_backoff_max_s: float = 5.0
     max_respawn_failures: int = 3
     shm_integrity: bool = False
     shed_alive_fraction: Optional[float] = None
     shed_timeout_threshold: Optional[int] = None
     shed_timeout_window_s: float = 1.0
-    shed_classes: Optional[List[str]] = None
     faults: Optional[FaultSpec] = None
     trace_sample_rate: float = 0.0
-    trace_max_spans: int = 200_000
 
 
 class InferenceService:
@@ -550,22 +517,9 @@ class InferenceService:
             if wait_ms < 0:
                 raise ValueError(
                     f"priority class {name!r} max_wait_ms must be >= 0")
-        low = (self.config.min_workers if self.config.min_workers is not None
-               else self.config.num_workers)
-        high = (self.config.max_workers if self.config.max_workers is not None
-                else self.config.num_workers)
-        if self.config.autoscale and (low < 1 or high < low):
-            raise ValueError(
-                f"autoscale bounds min_workers={low}, max_workers={high} "
-                "must satisfy 1 <= min <= max"
-            )
         if (self.config.dispatch_timeout_s is not None
                 and self.config.dispatch_timeout_s <= 0):
             raise ValueError("dispatch_timeout_s must be > 0 (or None)")
-        for name, timeout_s in (self.config.class_dispatch_timeout_s or {}).items():
-            if timeout_s is not None and timeout_s <= 0:
-                raise ValueError(
-                    f"class {name!r} dispatch timeout must be > 0")
         if (self.config.heartbeat_timeout_s is not None
                 and self.config.heartbeat_timeout_s <= 0):
             raise ValueError("heartbeat_timeout_s must be > 0 (or None)")
@@ -582,12 +536,6 @@ class InferenceService:
         if (self.config.shed_timeout_threshold is not None
                 and self.config.shed_timeout_threshold < 1):
             raise ValueError("shed_timeout_threshold must be >= 1 (or None)")
-        known_classes = set(self.config.priority_classes or {})
-        known_classes.add(DEFAULT_PRIORITY)
-        for name in self.config.shed_classes or []:
-            if name not in known_classes:
-                raise ValueError(
-                    f"shed class {name!r} is not a configured priority class")
         self.metrics = ServiceMetrics(
             energy_per_conversion_j=energy_per_conversion(self.config.context.macro_config)
         )
@@ -598,17 +546,14 @@ class InferenceService:
         self.tracer = Tracer(
             sample_rate=self.config.trace_sample_rate,
             seed=getattr(self.config.context, "seed", 0),
-            max_spans=self.config.trace_max_spans,
         )
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[DynamicBatcher] = None
         self._worker_states: List[WorkerState] = []
-        self._workers: List[Optional[Union[_ThreadWorker,
-                                           _PipelineWorker]]] = []
+        self._workers: List[Union[_ThreadWorker, _PipelineWorker]] = []
         self._worker_queues: List[asyncio.Queue] = []
         self._tasks: List[asyncio.Task] = []
-        self._loop_tasks: Dict[int, asyncio.Task] = {}
-        self._scheduler = None
+        self._scheduler: Optional[Scheduler] = None
         self._conversions_per_sample: Optional[int] = None
         self._outstanding = 0
         self._started = False
@@ -620,7 +565,6 @@ class InferenceService:
         self._plan_payload: Optional[bytes] = None
         self._pipeline_partition = None
         self._respawn_tasks: set = set()
-        self._autoscale_task: Optional[asyncio.Task] = None
         self._watchdog_task: Optional[asyncio.Task] = None
         self._signature: Optional[Tuple[int, ...]] = None
         self._degraded_since: Optional[float] = None
@@ -628,9 +572,6 @@ class InferenceService:
         self._injector: Optional[FaultInjector] = None
         self._fault_spec_dict = (self.config.faults.to_dict()
                                  if self.config.faults is not None else None)
-        self._timeouts_enabled = (
-            self.config.dispatch_timeout_s is not None
-            or bool(self.config.class_dispatch_timeout_s))
         self._shed_enabled = (
             self.config.shed_alive_fraction is not None
             or self.config.shed_timeout_threshold is not None)
@@ -645,16 +586,13 @@ class InferenceService:
         self._fault_report: Dict[str, Dict[str, int]] = {}
 
     def _resolve_shed_classes(self) -> frozenset:
-        """Which priority classes degradation sheds (config or derived).
+        """Which priority classes degradation sheds.
 
-        Without an explicit list, the laxest configured class (largest
-        flush budget — the lowest SLO tier) is shed; with no classes at
-        all, everything is the default class and is sheddable.
+        The laxest configured class (largest flush budget — the lowest SLO
+        tier) is shed; with no classes at all, everything is the default
+        class and is sheddable.
         """
-        config = self.config
-        if config.shed_classes:
-            return frozenset(config.shed_classes)
-        classes = config.priority_classes
+        classes = self.config.priority_classes
         if not classes:
             return frozenset((DEFAULT_PRIORITY,))
         laxest = max(classes.values())
@@ -708,7 +646,7 @@ class InferenceService:
             config.num_workers, macro_config=config.context.macro_config,
             macros_per_worker=config.macros_per_worker, mode=self._worker_mode,
         )
-        self._scheduler = create_scheduler(config.policy, self._worker_states)
+        self._scheduler = Scheduler(self._worker_states)
         try:
             for index in range(config.num_workers):
                 worker = await self._build_worker()
@@ -718,8 +656,7 @@ class InferenceService:
             # A failed prepare mid-pool must not leave earlier workers
             # attached or the service half-initialised for a retry.
             for worker in self._workers:
-                if worker is not None:
-                    await worker.close()
+                await worker.close()
             self._workers = []
             self._worker_queues = []
             self._worker_states = []
@@ -727,18 +664,14 @@ class InferenceService:
             self._queue = None
             self._batcher = None
             raise
-        self._loop_tasks = {
-            index: asyncio.create_task(self._worker_loop(index),
-                                       name=f"serve-worker-{index}")
+        self._tasks = [
+            asyncio.create_task(self._worker_loop(index),
+                                name=f"serve-worker-{index}")
             for index in range(config.num_workers)
-        }
-        self._tasks = list(self._loop_tasks.values())
+        ]
         self._tasks.append(
             asyncio.create_task(self._dispatch_loop(), name="serve-dispatch")
         )
-        if config.autoscale:
-            self._autoscale_task = asyncio.create_task(
-                self._autoscale_loop(), name="serve-autoscale")
         if (config.heartbeat_timeout_s is not None
                 and self._worker_mode in ("process", "pipeline")):
             self._watchdog_task = asyncio.create_task(
@@ -874,7 +807,6 @@ class InferenceService:
         heartbeat = (config.heartbeat_interval_s
                      if config.heartbeat_timeout_s is not None else None)
         worker = _PipelineWorker(payloads, max_batch=config.max_batch,
-                                 slots=config.transport_slots,
                                  checksum=config.shm_integrity,
                                  fault_spec=self._fault_spec_dict,
                                  heartbeat_interval_s=heartbeat)
@@ -898,15 +830,14 @@ class InferenceService:
         self._stopping = True
         first_error: Optional[BaseException] = None
         try:
-            for attribute in ("_autoscale_task", "_watchdog_task"):
-                task = getattr(self, attribute)
-                if task is not None:
-                    task.cancel()
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                        pass
-                    setattr(self, attribute, None)
+            task = self._watchdog_task
+            if task is not None:
+                task.cancel()
+                try:
+                    await task
+                except (asyncio.CancelledError, Exception):  # noqa: BLE001
+                    pass
+                self._watchdog_task = None
             # Let in-flight respawns finish (they check _stopping and tear
             # their worker back down) so no process leaks past stop.
             if self._respawn_tasks:
@@ -923,10 +854,8 @@ class InferenceService:
                     first_error = outcome
         finally:
             self._tasks = []
-            self._loop_tasks = {}
             for worker in self._workers:
-                if worker is not None:
-                    await worker.close()
+                await worker.close()
             self._workers = []
             self._started = False
             self._stopping = False
@@ -1085,9 +1014,6 @@ class InferenceService:
 
     def _ensure_conversion_estimate(self, batch: List[Request]) -> None:
         if self._conversions_per_sample is not None:
-            return
-        if not self.config.estimate_energy:
-            self._conversions_per_sample = 0
             return
         # Probe on the caller's model: replicas may be mid-forward in worker
         # threads, but the original stays digital and idle while serving.
@@ -1256,10 +1182,10 @@ class InferenceService:
     async def _serve_batch(self, worker, state, item) -> None:
         loop = asyncio.get_running_loop()
         batch, estimate, retries = item
-        if not state.alive and not state.retired and not self._stopping:
+        if not state.alive and not self._stopping:
             # Queued before the worker's death was noticed: skip the doomed
             # forward (the worker is closed or closing) and go straight
-            # to the retry path.  Retired workers still drain their queue.
+            # to the retry path.
             state.accelerator.cancel_inference(estimate)
             await self._retry_or_fail(
                 batch, retries,
@@ -1276,7 +1202,7 @@ class InferenceService:
                     trace_id=primary.trace_id,
                     parent=primary.batch_span or primary.root,
                     worker=state.index, mode=state.mode, attempt=retries)
-            timeout_s = self._dispatch_timeout_for(batch)
+            timeout_s = self.config.dispatch_timeout_s
             forward = worker.forward(inputs, traced=dispatch_span is not None)
             if timeout_s is not None:
                 logits, measured, remote = await asyncio.wait_for(
@@ -1327,7 +1253,7 @@ class InferenceService:
             state.accelerator.cancel_inference(estimate)
             exc = WorkerHungError(
                 f"worker {state.index} exceeded its "
-                f"{self._dispatch_timeout_for(batch)}s dispatch deadline")
+                f"{self.config.dispatch_timeout_s}s dispatch deadline")
             self.metrics.record_dispatch_timeout()
             self._timeout_times.append(loop.time())
             self.tracer.event("dispatch_timeout", worker=state.index,
@@ -1344,7 +1270,7 @@ class InferenceService:
                 self.tracer.end(dispatch_span, error=repr(exc))
             state.accelerator.cancel_inference(estimate)
             if (self._is_corruption(exc) and state.alive
-                    and not state.retired and not self._stopping):
+                    and not self._stopping):
                 # A CRC check caught slot bit-rot: the payload is bad but
                 # the worker is healthy, so the batch is re-dispatched
                 # without killing anything.
@@ -1358,8 +1284,7 @@ class InferenceService:
             # by correlation: the worker was marked dead while this batch
             # raced its teardown, so errors like "pipeline is not running"
             # still count.
-            death = (self._is_worker_death(exc)
-                     or (not state.alive and not state.retired))
+            death = self._is_worker_death(exc) or not state.alive
             if death and not self._stopping:
                 # Worker-level fault (a worker or stage process died): the
                 # batch itself is fine, so it is re-dispatchable.  Mark the
@@ -1383,7 +1308,7 @@ class InferenceService:
         ``retry_policy="fail_fast"`` (the pre-fault-tolerance behaviour,
         for noise-stream-sensitive runs).  With
         ``redispatch_backoff_base_s > 0`` each attempt waits
-        ``base * 2**(attempt-1)`` (capped by ``redispatch_backoff_max_s``)
+        ``base * 2**(attempt-1)`` (capped by ``REDISPATCH_BACKOFF_MAX_S``)
         plus up to 25% seeded jitter before re-entering placement, so a
         flapping pool is not hammered by its own retry traffic.
         """
@@ -1393,7 +1318,7 @@ class InferenceService:
             base = self.config.redispatch_backoff_base_s
             if base > 0.0 and retries >= 0:
                 wait_s = min(base * (2.0 ** retries),
-                             self.config.redispatch_backoff_max_s)
+                             REDISPATCH_BACKOFF_MAX_S)
                 wait_s *= 1.0 + 0.25 * self._backoff_rng.random()
                 self.metrics.record_backoff(wait_s)
                 self.tracer.event("redispatch_backoff", attempt=retries + 1,
@@ -1427,25 +1352,6 @@ class InferenceService:
 
         return isinstance(exc, (IntegrityError, StageCorruptionError))
 
-    def _dispatch_timeout_for(self, batch: List[Request]) -> Optional[float]:
-        """The dispatch deadline for ``batch`` (tightest member's class).
-
-        A batch can mix SLO classes; the strictest per-class override in
-        it wins, falling back to the global ``dispatch_timeout_s``.
-        """
-        if not self._timeouts_enabled:
-            return None
-        config = self.config
-        timeout = config.dispatch_timeout_s
-        overrides = config.class_dispatch_timeout_s
-        if overrides:
-            for request in batch:
-                override = overrides.get(request.priority)
-                if override is not None and (timeout is None
-                                             or override < timeout):
-                    timeout = override
-        return timeout
-
     def _note_worker_death(self, state: WorkerState, exc: BaseException,
                            kill: bool = False) -> None:
         """Mark a worker dead once and kick off its background recovery.
@@ -1454,7 +1360,7 @@ class InferenceService:
         SIGKILLs the worker's processes before teardown — a wedged process
         never exits on its own, and an orderly close would wait on it.
         """
-        if not state.alive or state.retired or self._stopping:
+        if not state.alive or self._stopping:
             return
         state.alive = False
         self.metrics.record_worker_death()
@@ -1484,7 +1390,7 @@ class InferenceService:
         respawns are attempted for the slot, so a poisoned spawn path
         (e.g. an injected ``plan_cache.load`` crash) cannot spin hot.
         """
-        if kill_first and dead_worker is not None:
+        if kill_first:
             try:
                 await asyncio.to_thread(dead_worker.kill)
             except Exception:  # noqa: BLE001 — already half-dead
@@ -1522,7 +1428,7 @@ class InferenceService:
                     return
                 wait_s = min(
                     config.respawn_backoff_base_s * (2.0 ** (failures - 1)),
-                    config.respawn_backoff_max_s)
+                    RESPAWN_BACKOFF_MAX_S)
                 wait_s *= 1.0 + 0.25 * self._backoff_rng.random()
                 if wait_s > 0:
                     self.metrics.record_backoff(wait_s)
@@ -1563,13 +1469,10 @@ class InferenceService:
             loop = asyncio.get_running_loop()
             now = loop.time()
             for state in list(self._worker_states):
-                if not state.alive or state.retired:
+                if not state.alive:
                     self._heartbeat_seen.pop(state.index, None)
                     continue
-                worker = (self._workers[state.index]
-                          if state.index < len(self._workers) else None)
-                if worker is None:
-                    continue
+                worker = self._workers[state.index]
                 counts = worker.heartbeat_counts()
                 if counts is None:
                     continue  # ring degraded at spawn: watchdog blind here
@@ -1601,13 +1504,12 @@ class InferenceService:
         ``shed_timeout_window_s``.
         """
         config = self.config
-        if config.shed_alive_fraction is not None and self._worker_states:
-            states = [s for s in self._worker_states if not s.retired]
-            if states:
-                alive = sum(1 for s in states if s.alive)
-                if alive / len(states) < config.shed_alive_fraction:
-                    return (f"alive fraction {alive}/{len(states)} below "
-                            f"{config.shed_alive_fraction}")
+        states = self._worker_states
+        if config.shed_alive_fraction is not None and states:
+            alive = sum(1 for s in states if s.alive)
+            if alive / len(states) < config.shed_alive_fraction:
+                return (f"alive fraction {alive}/{len(states)} below "
+                        f"{config.shed_alive_fraction}")
         if config.shed_timeout_threshold is not None:
             horizon = now - config.shed_timeout_window_s
             times = self._timeout_times
@@ -1668,104 +1570,6 @@ class InferenceService:
         await self._worker_queues[worker.index].put((batch, estimate, retries))
 
     # ------------------------------------------------------------------
-    # Autoscaling
-    # ------------------------------------------------------------------
-    async def _autoscale_loop(self) -> None:
-        """Spawn/retire replicas from queue depth and pool occupancy.
-
-        Scale up when the outstanding backlog exceeds one full batch per
-        alive worker (the pool cannot absorb the queue in a single round);
-        scale down after ``scale_down_idle_ticks`` consecutive idle
-        samples.  The pool stays within ``[min_workers, max_workers]``.
-        """
-        config = self.config
-        interval = max(config.autoscale_interval_ms, 1.0) / 1e3
-        high = (config.max_workers if config.max_workers is not None
-                else config.num_workers)
-        low = (config.min_workers if config.min_workers is not None
-               else config.num_workers)
-        idle_ticks = 0
-        while not self._stopping:
-            await asyncio.sleep(interval)
-            if self._stopping or not self._started:
-                return
-            alive = [s for s in self._worker_states if s.alive]
-            if not alive:
-                continue  # recovery, not autoscaling, owns a dead pool
-            backlog = self._outstanding
-            if (len(alive) < high
-                    and backlog > len(alive) * config.max_batch):
-                idle_ticks = 0
-                await self._scale_up()
-                continue
-            if backlog == 0:
-                idle_ticks += 1
-                if idle_ticks >= config.scale_down_idle_ticks and len(alive) > low:
-                    idle_ticks = 0
-                    self._scale_down()
-            else:
-                idle_ticks = 0
-
-    async def _scale_up(self) -> None:
-        """Append one replica to the pool (same recipe, plan-cache fast)."""
-        config = self.config
-        index = len(self._worker_states)
-        state = build_worker_states(
-            1, macro_config=config.context.macro_config,
-            macros_per_worker=config.macros_per_worker,
-            mode=self._worker_mode)[0]
-        state.index = index
-        state.alive = False  # not placeable until the worker is ready
-        self._worker_states.append(state)
-        self._worker_queues.append(asyncio.Queue())
-        self._workers.append(None)
-        try:
-            worker = await self._build_worker()
-        except Exception as exc:  # noqa: BLE001 — scaling is best-effort
-            warnings.warn(f"autoscale spawn failed ({exc!r})",
-                          RuntimeWarning, stacklevel=2)
-            state.retired = True
-            return
-        if self._stopping:
-            await worker.close()
-            state.retired = True
-            return
-        self._workers[index] = worker
-        loop_task = asyncio.create_task(self._worker_loop(index),
-                                        name=f"serve-worker-{index}")
-        self._loop_tasks[index] = loop_task
-        self._tasks.append(loop_task)
-        state.alive = True
-        self.metrics.record_scale_event("up")
-
-    def _scale_down(self) -> None:
-        """Retire the newest spare replica once its queue drains."""
-        candidates = [s for s in self._worker_states
-                      if s.alive and not s.retired]
-        state = candidates[-1]
-        state.alive = False
-        state.retired = True
-        # The sentinel ends the worker loop after already-queued batches.
-        self._worker_queues[state.index].put_nowait(None)
-        worker = self._workers[state.index]
-        loop_task = self._loop_tasks.get(state.index)
-        self.metrics.record_scale_event("down")
-
-        async def _close_after_drain() -> None:
-            if loop_task is not None:
-                await asyncio.shield(loop_task)
-            if worker is not None:
-                try:
-                    await worker.close()
-                except Exception:  # noqa: BLE001 — already torn down
-                    pass
-
-        task = asyncio.create_task(_close_after_drain(),
-                                   name=f"serve-retire-{state.index}")
-        self._respawn_tasks.add(task)
-        task.add_done_callback(self._respawn_tasks.discard)
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def worker_snapshots(self) -> List[WorkerSnapshot]:
@@ -1780,7 +1584,6 @@ class InferenceService:
                 mode=state.mode,
                 transport_s=state.transport_s,
                 alive=state.alive,
-                retired=state.retired,
                 stages=tuple(
                     StageOccupancy(
                         index=int(stage.get("stage", 0)),
@@ -1806,16 +1609,15 @@ class InferenceService:
         """
         names: List[str] = []
         for worker in self._workers:
-            if worker is not None:
-                names.extend(getattr(worker, "shm_segment_names", []))
+            names.extend(getattr(worker, "shm_segment_names", []))
         return names
 
     def process_worker_pids(self) -> Dict[int, List[int]]:
         """PIDs of the live worker processes, keyed by worker index.
 
         Process and pipeline workers report every live stage process (one
-        for a process worker).  Thread workers (and dead or retired
-        workers) are absent.  This is what the kill-storm loadgen scenario
+        for a process worker).  Thread workers (and dead workers) are
+        absent.  This is what the kill-storm loadgen scenario
         and the chaos tests aim their SIGKILLs at.
         """
         pids: Dict[int, List[int]] = {}
@@ -1852,10 +1654,9 @@ class InferenceService:
         return totals
 
     def pool_recovered(self) -> bool:
-        """Whether every non-retired worker slot is alive again."""
+        """Whether every worker slot is alive again."""
         return self._started and all(
-            state.alive or state.retired for state in self._worker_states
-        )
+            state.alive for state in self._worker_states)
 
     async def stage_profiles(self) -> List[Dict[str, float]]:
         """Per-worker plan-stage (DAC/crossbar/ADC/digital) breakdowns.
@@ -1864,8 +1665,7 @@ class InferenceService:
         plan directly, process and pipeline workers report the breakdown
         their stages shipped with the latest completed batch.
         """
-        return [await worker.stage_profile() for worker in self._workers
-                if worker is not None]
+        return [await worker.stage_profile() for worker in self._workers]
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Freeze the service metrics (latency, batching, energy, workers)."""

@@ -1396,11 +1396,11 @@ class TestProcessServing:
         images = x_test[:24]
         thread, _ = serve_requests(
             model, images, ServeConfig(backend="fake_quant", max_batch=8,
-                                       num_workers=2, policy="round_robin",
+                                       num_workers=2,
                                        context=context, workers="thread"))
         process, _ = serve_requests(
             model, images, ServeConfig(backend="fake_quant", max_batch=8,
-                                       num_workers=2, policy="round_robin",
+                                       num_workers=2,
                                        context=context, workers="process"))
         assert bitwise_equal(thread, process)
 

@@ -40,8 +40,8 @@ from repro.serve.cli import build_serve_parser, parse_class_map
 from repro.serve.loadgen import assign_priorities, run_loadtest
 from repro.serve.scheduler import (
     NoAliveWorkersError,
+    Scheduler,
     build_worker_states,
-    create_scheduler,
 )
 
 
@@ -274,16 +274,15 @@ class TestSloBatching:
 
 class TestSchedulerLiveness:
     def test_policies_skip_dead_workers(self):
-        for policy in ("round_robin", "least_loaded"):
-            states = build_worker_states(3)
-            scheduler = create_scheduler(policy, states)
-            states[1].alive = False
-            picks = [scheduler.select(1).index for _ in range(6)]
-            assert 1 not in picks, policy
-            for state in states:
-                state.alive = False
-            with pytest.raises(NoAliveWorkersError):
-                scheduler.select(1)
+        states = build_worker_states(3)
+        scheduler = Scheduler(states)
+        states[1].alive = False
+        picks = [scheduler.select(1).index for _ in range(6)]
+        assert picks == [0, 2, 0, 2, 0, 2]
+        for state in states:
+            state.alive = False
+        with pytest.raises(NoAliveWorkersError):
+            scheduler.select(1)
 
 
 class TestWorkerDeathRecovery:
@@ -299,7 +298,7 @@ class TestWorkerDeathRecovery:
         async def scenario():
             service = InferenceService(model, ServeConfig(
                 max_batch=8, num_workers=2, workers="process",
-                policy="round_robin", plan_cache=str(tmp_path)))
+                plan_cache=str(tmp_path)))
             await service.start()
             await service.submit(x_test[:8])  # warm both transports
             await service.submit(x_test[:8])
@@ -428,38 +427,6 @@ class TestChaosScenarios:
             run_loadtest(model, x_test, ServeConfig(), scenario="lightning")
 
 
-class TestAutoscaling:
-    def test_pool_scales_up_under_backlog_and_back_down(self, trained_setup):
-        model, x_test = trained_setup
-
-        async def scenario():
-            service = InferenceService(model, ServeConfig(
-                max_batch=2, max_wait_ms=0.5, num_workers=1,
-                autoscale=True, min_workers=1, max_workers=3,
-                autoscale_interval_ms=2.0, scale_down_idle_ticks=2))
-            await service.start()
-            futures = [service.submit_nowait(x_test[i % len(x_test)])
-                       for i in range(256)]
-            await asyncio.gather(*futures)
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + 10.0
-            while (service.alive_worker_count() > 1
-                   and loop.time() < deadline):
-                await asyncio.sleep(0.02)
-            # The pool still serves correctly after scaling back down.
-            healthy = await service.submit(x_test[0])
-            snapshot = service.metrics_snapshot()
-            alive = service.alive_worker_count()
-            await service.stop()
-            return snapshot, alive, healthy
-
-        snapshot, alive, healthy = run_async(scenario())
-        assert snapshot.scale_up_events >= 1
-        assert snapshot.scale_down_events >= 1
-        assert alive == 1
-        assert healthy.shape == (1, 4)
-
-
 class TestCliWiring:
     def test_parse_class_map(self):
         assert parse_class_map("interactive=0.5,batch=20", "--x") == {
@@ -477,12 +444,10 @@ class TestCliWiring:
             "--max-retries", "3", "--plan-cache", "/tmp/plans",
             "--priority-classes", "interactive=0.5,batch=20",
             "--priority-mix", "interactive=0.3,batch=0.7",
-            "--autoscale", "--min-workers", "1", "--max-workers", "4",
         ])
         assert args.scenario == "kill-storm"
         assert args.kills == 2
         assert args.max_retries == 3
-        assert args.autoscale and args.max_workers == 4
 
     def test_serve_parser_has_fault_tolerance_flags(self):
         args = build_serve_parser("serve").parse_args(

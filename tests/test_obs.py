@@ -54,7 +54,6 @@ from repro.serve import InferenceService, ServeConfig, serve_requests
 from repro.serve.cli import build_serve_parser, _config_from_args
 from repro.serve.loadgen import run_loadtest
 from repro.serve.metrics import ServiceMetrics, percentile_ms
-from repro.serve.scheduler import build_worker_states, create_scheduler
 
 
 def run_async(coro):
@@ -410,17 +409,6 @@ class TestPrometheusRendering:
                                                "outstanding_requests": 3.0})
         assert f"{NAMESPACE}_ready 1" in text
         assert f"{NAMESPACE}_outstanding_requests 3" in text
-
-
-class TestSchedulerPoolStats:
-    def test_pool_stats_counts_alive_dead_retired(self):
-        states = build_worker_states(4)
-        scheduler = create_scheduler("round_robin", states)
-        states[1].alive = False
-        states[2].alive = False
-        states[2].retired = True
-        stats = scheduler.pool_stats()
-        assert stats == {"alive": 2, "dead": 1, "retired": 1, "total": 4}
 
 
 class TestProbesAndServer:

@@ -8,6 +8,7 @@ backend when the coalesced batch equals the direct batch.
 """
 
 import asyncio
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,16 +24,13 @@ from repro.rram.device import RRAMStatistics
 from repro.serve import (
     DynamicBatcher,
     InferenceService,
-    LeastLoadedScheduler,
     Request,
-    RoundRobinScheduler,
+    Scheduler,
     ServeConfig,
     ServiceClosedError,
     ServiceOverloadedError,
     WorkerState,
-    available_policies,
     bursty_arrivals,
-    create_scheduler,
     estimate_conversions_per_sample,
     make_arrivals,
     poisson_arrivals,
@@ -178,79 +176,18 @@ class TestDynamicBatcher:
 
 
 # ----------------------------------------------------------------------
-# Scheduler policies and occupancy accounting
+# Round-robin placement and occupancy accounting
 # ----------------------------------------------------------------------
 class TestScheduler:
-    def test_policies_registered(self):
-        assert available_policies() == ["least_loaded", "round_robin"]
-
-    def test_unknown_policy_keyerror_lists_names(self):
-        with pytest.raises(KeyError, match="least_loaded"):
-            create_scheduler("does-not-exist", build_worker_states(1))
-
     def test_round_robin_cycles(self):
         workers = build_worker_states(3, macros_per_worker=2)
-        scheduler = RoundRobinScheduler(workers)
+        scheduler = Scheduler(workers)
         picked = [scheduler.select(1).index for _ in range(6)]
         assert picked == [0, 1, 2, 0, 1, 2]
 
-    def test_least_loaded_prefers_low_inflight(self):
-        workers = build_worker_states(2, macros_per_worker=2)
-        workers[0].accelerator.begin_inference(100)
-        scheduler = LeastLoadedScheduler(workers)
-        assert scheduler.select(1).index == 1
-
-    def test_least_loaded_balances_skewed_request_sizes(self):
-        # Alternating 8-row / 1-row batches: round robin piles every large
-        # batch on worker 0; least loaded balances the row counts.
-        sizes = [8, 1] * 10
-        rr_workers = build_worker_states(2, macros_per_worker=2)
-        rr = RoundRobinScheduler(rr_workers)
-        for rows in sizes:
-            rr.select(rows)
-        rr_rows = sorted(w.assigned_rows for w in rr_workers)
-        assert rr_rows == [10, 80]  # badly skewed
-
-        ll_workers = build_worker_states(2, macros_per_worker=2)
-        ll = LeastLoadedScheduler(ll_workers)
-        for rows in sizes:
-            ll.select(rows)
-        ll_rows = sorted(w.assigned_rows for w in ll_workers)
-        assert max(ll_rows) <= 1.5 * min(ll_rows)
-
     def test_worker_state_requires_workers(self):
         with pytest.raises(ValueError):
-            RoundRobinScheduler([])
-
-    def test_least_loaded_tie_breaks_by_rows_then_index(self):
-        # All-equal load: the lowest index wins; once it carries rows, the
-        # next all-equal-inflight pick moves to the next index, so repeated
-        # selection walks the pool deterministically instead of hammering
-        # worker 0.
-        workers = build_worker_states(3, macros_per_worker=2)
-        scheduler = LeastLoadedScheduler(workers)
-        assert scheduler.select(4).index == 0
-        # select() booked no conversions (the service does that), so the
-        # inflight primary key is still tied — rows break the tie.
-        assert scheduler.select(4).index == 1
-        assert scheduler.select(4).index == 2
-        # Equal rows again: back to the lowest index.
-        assert scheduler.select(4).index == 0
-
-    def test_least_loaded_sequence_is_deterministic(self):
-        sizes = [5, 3, 8, 1, 1, 8, 2, 7]
-
-        def run_sequence():
-            workers = build_worker_states(3, macros_per_worker=2)
-            scheduler = LeastLoadedScheduler(workers)
-            picks = []
-            for rows in sizes:
-                worker = scheduler.select(rows)
-                worker.accelerator.begin_inference(rows)
-                picks.append(worker.index)
-            return picks
-
-        assert run_sequence() == run_sequence()
+            Scheduler([])
 
 
 class TestAcceleratorOccupancy:
@@ -458,8 +395,7 @@ class TestInferenceService:
         async def scenario():
             service = InferenceService(
                 model, ServeConfig(backend=SlowIdealBackend(), max_batch=1,
-                                   max_wait_ms=0.0, queue_capacity=3,
-                                   estimate_energy=False))
+                                   max_wait_ms=0.0, queue_capacity=3))
             await service.start()
             first = [service.submit_nowait(x_test[i]) for i in range(3)]
             # Let the dispatcher drain the request queue onto the worker.
@@ -479,10 +415,16 @@ class TestInferenceService:
         model, _, x_test, _ = trained_setup
         _, snapshot = serve_requests(
             model, x_test[:64],
-            ServeConfig(max_batch=8, num_workers=2, policy="round_robin"))
+            ServeConfig(max_batch=8, num_workers=2))
         per_worker = {w.index: w.batches for w in snapshot.workers}
         assert per_worker == {0: 4, 1: 4}
         assert all(w.busy_seconds > 0 for w in snapshot.workers)
+
+    def test_config_field_budget(self):
+        # Every field is a knob someone must exercise (a benchmark, a CI
+        # smoke or a paper figure); the budget keeps unused ones from
+        # creeping back in.
+        assert len(dataclasses.fields(ServeConfig)) <= 30
 
     def test_backend_instance_rejected_for_multiple_workers(self, trained_setup):
         from repro.exec import IdealBackend

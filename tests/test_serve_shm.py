@@ -154,7 +154,7 @@ class TestShmServing:
         async def scenario():
             service = InferenceService(model, ServeConfig(
                 max_batch=8, num_workers=2, workers="process",
-                policy="round_robin", retry_policy="fail_fast",
+                retry_policy="fail_fast",
                 respawn=False))
             await service.start()
             # Warm both workers (round robin alternates batches).
