@@ -1,6 +1,6 @@
 """Ablation benchmark: adaptive FP-ADC versus fixed-range INT8 ADC.
 
-DESIGN.md design choice #3: the dynamic-range adaptation keeps the *relative*
+Design choice: the dynamic-range adaptation keeps the *relative*
 readout error roughly constant across the input range, whereas the
 fixed-range INT8 single-slope reference has a fixed absolute LSB — so small
 MAC results (the common case in sparse, post-ReLU workloads) lose precision.

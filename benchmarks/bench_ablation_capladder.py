@@ -1,6 +1,6 @@
 """Ablation benchmark: the {C, C, 2C, 4C} capacitor ladder.
 
-DESIGN.md design choice #2: the paper argues this ladder is the unique
+Design choice: the paper argues this ladder is the unique
 4-step choice that (a) returns the integrator output to (V_r + V_th)/2 after
 every charge share and (b) makes the accumulated charge a binary exponent of
 the residual voltage.  The ablation converts a current sweep through the

@@ -1,6 +1,6 @@
 """Ablation benchmark: why E2M5 — format trade-off study.
 
-DESIGN.md design choice #1: the bit assignment (2-bit exponent, 5-bit
+Design choice: the bit assignment (2-bit exponent, 5-bit
 mantissa) balances hardware efficiency (conversion time, capacitor bank
 size) against quantisation fidelity on Gaussian-like activations.  The
 ablation quantifies both axes for INT8, E2M5, E3M4 and E4M3.

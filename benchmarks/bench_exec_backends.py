@@ -1,11 +1,9 @@
 """Benchmark: per-backend inference throughput of the execution engine.
 
-Three acceptance bars, measured on a small trained CNN:
+Two acceptance bars, measured on a small trained CNN:
 
 * every registered backend clears a sanity accuracy bound on the same
   workload (throughput table),
-* the batch-vectorised ``analog`` backend is >= 3x faster than the seed's
-  per-sample full-array readout path (the PR-1 gate),
 * the compiled execution plan produces **bit-identical** logits and
   conversion counts to the ``compile_plan=False`` oracle on every
   registered backend; the outcome lands in ``BENCH_exec.json``.
@@ -21,15 +19,14 @@ Run with::
 import numpy as np
 import pytest
 
-from _timing import best_metric, smoke_mode, write_bench_json
+from _timing import smoke_mode, write_bench_json
 from repro.core import MacroConfig
-from repro.exec import AnalogBackend, available_backends, compare_backends, run_model
+from repro.exec import available_backends, compare_backends, run_model
 from repro.nn import DatasetConfig, SGD, SyntheticImageDataset, Trainer, build_resnet_lite
 from repro.nn.quantize import CIMNonidealities
 from repro.rram.device import RRAMStatistics
 
 SAMPLES = 32 if smoke_mode() else 64
-ROUNDS = 2 if smoke_mode() else 3
 
 
 @pytest.fixture(scope="module")
@@ -72,56 +69,6 @@ def test_backend_throughput_table(benchmark, workload):
         print(f"  {name:12s} {report.samples_per_second:10.1f} samples/s  "
               f"accuracy {report.accuracy:.3f}")
         assert report.accuracy >= ideal - 0.2, name
-
-
-@pytest.mark.benchmark(group="exec-backends")
-def test_batched_analog_vs_seed_per_sample_path(benchmark, workload):
-    """The batched analog backend is >= 3x faster than the seed per-sample
-    path (per-sample evaluation with the original full-array readout), with
-    equivalent accuracy."""
-    model, x_train, x_test, y_test, macro_config = workload
-    kwargs = dict(calibration=x_train[:16], macro_config=macro_config,
-                  max_mapped_layers=2, seed=0)
-
-    # Batched: the default vectorised analog backend, whole batch at once.
-    # Each side's time is the best-of-N of the report's internal
-    # forward-only clock, which excludes prepare and harness overhead.
-    batched_backend = AnalogBackend(vectorized=True)
-    run_model(model, x_test[:1], backend=batched_backend, **kwargs)  # prepare once
-
-    def batched():
-        return run_model(model, x_test, y_test, backend=batched_backend,
-                         batch_size=SAMPLES, **kwargs)
-
-    def timed_batched():
-        time, report = best_metric(batched, lambda r: r.wall_time_s, rounds=ROUNDS)
-        return time, report
-
-    (batched_time, batched_report) = benchmark.pedantic(
-        timed_batched, rounds=1, iterations=1)
-
-    # Seed path: one sample at a time through the original full-array,
-    # two-pass readout (pads every evaluation to 576 rows, converts all 256
-    # ADC channels) — how the repository executed analog inference before
-    # the vectorised engine.
-    reference_backend = AnalogBackend(vectorized=False)
-    run_model(model, x_test[:1], backend=reference_backend, **kwargs)  # prepare once
-    per_sample_time, reference_report = best_metric(
-        lambda: run_model(model, x_test, y_test, backend=reference_backend,
-                          batch_size=1, **kwargs),
-        lambda r: r.wall_time_s, rounds=2)
-
-    speedup = per_sample_time / batched_time
-    print(f"\nBatched analog: {batched_time:.3f}s "
-          f"({batched_report.samples_per_second:.1f} samples/s)")
-    print(f"Seed per-sample path: {per_sample_time:.3f}s "
-          f"({SAMPLES / per_sample_time:.1f} samples/s)")
-    print(f"Speedup: {speedup:.1f}x")
-    print(f"Accuracy batched {batched_report.accuracy:.3f} vs "
-          f"reference {reference_report.accuracy:.3f}")
-
-    assert speedup >= 3.0, f"batched analog only {speedup:.2f}x faster"
-    assert abs(batched_report.accuracy - reference_report.accuracy) <= 0.2
 
 
 @pytest.mark.benchmark(group="exec-backends")

@@ -1,7 +1,8 @@
 """Benchmark: Fig. 6(c) — PTQ Top-1 accuracy of INT8 / FP8 E3M4 / FP8 E2M5.
 
 Trains the ResNet-style and MobileNet-style reference networks on the
-synthetic dataset (the ImageNet substitution documented in DESIGN.md),
+seeded synthetic dataset (standing in for ImageNet, which a pure-numpy
+substrate cannot train on),
 quantises them post-training to the three formats with the CIM
 non-idealities extracted from the macro model, and checks the paper's
 qualitative claims:
@@ -14,8 +15,7 @@ qualitative claims:
   extra exponent bit on these well-behaved networks).
 
 By default a reduced workload is used so the benchmark completes in a few
-seconds; pass ``--full-fig6c`` for the full-size study recorded in
-EXPERIMENTS.md.
+seconds; pass ``--full-fig6c`` for the full-size study.
 """
 
 import pytest

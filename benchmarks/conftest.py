@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures (or one of
-the DESIGN.md ablations) and checks the reproduced numbers against the
+the design-choice ablations of :mod:`repro.analysis.ablations`) and checks the reproduced numbers against the
 paper's claims while pytest-benchmark records the runtime.  Run with::
 
     pytest benchmarks/ --benchmark-only

@@ -8,8 +8,9 @@ The serving workflow behind ``python -m repro serve`` (:mod:`repro.serve`):
    micro-batcher, multi-macro scheduler, per-worker execution backends —
    and drive it with a seeded open-loop Poisson arrival process,
 3. compare dynamic batching (``max_batch=64``) against batch-size-1 serving
-   at the same offered load, and print the full metrics report (latency
-   percentiles, batch-size histogram, queue depth, energy per request),
+   at the same offered load by their p50 / p99 latency, and print the full
+   metrics report (latency percentiles, batch-size histogram, queue depth,
+   energy per request),
 4. repeat on two workers to show the round-robin scheduler spreading the
    batches over both (exits non-zero if either worker sat idle).
 
@@ -37,8 +38,10 @@ def main() -> None:
                           pattern="poisson", rate_rps=4000.0,
                           num_requests=256, seed=0)
     print(batch1.render())
-    speedup = batched.snapshot.throughput_rps / batch1.snapshot.throughput_rps
-    print(f"\nDynamic batching speedup at 4000 req/s offered: {speedup:.2f}x")
+    print(f"\nLatency at {batched.offered_rate_rps:.0f} req/s offered (p50 / p99):")
+    for name, result in (("max_batch=64", batched), ("max_batch=1", batch1)):
+        print(f"  {name:<13} {result.snapshot.latency_p50_ms:.2f} / "
+              f"{result.snapshot.latency_p99_ms:.2f} ms")
 
     print("\n=== Two workers, round-robin placement, bursty arrivals ===")
     scaled = run_loadtest(

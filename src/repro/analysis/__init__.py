@@ -2,7 +2,7 @@
 
 Each module produces a plain result dataclass plus an ASCII rendering, so
 the benchmarks (and the examples) can print the same rows / series the paper
-reports and EXPERIMENTS.md can record paper-vs-measured values:
+reports and set the reproduced values beside the paper's:
 
 * :mod:`repro.analysis.fig5a` — FP-ADC transient example (Fig. 5(a)),
 * :mod:`repro.analysis.fig5b` — FP-DAC / cell-current linearity (Fig. 5(b)),
@@ -12,8 +12,8 @@ reports and EXPERIMENTS.md can record paper-vs-measured values:
   the ResNet-style and MobileNet-style networks (Fig. 6(c)),
 * :mod:`repro.analysis.table1` — the macro comparison table (Table I) with
   the recomputed 4.135x / 5.376x / 2.841x / 5.382x ratios,
-* :mod:`repro.analysis.ablations` — the design-choice ablations listed in
-  DESIGN.md (capacitor ladder, adaptive vs fixed range, sparsity sweep),
+* :mod:`repro.analysis.ablations` — the design-choice ablations (format
+  trade-off, capacitor ladder, adaptive vs fixed range, sparsity sweep),
 * :mod:`repro.analysis.report` — small ASCII table / series helpers.
 """
 

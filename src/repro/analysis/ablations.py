@@ -1,4 +1,4 @@
-"""Ablation studies of the design choices called out in DESIGN.md.
+"""Ablation studies of the macro's design choices.
 
 These go beyond the paper's own figures and probe *why* the design works:
 

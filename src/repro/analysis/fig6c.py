@@ -3,9 +3,10 @@
 The paper quantises ResNet and MobileNet post-training to the three formats,
 injects the circuit non-linearities extracted from the macro model, and
 reports Top-1 accuracy relative to FP32 on ImageNet.  The reproduction runs
-the same flow on the synthetic-dataset-trained ResNet-lite and
-MobileNet-lite (see DESIGN.md for the substitution rationale) and reports
-the accuracy deltas; the paper's qualitative claims are
+the same flow on ResNet-lite and MobileNet-lite trained on a seeded
+synthetic image dataset (ImageNet-scale training is out of reach of a
+pure-numpy substrate, so formats are compared by their accuracy deltas,
+not by absolute ImageNet Top-1); the paper's qualitative claims are
 
 * E2M5 loses less accuracy than INT8 (non-uniform quantisation suits the
   roughly Gaussian activations), and

@@ -19,28 +19,9 @@ simulation and for ablation studies with *wrong* ladders.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-
-def binary_exponent_ladder(exponent_steps: int, unit_capacitance: float) -> List[float]:
-    """The paper's capacitor ladder for a given number of exponent steps.
-
-    For ``exponent_steps = 3`` (a 2-bit exponent, i.e. up to three range
-    adaptations) this returns ``[C, C, 2C, 4C]``; each additional exponent
-    step doubles the last capacitor so the *total* capacitance doubles at
-    every step: 1, 2, 4, 8, ... times the unit.
-    """
-    if exponent_steps < 0:
-        raise ValueError("exponent_steps must be non-negative")
-    if unit_capacitance <= 0:
-        raise ValueError("unit_capacitance must be positive")
-    ladder = [unit_capacitance]
-    for step in range(exponent_steps):
-        ladder.append(unit_capacitance * (2 ** step if step > 0 else 1))
-    # ladder is [C, C, 2C, 4C, ...]: first extra cap equals C, then doubling.
-    return ladder
 
 
 def charge_share_voltage(
@@ -136,11 +117,6 @@ class CapacitorBank:
     def connected_capacitance(self) -> float:
         """Total capacitance currently in the integration loop."""
         return float(np.sum(self._caps[: self._connected]))
-
-    @property
-    def total_capacitance(self) -> float:
-        """Total capacitance of the whole bank (the op-amp's worst-case load)."""
-        return float(np.sum(self._caps))
 
     @property
     def adaptations_remaining(self) -> int:

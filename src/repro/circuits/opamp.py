@@ -68,10 +68,6 @@ class OpAmpModel:
         actual = ideal_gain / (1.0 + ideal_gain / self.dc_gain)
         return actual / ideal_gain - 1.0
 
-    def max_output_slope(self) -> float:
-        """Largest output dV/dt the op-amp can deliver (V/s)."""
-        return self.slew_rate
-
     def settling_time(self, ideal_gain: float, accuracy_bits: int) -> float:
         """Small-signal settling time to ``accuracy_bits`` of precision.
 

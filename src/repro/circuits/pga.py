@@ -60,16 +60,6 @@ class ProgrammableGainAmplifier:
         """Number of selectable gain settings."""
         return 1 << self.exponent_bits
 
-    @property
-    def gains(self) -> np.ndarray:
-        """The actual (mismatched) gain of every setting."""
-        return self._gains.copy()
-
-    def nominal_gain(self, exponent: int) -> float:
-        """The ideal gain ``2^exponent`` for a given exponent code."""
-        self._check_exponent(exponent)
-        return float(2.0 ** exponent)
-
     def _check_exponent(self, exponent: int) -> None:
         if not 0 <= exponent < self.num_settings:
             raise ValueError(
@@ -88,11 +78,6 @@ class ProgrammableGainAmplifier:
         gain = gain * (1.0 + self.opamp.closed_loop_gain_error(max(gain, 1.0)))
         out = np.asarray(v_input, dtype=np.float64) * gain
         return self.opamp.clip_output(out)
-
-    def max_output(self, exponent: int) -> float:
-        """Largest output the PGA can deliver at a given setting."""
-        self._check_exponent(exponent)
-        return float(self.opamp.output_max)
 
     def decode_exponent(self, exponent_code: Sequence[int]) -> int:
         """Binary exponent-code bits (MSB first) → integer setting index.

@@ -139,11 +139,6 @@ class ADCConfig:
         """Column current that maps to the top of the FP range."""
         return self.full_scale_voltage_units * self.unit_capacitance / self.integration_time
 
-    @property
-    def current_per_unit(self) -> float:
-        """Current corresponding to 1 V of accumulated ``V_O x 2^n``."""
-        return self.unit_capacitance / self.integration_time
-
     def with_full_scale_current(self, current: float) -> "ADCConfig":
         """Return a copy whose capacitor is resized for a new full-scale current.
 

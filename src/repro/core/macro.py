@@ -86,13 +86,6 @@ class AFPRMacro:
         else:
             self.mapping = OffsetMapping(device=self.device)
 
-        #: When True (the default) analog passes only touch the active
-        #: sub-array and convert only the driven ADC channels.  Setting it to
-        #: False restores the original full-array readout (every evaluation
-        #: pads to all rows and converts all 256 channels) — the reference
-        #: the vectorised path is benchmarked and equivalence-tested against.
-        self.vectorized_readout: bool = True
-
         self.stats = MacroStats()
         self.activation_scale: float = 1.0
         self.weight_scale: float = 0.0
@@ -200,8 +193,7 @@ class AFPRMacro:
             )
         # Repeated evaluations of the same layer recalibrate with the same
         # batch; memoise on the data fingerprint so those calls are free.
-        key = (acts.shape, float(current_percentile), self.vectorized_readout,
-               hash(acts.tobytes()))
+        key = (acts.shape, float(current_percentile), hash(acts.tobytes()))
         if key == self._calibration_key:
             return
         a_max = float(np.max(np.abs(acts))) if acts.size else 0.0
@@ -210,9 +202,9 @@ class AFPRMacro:
         # Estimate the column-current distribution with the ideal crossbar
         # (only over the driven columns; idle leak columns would dilute the
         # percentile and misplace the ADC full scale).
-        active_cols = self.physical_columns if self.vectorized_readout else None
         voltages = self._activation_voltages(np.abs(acts), exact_lut=True)
-        currents = np.abs(self.crossbar.ideal_mac(voltages, active_cols=active_cols))
+        currents = np.abs(self.crossbar.ideal_mac(voltages,
+                                                  active_cols=self.physical_columns))
         if currents.size:
             i_ref = float(np.percentile(currents, current_percentile))
         else:
@@ -292,14 +284,13 @@ class AFPRMacro:
         """
         acts = non_negative_activations
         block = self.ANALOG_PASS_BLOCK_ROWS
-        if self.vectorized_readout and acts.ndim == 2 and acts.shape[0] > block:
+        if acts.ndim == 2 and acts.shape[0] > block:
             return np.concatenate([
                 self._analog_pass(acts[start:start + block])
                 for start in range(0, acts.shape[0], block)
             ], axis=0)
-        active_cols = self.physical_columns if self.vectorized_readout else None
         voltages = self._activation_voltages(non_negative_activations)
-        readout = self.crossbar.evaluate(voltages, active_cols=active_cols)
+        readout = self.crossbar.evaluate(voltages, active_cols=self.physical_columns)
         adc_out: ADCReadout = self.adc.convert(readout.currents)
         batch = 1 if non_negative_activations.ndim == 1 else non_negative_activations.shape[0]
         self.stats.conversions += batch
@@ -319,13 +310,10 @@ class AFPRMacro:
         parts stacked into one batched analog evaluation so the hardware
         model is invoked once per (tile, sign) rather than once per sample.
 
-        Conversion accounting: in the default vectorised mode only samples
-        that actually have a negative part pay the second sign pass, so
-        ``stats.conversions`` matches evaluating the batch row by row (a
-        sample without negatives genuinely needs one conversion).  With
-        ``vectorized_readout=False`` the original accounting applies — a
-        mixed-sign batch charges every sample two conversions because the
-        whole batch repeats the negative pass.
+        Conversion accounting: only samples that actually have a negative
+        part pay the second sign pass, so ``stats.conversions`` matches
+        evaluating the batch row by row (a sample without negatives
+        genuinely needs one conversion).
         """
         if self._weights is None:
             raise RuntimeError("program_weights must be called before matvec")
@@ -343,19 +331,16 @@ class AFPRMacro:
         needs_negative_pass = np.any(negative > 0, axis=1)
 
         if np.any(needs_negative_pass):
-            if self.vectorized_readout:
-                # Only the samples that actually have a negative part join
-                # the second sign pass, stacked onto the positive pass so the
-                # pipeline runs once over the combined batch.  This keeps the
-                # conversion counters identical to evaluating row by row.
-                batch = acts.shape[0]
-                stacked = self._analog_pass(
-                    np.concatenate([positive, negative[needs_negative_pass]], axis=0)
-                )
-                result = stacked[:batch]
-                result[needs_negative_pass] -= stacked[batch:]
-            else:
-                result = self._analog_pass(positive) - self._analog_pass(negative)
+            # Only the samples that actually have a negative part join the
+            # second sign pass, stacked onto the positive pass so the
+            # pipeline runs once over the combined batch.  This keeps the
+            # conversion counters identical to evaluating row by row.
+            batch = acts.shape[0]
+            stacked = self._analog_pass(
+                np.concatenate([positive, negative[needs_negative_pass]], axis=0)
+            )
+            result = stacked[:batch]
+            result[needs_negative_pass] -= stacked[batch:]
         else:
             result = self._analog_pass(positive)
 

@@ -345,17 +345,6 @@ class MappedLayer:
         """Number of macros this layer occupies."""
         return len(self.macros)
 
-    def set_vectorized_readout(self, enabled: bool) -> None:
-        """Switch every tile macro between the batched active-sub-array
-        readout (default) and the original full-array reference readout.
-
-        Calibration depends on the readout mode, so flip this before calling
-        :meth:`calibrate` (the per-macro calibration cache keys on the mode
-        and recalibrates automatically on the next call).
-        """
-        for macro in self.macros:
-            macro.vectorized_readout = enabled
-
     def calibrate(self, calibration_activations: np.ndarray) -> None:
         """Calibrate every tile macro with the matching slice of the inputs."""
         acts = np.atleast_2d(np.asarray(calibration_activations, dtype=np.float64))

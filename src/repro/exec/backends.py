@@ -87,21 +87,11 @@ class FastNoiseBackend(FakeQuantBackend):
 
 @register_backend
 class AnalogBackend(ExecutionBackend):
-    """Hardware-in-the-loop execution on batch-vectorised AFPR-CIM macros.
-
-    Parameters
-    ----------
-    vectorized:
-        When True (default) the macros use the batched active-sub-array
-        readout.  False restores the original full-array, two-pass readout —
-        the reference used by the equivalence tests and the throughput
-        benchmark.
-    """
+    """Hardware-in-the-loop execution on batch-vectorised AFPR-CIM macros."""
 
     name = "analog"
 
-    def __init__(self, vectorized: bool = True) -> None:
-        self.vectorized = vectorized
+    def __init__(self) -> None:
         self._mapped: Optional[CIMMappedNetwork] = None
         self._cache_key: Optional[tuple] = None
 
@@ -150,7 +140,6 @@ class AnalogBackend(ExecutionBackend):
                 macro_config=context.macro_config,
                 calibration_images=context.calibration,
                 max_mapped_layers=context.max_mapped_layers,
-                vectorized_readout=self.vectorized,
                 calibration_forward=calibration_forward,
             )
         except Exception:

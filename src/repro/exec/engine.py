@@ -219,11 +219,8 @@ def run_ptq_sweep(model: Model, calibration: np.ndarray,
                   batch_size: int = 64, seed: int = 0) -> Dict[str, PTQResult]:
     """Evaluate PTQ accuracy for several formats through the backend registry.
 
-    This is the registry-routed equivalent of
-    :func:`repro.nn.quantize.format_sweep`: the FP32 baseline runs on the
-    ``ideal`` backend and each format on ``fast_noise`` (or ``fake_quant``
-    when no non-idealities are given), with identical adapter seeding and
-    batching, so the accuracies match the legacy flow bit for bit.
+    The FP32 baseline runs on the ``ideal`` backend and each format on
+    ``fast_noise`` (or ``fake_quant`` when no non-idealities are given).
     """
     if formats is None:
         formats = dict(DEFAULT_PTQ_FORMATS)

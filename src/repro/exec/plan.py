@@ -406,8 +406,6 @@ class CompiledTile:
     def __init__(self, macro: AFPRMacro, profile: StageProfile,
                  arena: Optional[PlanArena] = None, key: str = "tile") -> None:
         config = macro.config
-        if not macro.vectorized_readout:
-            raise TileNotCompilable("full-array reference readout")
         if macro._weights is None:
             raise TileNotCompilable("macro not programmed")
         if macro.crossbar.config.v_clamp != 0.0:
@@ -1209,7 +1207,7 @@ def build_plan(model: Model, backend: ExecutionBackend,
 #: pickled plan layout (or anything the fingerprint cannot see) changes in
 #: a way that makes old entries wrong to reuse; the version is folded into
 #: every fingerprint, so a bump invalidates the whole cache at once.
-PLAN_CACHE_VERSION = 5
+PLAN_CACHE_VERSION = 6
 
 
 def _model_descriptor(model: Model) -> list:
@@ -1243,24 +1241,21 @@ def _model_descriptor(model: Model) -> list:
 
 
 def plan_fingerprint(model: Model, backend_name: str,
-                     backend_options: Optional[dict],
                      context: ExecutionContext) -> str:
     """Content fingerprint of a ``(model, backend, context)`` plan recipe.
 
     The key hashes the *inputs* to plan compilation — the model's
     structural identity (layer classes, scalar layer configuration and
     parameter tensors, see :func:`_model_descriptor`), the backend
-    registry name and options, and every :class:`ExecutionContext` field
+    registry name, and every :class:`ExecutionContext` field
     (calibration batch, formats, macro config, seed, plan flags) — plus
     :data:`PLAN_CACHE_VERSION`.  Two recipes with the same fingerprint
     compile to bit-identical plans, so a cached payload can stand in for a
     fresh compilation; any change to weights, calibration, formats or seed
     changes the key and misses the cache.
     """
-    options = sorted((backend_options or {}).items())
     payload = pickle.dumps(
-        (PLAN_CACHE_VERSION, _model_descriptor(model), backend_name,
-         options, context),
+        (PLAN_CACHE_VERSION, _model_descriptor(model), backend_name, context),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     return hashlib.sha256(payload).hexdigest()

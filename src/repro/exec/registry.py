@@ -65,6 +65,6 @@ def get_backend_class(name: str) -> Type[ExecutionBackend]:
     return resolve_registered(_BACKENDS, name, "execution backend")
 
 
-def create_backend(name: str, **options) -> ExecutionBackend:
+def create_backend(name: str) -> ExecutionBackend:
     """Instantiate a registered backend by name."""
-    return get_backend_class(name)(**options)
+    return get_backend_class(name)()

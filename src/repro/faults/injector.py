@@ -43,7 +43,7 @@ import json
 import os
 import time
 from random import Random
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -305,7 +305,3 @@ def fire(site: str, payload: Optional[np.ndarray] = None) -> bool:
     if injector is None:
         return False
     return injector.fire(site, payload)
-
-
-def iter_rules(spec: FaultSpec) -> Iterable[FaultRule]:
-    return iter(spec.rules)

@@ -35,8 +35,6 @@ from repro.nn.quantize import (
     attach_adapters,
     restore_model,
     calibrate_adapters,
-    evaluate_ptq,
-    format_sweep,
 )
 from repro.nn.cim_backend import CIMMappedNetwork, CIMExecutionAdapter
 
@@ -81,8 +79,6 @@ __all__ = [
     "attach_adapters",
     "restore_model",
     "calibrate_adapters",
-    "evaluate_ptq",
-    "format_sweep",
     "CIMMappedNetwork",
     "CIMExecutionAdapter",
 ]

@@ -51,8 +51,7 @@ class CIMExecutionAdapter:
     """
 
     def __init__(self, layer: Layer, macro_config: MacroConfig,
-                 calibration_inputs: np.ndarray,
-                 vectorized_readout: bool = True) -> None:
+                 calibration_inputs: np.ndarray) -> None:
         self.layer = layer
         self.macro_config = macro_config
         groups = 1
@@ -69,9 +68,6 @@ class CIMExecutionAdapter:
             raise TypeError(f"unsupported layer type: {type(layer)!r}")
         self.mapped = MappedLayer(weight_matrix, macro_config=macro_config,
                                   groups=groups)
-        # Set the readout mode before calibrating: the ADC full-scale choice
-        # depends on whether idle columns take part in the readout.
-        self.mapped.set_vectorized_readout(vectorized_readout)
         self.mapped.calibrate(calibration_inputs)
         self._pending_input: Optional[np.ndarray] = None
 
@@ -145,12 +141,10 @@ class CIMMappedNetwork:
     def __init__(self, model: Model, macro_config: MacroConfig = MacroConfig(),
                  calibration_images: Optional[np.ndarray] = None,
                  max_mapped_layers: Optional[int] = None,
-                 vectorized_readout: bool = True,
                  calibration_forward: Optional[
                      Callable[[np.ndarray], np.ndarray]] = None) -> None:
         self.model = model
         self.macro_config = macro_config
-        self.vectorized_readout = vectorized_readout
         self.adapters: List[CIMExecutionAdapter] = []
         self._mapped_layers: List[Layer] = []
         calibration = (
@@ -207,8 +201,7 @@ class CIMMappedNetwork:
                     else layer.in_channels * layer.kernel_size ** 2
                 )
                 layer_inputs = np.abs(np.random.default_rng(0).standard_normal((8, in_features)))
-            adapter = CIMExecutionAdapter(layer, self.macro_config, layer_inputs,
-                                          vectorized_readout=self.vectorized_readout)
+            adapter = CIMExecutionAdapter(layer, self.macro_config, layer_inputs)
             layer.quantization = adapter
             self.adapters.append(adapter)
             self._mapped_layers.append(layer)
@@ -235,13 +228,6 @@ class CIMMappedNetwork:
         """Resume macro execution after a :meth:`detach`."""
         for layer, adapter in zip(self._mapped_layers, self.adapters):
             layer.quantization = adapter
-
-    def set_vectorized_readout(self, enabled: bool) -> None:
-        """Switch every mapped layer between the batched active-sub-array
-        readout (default) and the original full-array reference readout."""
-        self.vectorized_readout = enabled
-        for adapter in self.adapters:
-            adapter.mapped.set_vectorized_readout(enabled)
 
     # ------------------------------------------------------------------
     def forward(self, images: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ compares Top-1 accuracy.  The flow here mirrors that:
    the weights (per layer) and the incoming activations (per tensor) to the
    target format and optionally perturb the outputs with the CIM noise
    extracted from the macro model,
-4. evaluate Top-1 accuracy and report the delta against the FP32 baseline.
+4. evaluate Top-1 accuracy and report the delta against the FP32 baseline
+   (:func:`repro.exec.run_ptq_sweep` runs steps 2-4 through the backend
+   registry).
 
 The adapters plug into the ``quantization`` hook of the matmul layers, so the
 original model object is evaluated — no parallel copy of the network graph is
@@ -21,18 +23,17 @@ built — and :func:`restore_model` removes every adapter afterwards.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.core.config import MacroConfig
 from repro.core.macro import AFPRMacro
-from repro.formats.fp8 import FloatFormat, E2M5, E3M4
-from repro.formats.intq import IntFormat, INT8
+from repro.formats.fp8 import FloatFormat
+from repro.formats.intq import IntFormat
 from repro.formats.quantizer import CalibrationMethod, TensorQuantizer, make_quantizer
 from repro.nn.layers import Layer
 from repro.nn.model import Model
-from repro.nn.training import evaluate_model
 
 FormatLike = Union[FloatFormat, IntFormat]
 
@@ -204,54 +205,3 @@ def calibrate_adapters(model: Model, adapters: List[FakeQuantAdapter],
     model.forward(np.asarray(calibration_images, dtype=np.float64), training=False)
     for adapter in adapters:
         adapter.observing = False
-
-
-def evaluate_ptq(model: Model, weight_format: FormatLike, activation_format: FormatLike,
-                 calibration_images: np.ndarray,
-                 test_images: np.ndarray, test_labels: np.ndarray,
-                 fp32_accuracy: Optional[float] = None,
-                 nonidealities: Optional[CIMNonidealities] = None,
-                 batch_size: int = 64, seed: int = 0) -> PTQResult:
-    """Quantise ``model`` post-training and measure its Top-1 accuracy.
-
-    The model is restored to full precision before returning, so successive
-    calls with different formats are independent.
-    """
-    if fp32_accuracy is None:
-        restore_model(model)
-        fp32_accuracy = evaluate_model(model, test_images, test_labels, batch_size=batch_size)
-    adapters = attach_adapters(
-        model, weight_format, activation_format, nonidealities=nonidealities, seed=seed
-    )
-    try:
-        calibrate_adapters(model, adapters, calibration_images)
-        quantized_accuracy = evaluate_model(
-            model, test_images, test_labels, batch_size=batch_size
-        )
-    finally:
-        restore_model(model)
-    return PTQResult(
-        format_name=activation_format.name,
-        accuracy=quantized_accuracy,
-        fp32_accuracy=fp32_accuracy,
-    )
-
-
-def format_sweep(model: Model, calibration_images: np.ndarray,
-                 test_images: np.ndarray, test_labels: np.ndarray,
-                 formats: Optional[Dict[str, FormatLike]] = None,
-                 nonidealities: Optional[CIMNonidealities] = None,
-                 batch_size: int = 64, seed: int = 0) -> Dict[str, PTQResult]:
-    """Evaluate PTQ accuracy for several formats (default: the Fig. 6(c) trio)."""
-    if formats is None:
-        formats = {"INT8": INT8, "FP8-E3M4": E3M4, "FP8-E2M5": E2M5}
-    restore_model(model)
-    fp32_accuracy = evaluate_model(model, test_images, test_labels, batch_size=batch_size)
-    results = {}
-    for name, fmt in formats.items():
-        results[name] = evaluate_ptq(
-            model, fmt, fmt, calibration_images, test_images, test_labels,
-            fp32_accuracy=fp32_accuracy, nonidealities=nonidealities,
-            batch_size=batch_size, seed=seed,
-        )
-    return results

@@ -59,11 +59,6 @@ class PowerBreakdown:
         }
 
     @property
-    def module_powers(self) -> Dict[str, float]:
-        """Per-module average powers keyed by module name."""
-        return {name: e / self.conversion_time for name, e in self.module_energies.items()}
-
-    @property
     def throughput_gops(self) -> float:
         """Peak throughput in GOPS (GFLOPS for FP formats)."""
         return self.operations_per_conversion / self.conversion_time / 1e9

@@ -101,7 +101,6 @@ class Crossbar:
         self._conductances = np.full(
             (config.rows, config.cols), device.g_min, dtype=np.float64
         )
-        self._programmed = False
 
     # ------------------------------------------------------------------
     # Programming
@@ -112,11 +111,6 @@ class Crossbar:
         view = self._conductances.view()
         view.flags.writeable = False
         return view
-
-    @property
-    def is_programmed(self) -> bool:
-        """Whether :meth:`program` has been called at least once."""
-        return self._programmed
 
     def program(self, target_conductances: np.ndarray, ideal: bool = False) -> np.ndarray:
         """Program target conductances into the array (through the device model).
@@ -136,7 +130,6 @@ class Crossbar:
             )
         achieved = self.device.program(target, ideal=ideal)
         self._conductances[:rows, :cols] = achieved
-        self._programmed = True
         return achieved
 
     def sparsity(self, threshold: Optional[float] = None) -> float:
@@ -222,27 +215,17 @@ class Crossbar:
             raise ValueError(
                 f"{v.shape[1]} inputs exceed the {self.config.rows} word lines"
             )
-        if active_cols is None:
-            # Legacy full-array semantics (exactly the original behaviour,
-            # including the per-evaluation read-noise draw over the whole
-            # array): unsupplied rows are padded as unselected 0 V inputs.
-            cols = self.config.cols
-            if v.shape[1] < self.config.rows:
-                padded = np.zeros((v.shape[0], self.config.rows), dtype=np.float64)
-                padded[:, : v.shape[1]] = v
-                v = padded
-        else:
-            cols = active_cols
-            if not 0 < cols <= self.config.cols:
-                raise ValueError(f"active_cols must be in 1..{self.config.cols}")
-            # Unsupplied rows are unselected (0 V).  With the virtual ground
-            # at 0 V they contribute no current, so the MAC only needs the
-            # active top-left sub-array; a non-zero clamp makes every row
-            # contribute and forces the full-height evaluation.
-            if self.config.v_clamp != 0.0 and v.shape[1] < self.config.rows:
-                padded = np.zeros((v.shape[0], self.config.rows), dtype=np.float64)
-                padded[:, : v.shape[1]] = v
-                v = padded
+        cols = self.config.cols if active_cols is None else active_cols
+        if not 0 < cols <= self.config.cols:
+            raise ValueError(f"active_cols must be in 1..{self.config.cols}")
+        # Unsupplied rows are unselected (0 V).  With the virtual ground at
+        # 0 V they contribute no current, so the MAC only needs the active
+        # top-left sub-array; a non-zero clamp makes every row contribute and
+        # forces the full-height evaluation.
+        if self.config.v_clamp != 0.0 and v.shape[1] < self.config.rows:
+            padded = np.zeros((v.shape[0], self.config.rows), dtype=np.float64)
+            padded[:, : v.shape[1]] = v
+            v = padded
         g = self._effective_conductances(rows=v.shape[1], cols=cols)
         # Paper Eq. (1): I = sum_i (V_r - V_i) G_i.  We report the magnitude
         # flowing into the integrator, i.e. sum_i (V_i - V_r) G_i.

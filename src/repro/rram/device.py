@@ -168,10 +168,6 @@ class RRAMDeviceModel:
         """LRS/HRS conductance ratio."""
         return self.levels.g_max / max(self.levels.g_min, 1e-12)
 
-    def reseed(self, seed: int) -> None:
-        """Reset the internal random generator (for reproducible experiments)."""
-        self._rng = np.random.default_rng(seed)
-
     # ------------------------------------------------------------------
     # Programming
     # ------------------------------------------------------------------

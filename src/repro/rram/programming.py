@@ -116,17 +116,13 @@ class OffsetMapping(WeightMapping):
         return g, w_max
 
     def combine_currents(self, currents: np.ndarray) -> np.ndarray:
-        # The offset current depends on the inputs, so the caller must supply
-        # the reference column current via `reference_current` at readout.
-        # Provided for API symmetry; AFPRMacro handles the subtraction.
+        # The offset current depends on the inputs, so it is subtracted at
+        # readout, where they are known (see AFPRMacro._current_to_output).
+        # Provided for API symmetry.
         return np.asarray(currents, dtype=np.float64)
 
     def physical_columns(self, logical_columns: int) -> int:
         return logical_columns
-
-    def reference_conductance(self) -> float:
-        """Conductance of the virtual zero-weight reference cell."""
-        return 0.5 * (self.device.g_max + self.device.g_min)
 
 
 def program_conductances(

@@ -315,8 +315,6 @@ class ServeConfig:
     backend:
         Registered backend name (instances are allowed for a single
         worker only — backend state cannot be shared across replicas).
-    backend_options:
-        Keyword arguments for ``create_backend`` when ``backend`` is a name.
     max_batch:
         Flush a batch at this many sample rows.
     max_wait_ms:
@@ -455,7 +453,6 @@ class ServeConfig:
     """
 
     backend: Union[str, ExecutionBackend] = "ideal"
-    backend_options: Dict = dataclasses.field(default_factory=dict)
     max_batch: int = 64
     max_wait_ms: float = 2.0
     num_workers: int = 1
@@ -693,7 +690,7 @@ class InferenceService:
         replica = copy.deepcopy(self.model)
         backend = (
             config.backend if isinstance(config.backend, ExecutionBackend)
-            else create_backend(config.backend, **config.backend_options)
+            else create_backend(config.backend)
         )
         return await asyncio.to_thread(
             BatchRunner, replica, backend, context=config.context
@@ -717,8 +714,7 @@ class InferenceService:
         claimed = False
         if cache is not None:
             key = await asyncio.to_thread(
-                plan_fingerprint, self.model, config.backend,
-                config.backend_options, config.context)
+                plan_fingerprint, self.model, config.backend, config.context)
             payload = await self._load_cached_plan(cache, key)
             if payload is None:
                 # Write-once guard: first contender claims the key and

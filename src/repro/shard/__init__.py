@@ -56,7 +56,6 @@ from repro.shard.partition import (
 )
 from repro.shard.pipeline import (
     PipelineStageError,
-    PipelineStageSnapshot,
     ShardedPipeline,
     StageDiedError,
 )
@@ -170,7 +169,6 @@ __all__ = [
     "CapacityError",
     "PartitionError",
     "PipelineStageError",
-    "PipelineStageSnapshot",
     "PipelinedReport",
     "ShardedPipeline",
     "StageDiedError",

@@ -39,7 +39,6 @@ per-stage occupancy snapshot without a separate stats round-trip.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import pickle
@@ -257,40 +256,6 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
         for ring in (in_ring, out_ring):
             if ring is not None:
                 ring.close()
-
-
-@dataclasses.dataclass(frozen=True)
-class PipelineStageSnapshot:
-    """Frozen per-stage occupancy summary of a running pipeline.
-
-    ``[layer_start, layer_stop)`` is the stage's op range in the plan's op
-    program; for a flat ``Sequential`` of leaf layers ops are layers.
-    """
-
-    stage: int
-    layer_start: int
-    layer_stop: int
-    batches: int
-    busy_s: float
-    bubble_s: float
-    transport_s: float
-    conversions: int
-    macros: int
-
-
-def _snapshot_from_stats(stats: Dict) -> PipelineStageSnapshot:
-    layers = stats.get("layers", (0, 0))
-    return PipelineStageSnapshot(
-        stage=int(stats.get("stage", 0)),
-        layer_start=int(layers[0]),
-        layer_stop=int(layers[1]),
-        batches=int(stats.get("batches", 0)),
-        busy_s=float(stats.get("forward_s", 0.0)),
-        bubble_s=float(stats.get("bubble_s", 0.0)),
-        transport_s=float(stats.get("transport_s", 0.0)),
-        conversions=int(stats.get("conversions", 0)),
-        macros=int(stats.get("macros", 0)),
-    )
 
 
 class ShardedPipeline:
@@ -695,12 +660,6 @@ class ShardedPipeline:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def stage_snapshots(self) -> List[PipelineStageSnapshot]:
-        """Latest per-stage occupancy (busy / bubble / transport) summary."""
-        with self._state_lock:
-            stats = list(self._latest_stats)
-        return [_snapshot_from_stats(stage) for stage in stats]
-
     def stage_stats(self) -> List[Dict]:
         """Latest raw per-stage accounting dicts (profiles included)."""
         with self._state_lock:

@@ -24,7 +24,6 @@ from repro.exec import (
     get_backend_class,
     register_backend,
     run_model,
-    run_ptq_sweep,
 )
 from repro.exec.registry import _BACKENDS
 from repro.nn import (
@@ -34,7 +33,6 @@ from repro.nn import (
     Sequential,
     SyntheticImageDataset,
     Trainer,
-    format_sweep,
 )
 from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, ReLU
 from repro.rram.device import RRAMStatistics
@@ -216,7 +214,7 @@ class TestRunModel:
         model, x_train, _, x_test, y_test = trained_setup
         reports = compare_backends(
             model, x_test[:16], y_test[:16],
-            backends=[AnalogBackend(vectorized=False), AnalogBackend(vectorized=True)],
+            backends=[AnalogBackend(), AnalogBackend()],
             calibration=x_train[:8],
             macro_config=quiet_macro_config(),
             max_mapped_layers=1,
@@ -250,39 +248,6 @@ class TestBackendEquivalence:
             assert report.accuracy >= ideal - EQUIVALENCE_TOLERANCE, (
                 f"{name}: {report.accuracy} vs ideal {ideal}"
             )
-
-    def test_vectorized_analog_matches_reference_readout(self, trained_setup):
-        """The batched active-sub-array readout and the original full-array
-        readout agree within the integration tolerance."""
-        model, x_train, _, x_test, y_test = trained_setup
-        kwargs = dict(
-            calibration=x_train[:16],
-            macro_config=quiet_macro_config(),
-            max_mapped_layers=2,
-        )
-        batched = run_model(model, x_test[:60], y_test[:60],
-                            backend=AnalogBackend(vectorized=True), **kwargs)
-        reference = run_model(model, x_test[:60], y_test[:60],
-                              backend=AnalogBackend(vectorized=False), **kwargs)
-        assert abs(batched.accuracy - reference.accuracy) <= EQUIVALENCE_TOLERANCE
-        # Both spend the same number of analog conversions on this all-ReLU
-        # network apart from sign passes; at minimum both must spend some.
-        assert batched.conversions > 0
-        assert reference.conversions > 0
-
-    def test_ptq_sweep_matches_legacy_flow(self, trained_setup):
-        """The registry-routed PTQ sweep is numerically identical to the
-        legacy repro.nn.quantize.format_sweep flow."""
-        model, x_train, _, x_test, y_test = trained_setup
-        nonidealities = CIMNonidealities(mac_noise_sigma=0.02, weight_noise_sigma=0.01)
-        legacy = format_sweep(model, x_train[:32], x_test, y_test,
-                              nonidealities=nonidealities, seed=3)
-        routed = run_ptq_sweep(model, x_train[:32], x_test, y_test,
-                               nonidealities=nonidealities, seed=3)
-        assert set(legacy) == set(routed)
-        for name in legacy:
-            assert routed[name].accuracy == legacy[name].accuracy, name
-            assert routed[name].fp32_accuracy == legacy[name].fp32_accuracy, name
 
 
 class TestAnalogBackendCaching:

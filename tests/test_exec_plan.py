@@ -48,7 +48,6 @@ from repro.exec.plan import (
     ModelPlan,
     PlanArena,
     RowCodec,
-    TileNotCompilable,
     _CompiledRoutingAdder,
 )
 from repro.formats.fp8 import (
@@ -483,12 +482,6 @@ class TestCompiledTile:
         rng = np.random.default_rng(14)
         acts = rng.standard_normal((rows, 8))
         assert bitwise_equal(generic.matvec(acts), tile.matvec(acts))
-
-    def test_non_vectorized_readout_declines(self):
-        macro, _ = programmed_macro_pair()
-        macro.vectorized_readout = False
-        with pytest.raises(TileNotCompilable):
-            CompiledTile(macro, StageProfile())
 
 
 class TestCompiledMappedLayer:

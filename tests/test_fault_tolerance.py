@@ -86,13 +86,12 @@ class TestPlanCache:
     def test_fingerprint_separates_recipes(self, trained_setup):
         model, _ = trained_setup
         context = ExecutionContext()
-        base = plan_fingerprint(model, "ideal", {}, context)
-        assert base == plan_fingerprint(model, "ideal", {}, context)
-        assert base != plan_fingerprint(model, "fake_quant", {}, context)
-        assert base != plan_fingerprint(model, "ideal", {"option": 1}, context)
+        base = plan_fingerprint(model, "ideal", context)
+        assert base == plan_fingerprint(model, "ideal", context)
+        assert base != plan_fingerprint(model, "fake_quant", context)
         other_model = Sequential(Flatten(),
                                  Linear(300, 4, rng=np.random.default_rng(2)))
-        assert base != plan_fingerprint(other_model, "ideal", {}, context)
+        assert base != plan_fingerprint(other_model, "ideal", context)
 
     def test_store_load_roundtrip_and_counters(self, tmp_path):
         cache = PlanCache(str(tmp_path))

@@ -12,7 +12,8 @@ import pytest
 
 import repro
 from repro.core import ADCConfig, AFPRMacro, FPADC, FPADCTransient, MacroConfig
-from repro.nn import CIMNonidealities, evaluate_ptq, extract_cim_nonidealities
+from repro.exec import run_ptq_sweep
+from repro.nn import CIMNonidealities, extract_cim_nonidealities
 from repro.power import MacroPowerModel
 from repro.rram.device import RRAMStatistics
 
@@ -116,7 +117,8 @@ class TestNetworkOnHardwareNoise:
             x_train, y_train, epochs=3
         )
         nonideal = CIMNonidealities(mac_noise_sigma=0.02, weight_noise_sigma=0.02)
-        result = evaluate_ptq(model, repro.E2M5, repro.E2M5, x_train[:32],
-                              x_test, y_test, nonidealities=nonideal)
+        result = run_ptq_sweep(model, x_train[:32], x_test, y_test,
+                               formats={"FP8-E2M5": repro.E2M5},
+                               nonidealities=nonideal)["FP8-E2M5"]
         assert result.fp32_accuracy > 0.6
         assert result.accuracy > result.fp32_accuracy - 0.2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import MacroConfig
+from repro.exec import run_ptq_sweep
 from repro.formats import E2M5, E3M4, INT8
 from repro.nn import (
     CIMMappedNetwork,
@@ -17,9 +18,7 @@ from repro.nn import (
     build_resnet_lite,
     calibrate_adapters,
     evaluate_model,
-    evaluate_ptq,
     extract_cim_nonidealities,
-    format_sweep,
     restore_model,
 )
 from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, ReLU
@@ -105,8 +104,8 @@ class TestPTQFlow:
     def test_quantised_accuracy_close_to_fp32(self, trained_setup):
         model, x_train, _, x_test, y_test = trained_setup
         fp32 = evaluate_model(model, x_test, y_test)
-        result = evaluate_ptq(model, E2M5, E2M5, x_train[:32], x_test, y_test,
-                              fp32_accuracy=fp32)
+        result = run_ptq_sweep(model, x_train[:32], x_test, y_test,
+                               formats={"FP8-E2M5": E2M5})["FP8-E2M5"]
         assert result.accuracy >= fp32 - 0.15
         assert result.fp32_accuracy == fp32
         # The model is restored afterwards.
@@ -114,18 +113,18 @@ class TestPTQFlow:
 
     def test_heavy_noise_degrades_accuracy(self, trained_setup):
         model, x_train, _, x_test, y_test = trained_setup
-        fp32 = evaluate_model(model, x_test, y_test)
-        clean = evaluate_ptq(model, E2M5, E2M5, x_train[:32], x_test, y_test,
-                             fp32_accuracy=fp32, seed=1)
-        noisy = evaluate_ptq(model, E2M5, E2M5, x_train[:32], x_test, y_test,
-                             fp32_accuracy=fp32,
-                             nonidealities=CIMNonidealities(mac_noise_sigma=0.5), seed=1)
+        formats = {"FP8-E2M5": E2M5}
+        clean = run_ptq_sweep(model, x_train[:32], x_test, y_test,
+                              formats=formats, seed=1)["FP8-E2M5"]
+        noisy = run_ptq_sweep(model, x_train[:32], x_test, y_test, formats=formats,
+                              nonidealities=CIMNonidealities(mac_noise_sigma=0.5),
+                              seed=1)["FP8-E2M5"]
         assert noisy.accuracy <= clean.accuracy
 
     def test_format_sweep_returns_all_formats(self, trained_setup):
         model, x_train, _, x_test, y_test = trained_setup
-        results = format_sweep(model, x_train[:32], x_test, y_test,
-                               formats={"INT8": INT8, "FP8-E2M5": E2M5, "FP8-E3M4": E3M4})
+        results = run_ptq_sweep(model, x_train[:32], x_test, y_test,
+                                formats={"INT8": INT8, "FP8-E2M5": E2M5, "FP8-E3M4": E3M4})
         assert set(results) == {"INT8", "FP8-E2M5", "FP8-E3M4"}
         for result in results.values():
             assert 0.0 <= result.accuracy <= 1.0
