@@ -82,9 +82,10 @@ def test_compiled_plan_bit_identical_every_backend(benchmark, workload):
     forward) from the same seeds — the plan's LUT kernels then reproduce the
     generic arithmetic exactly.  The check maps every matmul layer, so each
     one runs analog and is compared bit for bit.  It covers calibration
-    too: the planned analog runner calibrates each layer on the compiled
-    kernels of the layers before it, the oracle on the hook path, so any
-    calibration drift shows up in the compared logits.  Both runners'
+    too: in its one calibration forward the planned analog runner
+    calibrates each layer on the compiled kernels of the layers before it,
+    the oracle on the hook path, so any calibration drift shows up in the
+    compared logits.  Both runners'
     ``prepare_time_s`` land in the record, for information only.  Plan
     speed is measured by perfbench (``offline-resnet-analog``
     ``samples_per_s``, ``setup_s`` and the per-layer

@@ -18,6 +18,7 @@ every row of the macro has its own DAC driven in parallel.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -63,6 +64,66 @@ def _static_chain(config: DACConfig) -> Tuple[ResistorStringReference,
         chain = (reference, pga)
         _STATIC_CHAIN_CACHE[config] = chain
     return chain
+
+
+def _encode_fields(value: np.ndarray, exponent_levels: int,
+                   mantissa_levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`FPDAC.encode_value` on a grid of ``exponent_levels`` binades
+    of ``mantissa_levels`` codes, for non-negative ``value``."""
+    levels = mantissa_levels
+    max_exponent = exponent_levels - 1
+    # Direct field extraction on the hardware grid (bias 0, no
+    # subnormals): equivalent to FloatFormat.quantize followed by a
+    # log2-based field split, but in a handful of vectorised passes —
+    # this is the hottest operation of batched analog inference.
+    saturation_bound = 2.0 ** (max_exponent + 2)
+    v = np.nan_to_num(value, nan=0.0, posinf=saturation_bound)
+    v = np.minimum(v, saturation_bound)
+    _, e = np.frexp(v)
+    exponent = np.clip(e - 1, 0, max_exponent)
+    code = np.rint(np.ldexp(v, -exponent) * levels).astype(np.int64)
+    # Below the smallest normal (code value 1.0) the hardware flushes to
+    # zero; rounding exactly onto a binade boundary carries into the next
+    # exponent, and anything beyond the top code saturates.
+    zero_mask = code < levels
+    rollover = code >= 2 * levels
+    exponent = np.where(rollover, exponent + 1, exponent)
+    mantissa = np.where(rollover, 0, code - levels)
+    saturated = exponent > max_exponent
+    exponent = np.where(saturated, max_exponent, exponent)
+    mantissa = np.where(saturated, levels - 1, np.clip(mantissa, 0, levels - 1))
+    return exponent.astype(np.int64), mantissa.astype(np.int64), zero_mask
+
+
+@functools.lru_cache(maxsize=None)
+def _voltage_lut_bounds(exponent_levels: int, mantissa_levels: int) -> np.ndarray:
+    """Exact code-value bucket bounds of the DAC's encode, per format.
+
+    The encode (zero flush, rounding, saturation) depends on the format
+    alone, so every DAC of one format shares these bounds; only the
+    bucket voltages carry a DAC's static mismatch.  Read-only.
+    """
+    levels = mantissa_levels
+    exponents = np.repeat(np.arange(exponent_levels), levels)
+    mantissas = np.tile(np.arange(levels), exponent_levels)
+    code_values = (1.0 + mantissas / levels) * 2.0 ** exponents
+
+    def classify(value: np.ndarray) -> np.ndarray:
+        exponent, mantissa, zero = _encode_fields(
+            np.maximum(np.asarray(value, dtype=np.float64), 0.0),
+            exponent_levels, mantissa_levels)
+        bucket = 1 + exponent * levels + mantissa
+        return np.where(zero, 0, bucket)
+
+    candidates = np.concatenate([
+        [1.0 - 0.5 / levels],  # flush-to-zero threshold
+        0.5 * (code_values[:-1] + code_values[1:]),
+    ])
+    bounds = refine_step_boundaries(candidates, classify)
+    if bounds.size != code_values.size:
+        raise AssertionError("DAC voltage LUT has empty buckets")
+    bounds.setflags(write=False)
+    return bounds
 
 
 class FPDAC:
@@ -158,29 +219,8 @@ class FPDAC:
         value = np.asarray(value, dtype=np.float64)
         if np.any(value < 0):
             raise ValueError("code values must be non-negative (sign handled digitally)")
-        levels = self.config.mantissa_levels
-        max_exponent = self.config.exponent_levels - 1
-        # Direct field extraction on the hardware grid (bias 0, no
-        # subnormals): equivalent to FloatFormat.quantize followed by a
-        # log2-based field split, but in a handful of vectorised passes —
-        # this is the hottest operation of batched analog inference.
-        saturation_bound = 2.0 ** (max_exponent + 2)
-        v = np.nan_to_num(value, nan=0.0, posinf=saturation_bound)
-        v = np.minimum(v, saturation_bound)
-        _, e = np.frexp(v)
-        exponent = np.clip(e - 1, 0, max_exponent)
-        code = np.rint(np.ldexp(v, -exponent) * levels).astype(np.int64)
-        # Below the smallest normal (code value 1.0) the hardware flushes to
-        # zero; rounding exactly onto a binade boundary carries into the next
-        # exponent, and anything beyond the top code saturates.
-        zero_mask = code < levels
-        rollover = code >= 2 * levels
-        exponent = np.where(rollover, exponent + 1, exponent)
-        mantissa = np.where(rollover, 0, code - levels)
-        saturated = exponent > max_exponent
-        exponent = np.where(saturated, max_exponent, exponent)
-        mantissa = np.where(saturated, levels - 1, np.clip(mantissa, 0, levels - 1))
-        return exponent.astype(np.int64), mantissa.astype(np.int64), zero_mask
+        return _encode_fields(value, self.config.exponent_levels,
+                              self.config.mantissa_levels)
 
     def convert_value(self, value: np.ndarray) -> np.ndarray:
         """Quantise code values to the FP grid and produce output voltages."""
@@ -209,22 +249,8 @@ class FPDAC:
             levels = self.config.mantissa_levels
             exponents = np.repeat(np.arange(self.config.exponent_levels), levels)
             mantissas = np.tile(np.arange(levels), self.config.exponent_levels)
-            code_values = (1.0 + mantissas / levels) * 2.0 ** exponents
             volts = self.convert_fields(exponents, mantissas)
-
-            def classify(value: np.ndarray) -> np.ndarray:
-                exponent, mantissa, zero = self.encode_value(
-                    np.maximum(np.asarray(value, dtype=np.float64), 0.0))
-                bucket = 1 + exponent * levels + mantissa
-                return np.where(zero, 0, bucket)
-
-            candidates = np.concatenate([
-                [1.0 - 0.5 / levels],  # flush-to-zero threshold
-                0.5 * (code_values[:-1] + code_values[1:]),
-            ])
-            bounds = refine_step_boundaries(candidates, classify)
-            if bounds.size != code_values.size:
-                raise AssertionError("DAC voltage LUT has empty buckets")
+            bounds = _voltage_lut_bounds(self.config.exponent_levels, levels)
             table = np.concatenate([[0.0], volts])  # bucket 0 = exact zero
             self._voltage_lut = (BucketIndexer(bounds), table)
         return self._voltage_lut

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.registry import register_backend
-from repro.nn.cim_backend import CIMMappedNetwork
+from repro.nn.cim_backend import CIMMappedNetwork, MapLayer
 from repro.nn.model import Model
 from repro.nn.quantize import (
     FakeQuantAdapter,
@@ -117,11 +117,12 @@ class AnalogBackend(ExecutionBackend):
 
     def prepare(self, model: Model, context: ExecutionContext,
                 calibration_forward: Optional[
-                    Callable[[np.ndarray], np.ndarray]] = None) -> None:
+                    Callable[[np.ndarray, MapLayer], np.ndarray]] = None) -> None:
         """Map, program and calibrate the model's matmul layers (or reuse
-        the cached mapping).  ``calibration_forward`` is the forward the
-        layer-by-layer calibration runs (see :class:`CIMMappedNetwork`);
-        it is used during this call only."""
+        the cached mapping).  ``calibration_forward`` is the one forward
+        that maps and calibrates each layer the first time it reaches it
+        (see :class:`CIMMappedNetwork`); it is used during this call
+        only."""
         key = self._context_key(model, context)
         if self._mapped is not None and key == self._cache_key:
             # Same model and configuration: the programmed and calibrated

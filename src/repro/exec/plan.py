@@ -41,11 +41,11 @@ context)``:
   across batches;
 * fake-quant adapters get LUT-compiled quantisers
   (:func:`repro.formats.quantizer.compile_quantizer`);
-* an analog plan **calibrates through its own op program**: the backend
-  calibrates layer ``i`` on the inputs it sees while layers ``0..i-1``
-  run on their calibrated macros, one calibration forward per mapped
-  layer, and the plan hands it a forward in which every layer calibrated
-  so far runs compiled (see :class:`ModelPlan`).
+* an analog plan **calibrates through its own op program**, in one
+  forward: the backend calibrates each layer on the input it sees the
+  first time the forward reaches it, with the layers before it already
+  on their calibrated macros, and the plan runs each layer compiled from
+  the moment it is mapped (see :class:`ModelPlan`).
 
 The compiled fast paths are **bit-identical** to the generic ones — the
 lookup tables are built with exact boundary refinement
@@ -64,7 +64,7 @@ output once, in the generic path's layout (C-contiguous NCHW for a conv).
 that hook path is the bit-identity oracle the plan is tested against.
 Calibrating on compiled layers therefore calibrates every macro exactly as
 the hook path does, generator states included.  Every forward, and the
-calibration forwards of ``prepare``, run with OpenBLAS held at one thread
+calibration forward of ``prepare``, run with OpenBLAS held at one thread
 (:func:`repro.exec.blas.single_thread`), so a plan's bits and its CPU cost
 do not depend on the process's BLAS thread count.
 
@@ -96,7 +96,7 @@ from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.backends import AnalogBackend, FakeQuantBackend
 from repro.formats.fp8 import BucketIndexer, pull_back_bounds, round_to_format
 from repro.formats.quantizer import compile_quantizer
-from repro.nn.cim_backend import CIMExecutionAdapter
+from repro.nn.cim_backend import CIMExecutionAdapter, MapLayer
 from repro.nn.layers import Layer, Linear
 from repro.nn.model import DepthwiseSeparableBlock, Model, ResidualBlock, Sequential
 from repro.obs.trace import plan_trace_buffer
@@ -117,7 +117,7 @@ class PlanArena:
     megabytes of dead scratch bytes.
 
     While :attr:`pooled` is ``False`` every ``take`` returns a fresh array
-    and nothing is kept: a plan's calibration forwards run on scratch its
+    and nothing is kept: a plan's calibration forward runs on scratch its
     batches never reuse, so prepare leaves no slab sized for the
     calibration batch behind.
     """
@@ -977,13 +977,13 @@ class ModelPlan:
     ``context.compile_plan=False`` to run the mapped layers on the hook
     path instead: that program is the bit-identity oracle.
 
-    An analog backend calibrates layer by layer, one forward per mapped
-    layer; the plan passes it a calibration forward that runs this program
-    with every layer calibrated so far compiled, bit for bit the hook path
-    the oracle calibrates on, so each mapped layer is compiled once, during
-    calibration or (the last one) in lowering.  Those forwards run on
-    scratch the arena does not pool, nothing the backend keeps refers back
-    to the plan, and :meth:`stage_profile` starts from zero.
+    An analog backend calibrates in one forward, each mapped layer on the
+    input it sees the first time the forward reaches it.  The plan passes
+    it a calibration forward that runs this program and compiles each
+    layer the moment it is mapped, bit for bit the hook path the oracle
+    calibrates on, so lowering reuses every compiled layer.  That forward
+    runs on scratch the arena does not pool, nothing the backend keeps
+    refers back to the plan, and :meth:`stage_profile` starts from zero.
 
     A pipeline stage is an op range of the program (:meth:`stage`), cut
     only where one tensor is live (:meth:`cut_points`).  Plans are
@@ -1000,8 +1000,8 @@ class ModelPlan:
         self.profile = StageProfile()
         self.arena = PlanArena()
         prepare_start = time.perf_counter()
-        # Mapped layers compiled so far, by id(adapter): calibration
-        # compiles each one the first time it runs it, lowering reuses them.
+        # Mapped layers compiled by the calibration forward, by
+        # id(adapter): lowering reuses them.
         analog_ops: Dict[int, _MatmulOp] = {}
         try:
             # A failure mid-setup (bad calibration batch, unmappable layer)
@@ -1036,7 +1036,7 @@ class ModelPlan:
             any(isinstance(op, _MatmulOp) and op.compiled.compiled_tiles > 0
                 for op in self.ops)
             or (isinstance(backend, FakeQuantBackend) and context.compile_plan))
-        # The calibration forwards metered their kernels: start from zero.
+        # The calibration forward metered its kernels: start from zero.
         self.profile.reset()
         self.prepare_time_s = time.perf_counter() - prepare_start
 
@@ -1057,25 +1057,26 @@ class ModelPlan:
         return _MatmulOp(adapter.layer, compiled)
 
     def _calibration_forward(self, analog_ops: Dict[int, _MatmulOp],
-                             images: np.ndarray) -> np.ndarray:
-        """``model.forward`` as an op program, for the backend's calibration.
+                             images: np.ndarray, map_layer: MapLayer) -> np.ndarray:
+        """``model.forward`` as an op program: the backend's one
+        calibration forward.
 
-        Every mapped layer attached so far is calibrated and runs as a
-        :class:`_MatmulOp`, compiled the first time a calibration forward
-        meets it; the layer being calibrated and everything after it run
-        their own ``forward``.  The compiled kernels reproduce the hook
+        Each op that runs a pending layer maps and calibrates it through
+        ``map_layer`` on the op's input, and the layer's freshly compiled
+        :class:`_MatmulOp` runs in its place.  A pending layer inside a
+        composite the lowering runs whole is mapped by its own ``forward``
+        (the hook path) instead.  The compiled kernels reproduce the hook
         path bit for bit, read-noise draws and conversion counts included,
         so every layer calibrates exactly as it would on the hook path.
         """
-        mapped_ops: Dict[int, _MatmulOp] = {}
-        for index, layer in enumerate(self.model.matmul_layers()):
-            adapter = layer.quantization
-            if isinstance(adapter, CIMExecutionAdapter):
-                if id(adapter) not in analog_ops:
-                    analog_ops[id(adapter)] = self._matmul_op(adapter, index)
-                mapped_ops[id(layer)] = analog_ops[id(adapter)]
+        index = {id(layer): i for i, layer in enumerate(self.model.matmul_layers())}
         x, stack = np.asarray(images, dtype=np.float64), []
-        for op in _lower(self.model, mapped_ops):
+        for op in _lower(self.model, {}):
+            if isinstance(op, _CallOp):
+                adapter = map_layer(op.layer, x)
+                if adapter is not None:
+                    op = analog_ops[id(adapter)] = self._matmul_op(
+                        adapter, index[id(op.layer)])
             x = op(x, stack)
         return x
 
@@ -1207,7 +1208,7 @@ def build_plan(model: Model, backend: ExecutionBackend,
 #: pickled plan layout (or anything the fingerprint cannot see) changes in
 #: a way that makes old entries wrong to reuse; the version is folded into
 #: every fingerprint, so a bump invalidates the whole cache at once.
-PLAN_CACHE_VERSION = 6
+PLAN_CACHE_VERSION = 7
 
 
 def _model_descriptor(model: Model) -> list:

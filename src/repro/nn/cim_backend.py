@@ -17,7 +17,7 @@ it directly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -107,6 +107,13 @@ class CIMExecutionAdapter:
         return result
 
 
+#: The mapping entry point a calibration forward is handed:
+#: ``map_layer(layer, x)`` maps and calibrates ``layer`` on its forward
+#: input ``x`` and returns its adapter if the layer is still pending, and
+#: returns ``None`` for any other layer.
+MapLayer = Callable[[Layer, np.ndarray], Optional[CIMExecutionAdapter]]
+
+
 class CIMMappedNetwork:
     """A trained network whose matmul layers execute on AFPR-CIM macros.
 
@@ -119,92 +126,121 @@ class CIMMappedNetwork:
         Macro configuration shared by all mapped layers.
     calibration_images:
         A small batch used to calibrate activation scales and ADC ranges of
-        every mapped layer (propagated layer by layer through the network).
+        every mapped layer, in one forward through the network.
     max_mapped_layers:
         Map at most this many matmul layers (the rest stay digital); keeps
         runtimes manageable for larger models.  ``None`` maps everything.
     calibration_forward:
-        The forward each calibration pass runs, ``images -> logits``.
-        Layer ``i`` is calibrated on the inputs it sees while layers
-        ``0..i-1`` already run on their calibrated macros, so mapping runs
-        one calibration forward per mapped layer.  The default is
-        ``model.forward``: the hook path, every mapped layer on its generic
-        macro models.  Any replacement must compute the same function
+        The one calibration forward mapping runs,
+        ``calibration_forward(images, map_layer) -> logits``.  Every
+        pending layer is mapped and calibrated on the input it sees the
+        first time the forward reaches it, with the layers reached before
+        it already running on their calibrated macros, and it runs on its
+        own macros for the rest of that forward.  While it runs, each
+        pending layer's ``forward`` is hooked to map the layer on its first
+        call.  The default is ``model.forward``, which maps through those
+        hooks: the hook path, every mapped layer on its generic macro
+        models.  A replacement may instead call ``map_layer(layer, x)``
+        (see :data:`MapLayer`) on a layer's input and run the returned
+        adapter's mapped layer itself; it must compute the same function
         bit for bit, draw the same read noise and count the same
-        conversions, and must call the layer being calibrated through its
-        ``forward`` (that is where its inputs are captured);
-        :class:`~repro.exec.plan.ModelPlan` passes its op program with the
-        layers calibrated so far compiled.  It is used while mapping only
-        and never stored.
+        conversions.  :class:`~repro.exec.plan.ModelPlan` passes its op
+        program, which runs each layer compiled from the moment it is
+        mapped.  It is used while mapping only and never stored.
     """
 
     def __init__(self, model: Model, macro_config: MacroConfig = MacroConfig(),
                  calibration_images: Optional[np.ndarray] = None,
                  max_mapped_layers: Optional[int] = None,
                  calibration_forward: Optional[
-                     Callable[[np.ndarray], np.ndarray]] = None) -> None:
+                     Callable[[np.ndarray, MapLayer], np.ndarray]] = None) -> None:
         self.model = model
         self.macro_config = macro_config
         self.adapters: List[CIMExecutionAdapter] = []
         self._mapped_layers: List[Layer] = []
-        calibration = (
-            np.asarray(calibration_images, dtype=np.float64)
-            if calibration_images is not None
-            else None
-        )
-        if calibration_forward is None:
-            calibration_forward = self.forward
-        self._map_layers(calibration, max_mapped_layers, calibration_forward)
-
-    # ------------------------------------------------------------------
-    def _layer_calibration_inputs(
-            self, layer: Layer, images: np.ndarray,
-            forward: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Capture the inputs a specific layer sees for a calibration batch."""
-        captured: Dict[str, np.ndarray] = {}
-        original_forward = layer.forward
-        own_forward = vars(layer).get("forward")
-
-        def capturing_forward(x, training=False):
-            if isinstance(layer, Conv2d):
-                captured["value"] = im2col(x, layer.kernel_size, layer.stride, layer.padding)
-            else:
-                captured["value"] = np.asarray(x, dtype=np.float64)
-            return original_forward(x, training=training)
-
-        layer.forward = capturing_forward
-        try:
-            forward(images)
-        finally:
-            # Leave no bound method behind in the instance dict.
-            if own_forward is None:
-                del layer.forward
-            else:
-                layer.forward = own_forward
-        return captured["value"]
-
-    def _map_layers(self, calibration: Optional[np.ndarray],
-                    max_mapped_layers: Optional[int],
-                    calibration_forward: Callable[[np.ndarray], np.ndarray]) -> None:
-        layers = self.model.matmul_layers()
+        layers = model.matmul_layers()
         if max_mapped_layers is not None:
             layers = layers[:max_mapped_layers]
-        for layer in layers:
-            if calibration is not None:
-                layer_inputs = self._layer_calibration_inputs(
-                    layer, calibration, calibration_forward)
-            else:
+        if calibration_images is None:
+            for layer in layers:
                 # A grouped conv maps its block-diagonal matrix, which
                 # reads every input channel's patch.
                 in_features = (
                     layer.in_features if isinstance(layer, Linear)
                     else layer.in_channels * layer.kernel_size ** 2
                 )
-                layer_inputs = np.abs(np.random.default_rng(0).standard_normal((8, in_features)))
-            adapter = CIMExecutionAdapter(layer, self.macro_config, layer_inputs)
-            layer.quantization = adapter
-            self.adapters.append(adapter)
-            self._mapped_layers.append(layer)
+                self._attach(layer, np.abs(np.random.default_rng(0).standard_normal(
+                    (8, in_features))))
+            return
+        # By default the hook path: the forward hooks do the mapping.
+        self._map_in_one_pass(
+            layers, np.asarray(calibration_images, dtype=np.float64),
+            calibration_forward or (lambda images, _: self.forward(images)))
+
+    # ------------------------------------------------------------------
+    def _attach(self, layer: Layer, inputs: np.ndarray) -> CIMExecutionAdapter:
+        """Map and calibrate ``layer`` on ``inputs`` and route it to its
+        macros.  Its digital backward state (a training minibatch's im2col)
+        is dropped: a mapped layer runs inference only."""
+        adapter = CIMExecutionAdapter(layer, self.macro_config, inputs)
+        layer.clear_backward_state()
+        layer.quantization = adapter
+        self.adapters.append(adapter)
+        self._mapped_layers.append(layer)
+        return adapter
+
+    def _map_in_one_pass(self, layers: List[Layer], images: np.ndarray,
+                         calibration_forward: Callable[[np.ndarray, MapLayer],
+                                                       np.ndarray]) -> None:
+        order = {id(layer): i for i, layer in enumerate(layers)}
+        pending = {id(layer): layer for layer in layers}
+        own_forwards = {id(layer): vars(layer).get("forward") for layer in layers}
+
+        def unhook(layer: Layer) -> None:
+            # Leave no bound method behind in the instance dict.
+            own = own_forwards[id(layer)]
+            if own is None:
+                del layer.forward
+            else:
+                layer.forward = own
+
+        def map_layer(layer: Layer, x: np.ndarray) -> Optional[CIMExecutionAdapter]:
+            if pending.pop(id(layer), None) is None:
+                return None
+            unhook(layer)
+            if isinstance(layer, Conv2d):
+                inputs = im2col(x, layer.kernel_size, layer.stride, layer.padding)
+            else:
+                inputs = np.asarray(x, dtype=np.float64)
+            return self._attach(layer, inputs)
+
+        def hook(layer: Layer) -> Callable[..., np.ndarray]:
+            def mapping_forward(x, training=False):
+                map_layer(layer, x)
+                return layer.forward(x, training=training)
+            return mapping_forward
+
+        for layer in layers:
+            layer.forward = hook(layer)
+        try:
+            calibration_forward(images, map_layer)
+            if pending:
+                names = ", ".join(f"{order[key]} ({type(layer).__name__})"
+                                  for key, layer in pending.items())
+                raise ValueError(
+                    f"the calibration forward never reached matmul layer "
+                    f"{names}, so it cannot be calibrated")
+        except Exception:
+            self.unmap()
+            raise
+        finally:
+            for layer in pending.values():
+                unhook(layer)
+        # Keep matmul_layers() order (the L<i> keys), not forward order.
+        pairs = sorted(zip(self._mapped_layers, self.adapters),
+                       key=lambda pair: order[id(pair[0])])
+        self._mapped_layers = [layer for layer, _ in pairs]
+        self.adapters = [adapter for _, adapter in pairs]
 
     def unmap(self) -> None:
         """Detach all macro adapters, restoring the digital network."""

@@ -12,6 +12,7 @@ framework.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -52,9 +53,26 @@ class Layer:
     #: CIM non-idealities.  ``None`` means full-precision behaviour.
     quantization = None
 
+    #: Attributes only ``backward`` reads, with their empty values.  A
+    #: pickle carries the empty values: a trained model's last minibatch
+    #: (a conv's im2col, a ReLU's mask) is not part of the model.
+    _backward_state: Dict[str, object] = {}
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output (and cache what backward needs)."""
         raise NotImplementedError
+
+    def clear_backward_state(self) -> None:
+        """Drop what the last training forward cached for ``backward``."""
+        for name, empty in self._backward_state.items():
+            setattr(self, name, copy.copy(empty))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name, empty in self._backward_state.items():
+            if name in state:
+                state[name] = copy.copy(empty)
+        return state
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate: accumulate parameter gradients, return input grad."""
@@ -93,6 +111,7 @@ class Conv2d(Layer):
     """
 
     is_matmul_layer = True
+    _backward_state = {"_cache": {}}
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, groups: int = 1,
@@ -190,6 +209,7 @@ class Linear(Layer):
     """Fully connected layer ``y = x W + b`` with ``W`` of shape (in, out)."""
 
     is_matmul_layer = True
+    _backward_state = {"_input": None}
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -237,6 +257,8 @@ class Linear(Layer):
 
 class BatchNorm2d(Layer):
     """Batch normalisation over the channel dimension of NCHW tensors."""
+
+    _backward_state = {"_cache": {}}
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
         self.num_features = num_features
@@ -297,6 +319,8 @@ class BatchNorm2d(Layer):
 class ReLU(Layer):
     """Rectified linear unit."""
 
+    _backward_state = {"_mask": None}
+
     def __init__(self) -> None:
         self._mask: Optional[np.ndarray] = None
 
@@ -314,6 +338,8 @@ class ReLU(Layer):
 
 class MaxPool2d(Layer):
     """Non-overlapping max pooling (kernel == stride)."""
+
+    _backward_state = {"_cache": {}}
 
     def __init__(self, kernel_size: int = 2) -> None:
         if kernel_size < 1:

@@ -290,6 +290,31 @@ class TestDACVoltageLUT:
     def test_stochastic_output_stage_declines(self):
         assert FPDAC(DACConfig(output_noise_rms=1e-4)).voltage_lut() is None
 
+    def test_bounds_shared_per_format_volts_per_dac(self):
+        # The encode's bounds depend on the format only: two DACs with
+        # different PGA mismatch rank on one array, yet each table holds
+        # its own mismatched volts and matches its own convert_value.
+        configs = [DACConfig(pga_gain_error_sigma=0.005, seed=1),
+                   DACConfig(pga_gain_error_sigma=0.02, seed=2)]
+        dacs = [FPDAC(config) for config in configs]
+        (index_a, volts_a), (index_b, volts_b) = (dac.voltage_lut() for dac in dacs)
+        assert np.shares_memory(index_a.bounds, index_b.bounds)
+        assert not np.array_equal(volts_a, volts_b)
+        levels, exponents = configs[0].mantissa_levels, configs[0].exponent_levels
+        codes = np.array([(1.0 + m / levels) * 2.0 ** e
+                          for e in range(exponents) for m in range(levels)])
+        ties = 0.5 * (codes[:-1] + codes[1:])  # binade boundaries included
+        top = configs[0].max_code_value
+        values = np.concatenate([
+            np.linspace(0.0, top * 1.1, 200001), codes, ties,
+            np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+            [1.0 - 0.5 / levels, np.nextafter(1.0 - 0.5 / levels, 0.0)],
+        ])
+        for dac, (indexer, table) in zip(dacs, ((index_a, volts_a), (index_b, volts_b))):
+            reference = dac.convert_value(np.clip(values, 0.0, top))
+            fast = table[indexer(np.minimum(values, indexer.bounds[-1]))]
+            assert bitwise_equal(reference, fast)
+
     def test_static_mismatch_shared_between_identical_configs(self):
         config = DACConfig(reference_mismatch_sigma=0.01, seed=9)
         assert FPDAC(config).reference is FPDAC(config).reference
@@ -1095,13 +1120,17 @@ def hook_calibrated_plan(model, context):
     return plan, backend
 
 
-def macro_states(backend):
-    """Per macro: calibrated scales, counters and every generator's state."""
+def macro_states(backend, layer=None):
+    """Per macro (of mapped layer ``layer`` only, if given): calibrated
+    scales, counters and every generator's state."""
+    adapters = backend._mapped.adapters
+    if layer is not None:
+        adapters = adapters[layer:layer + 1]
     return [(macro.activation_scale, macro.adc.full_scale_current,
              dataclasses.astuple(macro.stats),
              macro.device._rng.bit_generator.state,
              macro._rng.bit_generator.state)
-            for adapter in backend._mapped.adapters
+            for adapter in adapters
             for macro in adapter.mapped.macros]
 
 
@@ -1136,8 +1165,8 @@ class TestCompiledCalibration:
             hook_plan.close()
 
     def test_compiles_each_mapped_layer_once(self, monkeypatch):
-        # Calibration compiles layers 0..n-2 as it meets them; lowering
-        # reuses those ops and compiles only the last layer.
+        # The one calibration forward compiles every layer as it maps it;
+        # lowering reuses those ops and compiles none.
         model, images = zoo_model("resnet_lite")
         built = []
         original = CompiledMappedLayer.__init__
@@ -1153,9 +1182,103 @@ class TestCompiledCalibration:
         assert sorted(built) == sorted(keys) == sorted(
             f"L{i}" for i in range(len(model.matmul_layers())))
 
+    @pytest.mark.parametrize("compile_plan", [True, False])
+    def test_prepare_runs_one_calibration_forward(self, monkeypatch, compile_plan):
+        model, images = zoo_model("resnet_lite")
+        calls = []
+        original = GlobalAvgPool2d.forward
+
+        def counting_forward(self, x, training=False):
+            calls.append(x.shape[0])
+            return original(self, x, training=training)
+
+        monkeypatch.setattr(GlobalAvgPool2d, "forward", counting_forward)
+        context = ExecutionContext(calibration=images[:8], max_mapped_layers=None,
+                                   compile_plan=compile_plan)
+        with ModelPlan(model, AnalogBackend(), context):
+            assert calls == [8]
+
+    def test_layer_calibration_does_not_depend_on_later_layers(self):
+        # Read noise on: layer j calibrates on the outputs of layers
+        # 0..j-1, each run once on its macros, so mapping more layers after
+        # it moves none of its scales, counters or generator states.
+        model, images = zoo_model("resnet_lite")
+        context = ExecutionContext(calibration=images[:8], max_mapped_layers=None,
+                                   seed=0)
+        with ModelPlan(model, AnalogBackend(), context) as plan:
+            full = [macro_states(plan.backend, layer=j)
+                    for j in range(len(model.matmul_layers()))]
+        for j, states in enumerate(full):
+            prefix = dataclasses.replace(context, max_mapped_layers=j + 1)
+            with ModelPlan(zoo_model("resnet_lite")[0], AnalogBackend(),
+                           prefix) as plan:
+                assert macro_states(plan.backend, layer=j) == states
+
+    def test_layer_inside_an_opaque_composite(self):
+        # The lowering runs a Sequential subclass whole: its layers are
+        # mapped by their forward hooks, and the plan still equals the
+        # hook path bit for bit.
+        class Stem(Sequential):
+            pass
+
+        def build():
+            rng = np.random.default_rng(8)
+            return Sequential(
+                Stem(Conv2d(3, 6, 3, padding=1, rng=rng), ReLU()),
+                Conv2d(6, 8, 3, stride=2, padding=1, rng=rng), ReLU(),
+                GlobalAvgPool2d(), Linear(8, 4, rng=rng))
+
+        images = zoo_model("demo_cnn")[1]
+        context = ExecutionContext(calibration=images[:8], max_mapped_layers=None,
+                                   seed=0)
+        compiled_plan = ModelPlan(build(), AnalogBackend(), context)
+        hook_plan, hook_backend = hook_calibrated_plan(build(), context)
+        try:
+            assert len(compiled_plan.backend._mapped.adapters) == 3
+            assert macro_states(compiled_plan.backend) == macro_states(hook_backend)
+            for _ in range(2):
+                assert bitwise_equal(compiled_plan.forward(images),
+                                     hook_plan.forward(images))
+                assert compiled_plan.conversions() == hook_plan.conversions()
+        finally:
+            compiled_plan.close()
+            hook_plan.close()
+
+    @pytest.mark.parametrize("compile_plan", [True, False])
+    def test_unreached_pending_layer_raises(self, compile_plan):
+        class SkipsLast(Sequential):
+            def forward(self, x, training=False):
+                for layer in self.layers[:-1]:
+                    x = layer.forward(x, training=training)
+                return x
+
+        rng = np.random.default_rng(3)
+        model = Sequential(Flatten(), SkipsLast(
+            Linear(300, 6, rng=rng), ReLU(), Linear(6, 4, rng=rng)))
+        images = zoo_model("demo_cnn")[1]
+        backend = AnalogBackend()
+        context = ExecutionContext(calibration=images[:8], max_mapped_layers=None,
+                                   compile_plan=compile_plan)
+        with pytest.raises(ValueError, match=r"matmul layer 1 \(Linear\)"):
+            ModelPlan(model, backend, context)
+        assert backend._mapped is None
+        for layer in model.matmul_layers():
+            assert layer.quantization is None and "forward" not in vars(layer)
+
+    @pytest.mark.parametrize("compile_plan", [True, False])
+    def test_mapped_convs_drop_training_cols(self, compile_plan):
+        model, images = zoo_model("demo_cnn")
+        model.forward(images, training=True)
+        convs = [layer for layer in model.matmul_layers() if isinstance(layer, Conv2d)]
+        assert all(conv._cache["cols"] for conv in convs)
+        context = ExecutionContext(calibration=images[:8], max_mapped_layers=None,
+                                   compile_plan=compile_plan)
+        with ModelPlan(model, AnalogBackend(), context):
+            assert not any(conv._cache.get("cols") for conv in convs)
+
     def test_fresh_plan_profile_is_zero_and_arena_empty(self):
-        # The calibration forwards ran compiled kernels on unpooled
-        # scratch: none of their time or slabs outlives prepare.
+        # The calibration forward ran compiled kernels on unpooled
+        # scratch: none of its time or slabs outlives prepare.
         model, images = zoo_model("resnet_lite")
         context = ExecutionContext(calibration=images[:8], max_mapped_layers=None)
         with ModelPlan(model, AnalogBackend(), context) as plan:
@@ -1187,6 +1310,46 @@ class TestCompiledCalibration:
         finally:
             gc.enable()
         assert backend._mapped is not None  # the mapping itself is kept
+
+
+class TestTrainingStateNotPickled:
+    @pytest.fixture(scope="class")
+    def trained_resnet(self):
+        """ResNet-lite right after a 32-image training step (the backward
+        caches of its last minibatch still held) and its plan."""
+        dataset = SyntheticImageDataset(DatasetConfig(num_classes=10, image_size=16,
+                                                      seed=0))
+        x_train, y_train, x_test, _ = dataset.train_test_split(64, 16)
+        model = build_resnet_lite(stage_widths=(8, 16, 32), seed=0)
+        Trainer(model, SGD(model.parameters(), learning_rate=0.05),
+                batch_size=32).fit(x_train, y_train, epochs=1)
+        context = ExecutionContext(calibration=x_train[:16], max_mapped_layers=None)
+        with ModelPlan(model, AnalogBackend(), context) as plan:
+            yield model, plan, x_train, y_train, x_test
+
+    def test_plan_payload_drops_backward_caches(self, trained_resnet, monkeypatch):
+        _, plan, *_ = trained_resnet
+        payload = len(pickle.dumps(plan))
+        monkeypatch.delattr(Layer, "__getstate__")
+        assert len(pickle.dumps(plan)) - payload >= 3_000_000
+
+    def test_unpickled_plan_forward_is_bit_identical(self, trained_resnet):
+        _, plan, _, _, x_test = trained_resnet
+        clone = pickle.loads(pickle.dumps(plan))
+        assert bitwise_equal(clone.forward(x_test), plan.forward(x_test))
+
+    def test_unpickled_model_still_trains(self, trained_resnet):
+        model, _, x_train, y_train, _ = trained_resnet
+        clone = pickle.loads(pickle.dumps(model))
+        for layer in clone.modules():
+            for name, empty in type(layer)._backward_state.items():
+                assert getattr(layer, name) == empty
+        before = [p.value.copy() for p in clone.parameters()]
+        Trainer(clone, SGD(clone.parameters(), learning_rate=0.05),
+                batch_size=32).fit(x_train[:32], y_train[:32], epochs=1)
+        assert all(np.all(np.isfinite(p.value)) for p in clone.parameters())
+        assert any(not np.array_equal(b, p.value)
+                   for b, p in zip(before, clone.parameters()))
 
 
 # ----------------------------------------------------------------------

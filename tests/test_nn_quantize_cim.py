@@ -178,3 +178,75 @@ class TestCIMMappedNetwork:
             assert out.shape == (4, 4)
         finally:
             mapped.unmap()
+
+
+class TwoBranches(Sequential):
+    """``b(x) + a(x)``: the forward reaches its layers in reverse
+    ``modules()`` order."""
+
+    def forward(self, x, training=False):
+        a, b = self.layers
+        return b.forward(x, training) + a.forward(x, training)
+
+
+class TestOnePassMapping:
+    def branches(self):
+        return TwoBranches(Linear(6, 3, rng=np.random.default_rng(0)),
+                           Linear(6, 3, rng=np.random.default_rng(1)))
+
+    def test_maps_in_forward_order_keeps_matmul_order(self):
+        model = self.branches()
+        calls = []
+        mapped = CIMMappedNetwork(
+            model, calibration_images=np.random.default_rng(2).normal(size=(8, 6)),
+            calibration_forward=lambda images, map_layer: calls.append(1)
+            or model.forward(images))
+        try:
+            assert calls == [1]
+            assert [adapter.layer for adapter in mapped.adapters] == model.layers
+            assert all(layer.quantization is adapter
+                       for layer, adapter in zip(model.layers, mapped.adapters))
+            assert not any("forward" in vars(layer) for layer in model.layers)
+        finally:
+            mapped.unmap()
+
+    def test_map_layer_is_the_mapping_entry_point(self):
+        # A calibration forward may map a layer itself and run it on the
+        # returned adapter; a second call, or a layer that is not
+        # pending, returns None.
+        model = self.branches()
+        first, second = model.layers
+        images = np.random.default_rng(2).normal(size=(8, 6))
+
+        def forward(x, map_layer):
+            adapter = map_layer(second, x)
+            assert adapter is not None and adapter.layer is second
+            assert map_layer(second, x) is None
+            assert map_layer(ReLU(), x) is None
+            return model.forward(x)
+
+        mapped = CIMMappedNetwork(model, calibration_images=images,
+                                  calibration_forward=forward)
+        try:
+            assert [adapter.layer for adapter in mapped.adapters] == [first, second]
+        finally:
+            mapped.unmap()
+
+    def test_unreached_layer_raises_and_unhooks(self):
+        model = self.branches()
+        with pytest.raises(ValueError, match=r"matmul layer 0 \(Linear\)"):
+            CIMMappedNetwork(
+                model, calibration_images=np.ones((4, 6)),
+                calibration_forward=lambda images, _: model.layers[1].forward(images))
+        for layer in model.layers:
+            assert layer.quantization is None and "forward" not in vars(layer)
+
+    def test_max_mapped_layers_maps_the_first_layers(self):
+        model = self.branches()
+        mapped = CIMMappedNetwork(model, calibration_images=np.ones((4, 6)),
+                                  max_mapped_layers=1)
+        try:
+            assert [adapter.layer for adapter in mapped.adapters] == model.layers[:1]
+            assert model.layers[1].quantization is None
+        finally:
+            mapped.unmap()
