@@ -17,7 +17,7 @@ the same model skip re-calibration.
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 import numpy as np
 
@@ -106,6 +106,10 @@ class ExecutionReport:
     #: ``"generic"`` (no plan kernels ran).
     plan_mode: str = "generic"
     cpu_time_s: float = 0.0
+    #: Bytes the plan's scratch arena held after the last forward, and the
+    #: ``(name, bytes)`` of its biggest slab (``None`` when it held none).
+    scratch_bytes: int = 0
+    largest_slab: Optional[Tuple[str, int]] = None
 
     @property
     def samples_per_second(self) -> float:

@@ -189,6 +189,10 @@ def run_run_command(args: argparse.Namespace) -> Tuple[str, int]:
             lines.append(render_stage_profile(aggregate_profile(tracer.spans)))
         elif report.stage_profile is not None:
             lines.append(render_stage_profile(report.stage_profile))
+        if report.largest_slab is not None:
+            name, nbytes = report.largest_slab
+            lines.append(f"plan scratch  {report.scratch_bytes / 1e6:.2f} MB "
+                         f"(largest slab {name}, {nbytes / 1e6:.2f} MB)")
     return "\n".join(lines), 0
 
 

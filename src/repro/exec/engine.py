@@ -169,6 +169,8 @@ def run_model(model: Model, images: np.ndarray,
         conversions = runner.conversions() - conversions_before
         profile = runner.stage_profile()
         plan_mode = runner.plan_mode
+        scratch_bytes = runner.plan.arena.nbytes()
+        largest_slab = runner.plan.arena.largest_slab()
     finally:
         runner.close()
 
@@ -184,6 +186,8 @@ def run_model(model: Model, images: np.ndarray,
         conversions=conversions,
         stage_profile=profile,
         plan_mode=plan_mode,
+        scratch_bytes=scratch_bytes,
+        largest_slab=largest_slab,
     )
 
 

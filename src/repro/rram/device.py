@@ -203,14 +203,28 @@ class RRAMDeviceModel:
     # ------------------------------------------------------------------
     # Read-time effects
     # ------------------------------------------------------------------
-    def read_noise(self, g: np.ndarray) -> np.ndarray:
-        """Apply one sample of cycle-to-cycle read noise to conductances."""
+    def read_noise(self, g: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Apply one sample of cycle-to-cycle read noise to conductances.
+
+        The result is never ``g`` itself: it lands in ``out`` (a
+        C-contiguous float64 array of ``g``'s shape that does not overlap
+        it) or in a fresh array, drawn in place either way: both give the
+        same values and leave the generator in the same state.
+        """
         g = np.asarray(g, dtype=np.float64)
+        if out is None:
+            out = np.empty(g.shape)
         sigma = self.statistics.read_noise_sigma
         if sigma == 0.0:
-            return g.copy()
-        noisy = g * (1.0 + sigma * self._rng.standard_normal(g.shape))
-        return np.clip(noisy, 0.0, None)
+            np.copyto(out, g)
+            return out
+        # g * (1 + sigma * z), clipped at zero, without a temporary.
+        self._rng.standard_normal(out=out)
+        out *= sigma
+        out += 1.0
+        out *= g
+        return np.maximum(out, 0.0, out=out)
 
     def drift(self, g: np.ndarray, elapsed_seconds: float) -> np.ndarray:
         """Retention drift after ``elapsed_seconds`` (power-law toward HRS).

@@ -69,3 +69,26 @@ class TestRunCLIValidation:
 
         with pytest.raises(SystemExit, match=message):
             run_run_command(build_run_parser().parse_args(argv))
+
+
+class TestRunCLIScratch:
+    def test_profile_prints_the_plan_scratch(self, capsys, monkeypatch):
+        # Three mapped layers share the arena's slabs; the printed total
+        # and largest slab are the arena's after the run's forward.
+        from repro.exec.plan import ModelPlan
+
+        seen = []
+        close = ModelPlan.close
+
+        def recording_close(plan):
+            seen.append((plan.arena.nbytes(), plan.arena.largest_slab()))
+            close(plan)
+
+        monkeypatch.setattr(ModelPlan, "close", recording_close)
+        assert main(["run", "--backend", "analog", "--samples", "64",
+                     "--mapped-layers", "3", "--profile"]) == 0
+        out = capsys.readouterr().out
+        [(nbytes, (name, slab_bytes))] = seen
+        assert nbytes > slab_bytes > 0
+        assert (f"plan scratch  {nbytes / 1e6:.2f} MB "
+                f"(largest slab {name}, {slab_bytes / 1e6:.2f} MB)") in out

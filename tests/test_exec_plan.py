@@ -1079,6 +1079,9 @@ class TestModelPlan:
         generic = run_model(model, x_test[:8], backend="analog",
                             context=plan_context(x_train, compile_plan=False))
         assert generic.stage_profile["dac_s"] == 0.0
+        # The compiled plan's scratch is reported; the oracle takes none.
+        assert report.scratch_bytes >= report.largest_slab[1] > 0
+        assert generic.scratch_bytes == 0 and generic.largest_slab is None
         profile = StageProfile(**{k: v for k, v in report.stage_profile.items()
                                   if k not in ("digital_s", "forwards")})
         assert 0 < profile.im2col_s + profile.adder_s <= profile.digital_s
@@ -1310,6 +1313,106 @@ class TestCompiledCalibration:
         finally:
             gc.enable()
         assert backend._mapped is not None  # the mapping itself is kept
+
+
+def slab_escapes(plan, images):
+    """Walk the plan's op program op by op on ``images``; the indices of
+    the ops after which ``x`` or a tensor on the residual stack shares
+    memory with an arena slab."""
+    plan.forward(images)  # grow every slab to this batch first
+    slabs = list(plan.arena._slabs.values())
+    assert slabs
+    x, stack, escapes = np.asarray(images, dtype=np.float64), [], []
+    for index, op in enumerate(plan.ops):
+        x = op(x, stack)
+        if any(np.shares_memory(tensor, slab)
+               for tensor in (x, *stack) for slab in slabs):
+            escapes.append(index)
+    # No slab regrew, so no escaped view can hide in a dropped one.
+    assert [id(slab) for slab in plan.arena._slabs.values()] == list(map(id, slabs))
+    return escapes
+
+
+SCRATCH_CASES = {
+    "demo_cnn": {},
+    "resnet_lite": {},
+    "mobilenet_lite": {},
+    "row_and_column_tiles": {},
+    "offset_conv": dict(differential_columns=False),
+    "fallback_tiles": dict(dac=DACConfig(output_noise_rms=1e-5)),
+}
+
+
+class TestSharedScratch:
+    """Arena slabs are named by their role inside an op, so every layer
+    draws from the same slabs; that is sound only because none outlives
+    the op that took it."""
+
+    @pytest.mark.parametrize("case", list(SCRATCH_CASES))
+    def test_no_slab_escapes_an_op(self, case):
+        if case == "row_and_column_tiles":
+            # 600 features x 150 outputs: two row tiles and two column tiles.
+            rng = np.random.default_rng(22)
+            model = Sequential(Flatten(), Linear(600, 150, rng=rng), ReLU(),
+                               Linear(150, 4, rng=rng))
+            images = rng.standard_normal((14, 6, 10, 10))
+        else:
+            model, images = zoo_model(case if case in ("resnet_lite", "mobilenet_lite")
+                                      else "demo_cnn")
+        context = ExecutionContext(
+            calibration=images[:8], max_mapped_layers=None, seed=0,
+            macro_config=MacroConfig(device_statistics=quiet_stats(),
+                                     **SCRATCH_CASES[case]))
+        with ModelPlan(model, AnalogBackend(), context) as plan:
+            layers = compiled_layers(plan)
+            assert len(layers) == len(model.matmul_layers())
+            if case == "row_and_column_tiles":
+                first = layers[0]
+                assert len(first.column_ranges) >= 2
+                assert len({(start, stop) for _, placements in first.column_ranges
+                            for start, stop, _ in placements}) >= 2
+            elif case == "fallback_tiles":
+                assert all(layer.compiled_tiles == 0 for layer in layers)
+            elif case == "mobilenet_lite":
+                assert any(layer.full_row_codec is None for layer in layers)
+            elif case == "offset_conv":
+                assert layers[0].full_row_codec.raw
+            assert slab_escapes(plan, images) == []
+
+    def test_perfbench_resnet_arena_holds_the_largest_layer(self):
+        # ResNet-lite as the offline benchmark builds it: widths 8/16/32,
+        # 16x16 images, batch 64, all ten layers mapped.  With a private
+        # set of slabs per layer the arena held 107.5 MB.
+        dataset = SyntheticImageDataset(DatasetConfig(num_classes=10, image_size=16,
+                                                      seed=0))
+        images, _ = dataset.generate(96)
+        model = build_resnet_lite(stage_widths=(8, 16, 32), seed=0)
+        context = ExecutionContext(calibration=images[:32], macro_config=MacroConfig(),
+                                   seed=0)
+        with ModelPlan(model, AnalogBackend(), context) as plan:
+            keys = [layer.key for layer in compiled_layers(plan)]
+            assert len(keys) == 10
+            plan.forward(images[32:])
+            assert 0 < plan.arena.nbytes() <= 32e6
+            names = [name for name, _ in plan.arena._slabs]
+            assert not [name for name in names if any(key in name for key in keys)]
+
+    @pytest.mark.parametrize("name", ["demo_cnn", "resnet_lite", "mobilenet_lite"])
+    def test_batch_size_changes_match_fresh_plans(self, name):
+        # Slabs grown by batch 64 serve batch 1 as prefixes, then batch 64
+        # again; every forward equals a fresh plan's at its size.
+        model, images = zoo_model(name)
+        batch = np.random.default_rng(4).standard_normal((64, 3, 10, 10))
+        context = ExecutionContext(
+            calibration=images[:8], max_mapped_layers=None, seed=0,
+            macro_config=MacroConfig(device_statistics=quiet_stats(),
+                                     read_noise_enabled=False))
+        sizes = (64, 1, 64)
+        with ModelPlan(model, AnalogBackend(), context) as plan:
+            shared = [plan.forward(batch[:size]) for size in sizes]
+        for size, logits in zip(sizes, shared):
+            with ModelPlan(model, AnalogBackend(), context) as fresh:
+                assert bitwise_equal(logits, fresh.forward(batch[:size]))
 
 
 class TestTrainingStateNotPickled:

@@ -108,6 +108,31 @@ class TestReadEffects:
         noisy = device.read_noise(g)
         assert np.std(noisy) / np.mean(noisy) == pytest.approx(0.01, rel=0.15)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 1.0])
+    def test_read_noise_in_place_equals_the_allocating_draw(self, sigma):
+        # The reference is the allocating formula on an identically seeded
+        # generator; a transposed (non-contiguous) g exercises the
+        # crossbar's sliced reads.  Values may be NaN, inf, +-0 or
+        # subnormal, and sigma 1 drives some below zero (clipped).
+        statistics = RRAMStatistics(read_noise_sigma=sigma)
+        g = np.random.default_rng(3).uniform(1e-6, 25e-6, (6, 9)).T
+        g[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
+        reference_rng = np.random.default_rng(11)
+        if sigma:
+            noisy = g * (1.0 + sigma * reference_rng.standard_normal(g.shape))
+            expected = np.clip(noisy, 0.0, None)
+        else:
+            expected = g.copy()
+        for use_out in (False, True):
+            device = RRAMDeviceModel(statistics=statistics, seed=11)
+            out = np.full(g.shape, -1.0) if use_out else None
+            result = device.read_noise(g, out=out)
+            assert result is not g
+            if use_out:
+                assert result is out
+            assert np.array_equal(result.view(np.int64), expected.view(np.int64))
+            assert device._rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_drift_reduces_conductance(self):
         device = RRAMDeviceModel(statistics=RRAMStatistics(drift_coefficient=0.01))
         g = np.full(10, 20e-6)
