@@ -103,7 +103,7 @@ def _serve_once(model, images, config, seed):
         finally:
             await service.stop()
         snapshot = service.metrics_snapshot()
-        assert snapshot.dropped == 0 and snapshot.samples == len(images)
+        assert snapshot.counters["dropped"] == 0 and snapshot.samples == len(images)
         return snapshot.wall_time_s, cpu_s, service.tracer.traced_requests
 
     return asyncio.run(run())

@@ -81,7 +81,7 @@ def _best_serving_time(model, images, config, rounds=ROUNDS):
     """Best-of-N first-arrival-to-last-completion time of a full serve run."""
     def serve_once():
         _, snapshot = serve_requests(model, images, config)
-        assert snapshot.samples == len(images) and snapshot.dropped == 0
+        assert snapshot.samples == len(images) and snapshot.counters["dropped"] == 0
         return snapshot
 
     best, snapshot = best_metric(serve_once, lambda s: s.wall_time_s,

@@ -90,11 +90,11 @@ def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
     print()
     print(f"kill-storm: {chaos['kills']} kills, {result.failures} client "
           f"failures / {REQUESTS} requests, "
-          f"{snapshot.retried_batches} batches re-dispatched, "
-          f"{snapshot.respawns} respawns, worst recovery "
+          f"{snapshot.counters['retried_batches']} batches re-dispatched, "
+          f"{snapshot.counters['respawns']} respawns, worst recovery "
           f"{recovery_s * 1e3:.0f} ms, plan cache "
-          f"{snapshot.plan_cache_hits} hits / "
-          f"{snapshot.plan_cache_misses} misses")
+          f"{snapshot.counters['plan_cache_hits']} hits / "
+          f"{snapshot.counters['plan_cache_misses']} misses")
 
     # --- seeded hang: dispatch deadline -> kill -> respawn -> re-dispatch
     # Per-process fault counters re-arm in every respawned worker, so the
@@ -142,11 +142,11 @@ def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
         "client_success_ratio": success_ratio,
         "recovered_fraction": recovered_fraction,
         "recovery_s": recovery_s,
-        "worker_deaths": snapshot.worker_deaths,
-        "retried_batches": snapshot.retried_batches,
-        "respawns": snapshot.respawns,
-        "plan_cache_hits": snapshot.plan_cache_hits,
-        "plan_cache_misses": snapshot.plan_cache_misses,
+        "worker_deaths": snapshot.counters["worker_deaths"],
+        "retried_batches": snapshot.counters["retried_batches"],
+        "respawns": snapshot.counters["respawns"],
+        "plan_cache_hits": snapshot.counters["plan_cache_hits"],
+        "plan_cache_misses": snapshot.counters["plan_cache_misses"],
         "chaos_requests": CHAOS_REQUESTS,
         "hang_success_ratio": hang_success,
         "hang_recovered_fraction": (hang_chaos["alive_workers"]
@@ -166,10 +166,10 @@ def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
         f"{result.failures} client-visible failures during the kill-storm")
     assert chaos["recovered"], "pool did not respawn to full strength"
     assert recovered_fraction == 1.0
-    assert snapshot.respawns >= 1
+    assert snapshot.counters["respawns"] >= 1
     # Respawns reuse the cached payload: compilation (a cache miss + store)
     # happens at most once, at cold start — never during the storm.
-    assert snapshot.plan_cache_misses <= 1
+    assert snapshot.counters["plan_cache_misses"] <= 1
     # Hang drive: the deadline must actually fire, and fire recoverably.
     assert hang_chaos["dispatch_timeouts"] >= 1, "the hang never tripped"
     assert hang.failures == 0, (

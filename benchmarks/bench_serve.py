@@ -73,7 +73,7 @@ def _best_serving_time(model, images, config, rounds=ROUNDS):
         _, snapshot = serve_requests(model, images, config)
         # submit_many enqueues max_batch-row slices, so the request count is
         # ceil(samples / max_batch); samples and zero drops pin completeness.
-        assert snapshot.samples == len(images) and snapshot.dropped == 0
+        assert snapshot.samples == len(images) and snapshot.counters["dropped"] == 0
         return snapshot
 
     best, _ = best_metric(serve_once, lambda s: s.wall_time_s, rounds=rounds)

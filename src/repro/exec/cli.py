@@ -129,6 +129,9 @@ def run_run_command(args: argparse.Namespace) -> Tuple[str, int]:
                 profile["transport_s"] = stage.get("transport_s", 0.0)
                 profile["bubble_s"] = stage.get("bubble_s", 0.0)
                 lines.append(render_stage_profile(profile))
+                if stage.get("largest_slab") is not None:
+                    lines.append(f"stage {stage['stage']} " + _scratch_line(
+                        stage["scratch_bytes"], stage["largest_slab"]))
         return "\n".join(lines), 0
     tracer = None
     if args.trace_out:
@@ -190,10 +193,16 @@ def run_run_command(args: argparse.Namespace) -> Tuple[str, int]:
         elif report.stage_profile is not None:
             lines.append(render_stage_profile(report.stage_profile))
         if report.largest_slab is not None:
-            name, nbytes = report.largest_slab
-            lines.append(f"plan scratch  {report.scratch_bytes / 1e6:.2f} MB "
-                         f"(largest slab {name}, {nbytes / 1e6:.2f} MB)")
+            lines.append(_scratch_line(report.scratch_bytes,
+                                       report.largest_slab))
     return "\n".join(lines), 0
+
+
+def _scratch_line(scratch_bytes: int, largest_slab: Tuple[str, int]) -> str:
+    """The plan arena's size and its largest slab, after the run."""
+    name, nbytes = largest_slab
+    return (f"plan scratch  {scratch_bytes / 1e6:.2f} MB "
+            f"(largest slab {name}, {nbytes / 1e6:.2f} MB)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -36,6 +36,7 @@ from repro.nn import DatasetConfig, SGD, SyntheticImageDataset, Trainer
 from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, ReLU
 from repro.nn.model import Model, Sequential
 from repro.serve.loadgen import ARRIVAL_PROCESSES, LOAD_SCENARIOS, run_loadtest
+from repro.serve.metrics import METRICS
 from repro.serve.service import ServeConfig
 
 
@@ -336,7 +337,8 @@ def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]
             f"dynamic batching speedup: {speedup:.2f}x",
         ]
     exit_code = 0
-    if scenario == "kill-storm":
+    dropped = result.snapshot.counters["dropped"]
+    if scenario in ("kill-storm", "chaos-sweep"):
         chaos = result.chaos or {}
         problems = []
         if result.failures:
@@ -346,35 +348,17 @@ def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]
                 f"pool not recovered ({chaos.get('alive_workers')}/"
                 f"{args.workers} workers alive)")
         if problems:
-            lines.append("KILL-STORM FAIL: " + "; ".join(problems))
+            lines.append(f"{scenario.upper()} FAIL: " + "; ".join(problems))
             exit_code = 1
         else:
+            counts = [f"{metric.text} {chaos[metric.name]}" for metric in METRICS
+                      if metric.section == "fault_tolerance"
+                      and chaos.get(metric.name)]
             lines.append(
-                f"KILL-STORM OK: {chaos.get('kills')} kills, 0 client "
-                f"failures, {chaos.get('retried_batches')} batches "
-                f"re-dispatched, pool respawned to {args.workers} workers")
-    elif scenario == "chaos-sweep":
-        chaos = result.chaos or {}
-        problems = []
-        if result.failures:
-            problems.append(f"{result.failures} client-visible failures")
-        if not chaos.get("recovered", False):
-            problems.append(
-                f"pool not recovered ({chaos.get('alive_workers')}/"
-                f"{args.workers} workers alive)")
-        if problems:
-            lines.append("CHAOS-SWEEP FAIL: " + "; ".join(problems))
-            exit_code = 1
-        else:
-            lines.append(
-                f"CHAOS-SWEEP OK: {chaos.get('worker_deaths')} deaths "
-                f"({chaos.get('kills')} kills), "
-                f"{chaos.get('dispatch_timeouts')} dispatch timeouts, "
-                f"{chaos.get('corruptions')} corrupt slots, "
-                f"{chaos.get('retried_batches')} batches re-dispatched, "
-                "0 client failures, pool recovered")
+                f"{scenario.upper()} OK: {chaos.get('kills')} kills, "
+                + ", ".join(counts) + ", 0 client failures, pool recovered "
+                f"to {args.workers} workers")
     elif scenario == "overload":
-        dropped = result.snapshot.dropped
         if result.failures == dropped:
             lines.append(f"OVERLOAD OK: every failure was an admission "
                          f"drop ({dropped} dropped, "
@@ -390,9 +374,8 @@ def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]
         problems = []
         if p99 > max_p99:
             problems.append(f"p99 {p99:.2f} ms > bound {max_p99:.2f} ms")
-        if result.failures or result.snapshot.dropped:
-            problems.append(f"{result.failures} failed, "
-                            f"{result.snapshot.dropped} dropped")
+        if result.failures or dropped:
+            problems.append(f"{result.failures} failed, {dropped} dropped")
         if problems:
             lines.append("SLO FAIL: " + "; ".join(problems))
             exit_code = 1

@@ -66,7 +66,7 @@ from repro.obs.http import MetricsServer, ServiceProbe
 from repro.obs.trace import validate_span_tree
 from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.obs.exposition import snapshot_to_json
-from repro.serve.metrics import MetricsSnapshot
+from repro.serve.metrics import METRICS, MetricsSnapshot
 from repro.serve.service import InferenceService, ServeConfig
 
 
@@ -454,24 +454,15 @@ def run_loadtest(model: Model, images: np.ndarray, config: Optional[ServeConfig]
                     "kills": killed,
                     "recovered": recovered,
                     "alive_workers": service.alive_worker_count(),
-                    "worker_deaths": snapshot.worker_deaths,
-                    "retried_batches": snapshot.retried_batches,
-                    "respawns": snapshot.respawns,
-                    "recovery_s": (max(snapshot.recovery_times_s)
-                                   if snapshot.recovery_times_s else 0.0),
-                    "plan_cache_hits": snapshot.plan_cache_hits,
+                    **{metric.name: snapshot.counters[metric.name]
+                       for metric in METRICS
+                       if metric.section == "fault_tolerance" and metric.kind},
+                    "recovery_s": max(snapshot.recovery_times_s, default=0.0),
                 }
                 if scenario == "chaos-sweep":
-                    chaos.update(
-                        dispatch_timeouts=snapshot.dispatch_timeouts,
-                        heartbeat_trips=snapshot.heartbeat_trips,
-                        corruptions=snapshot.corruptions,
-                        shed_requests=snapshot.shed_requests,
-                        breaker_trips=snapshot.breaker_trips,
-                        # Parent-side fire counts only; worker-site fires
-                        # show up through their effects (timeouts above).
-                        fault_report=service.fault_report(),
-                    )
+                    # Parent-side fire counts only; worker-site fires show
+                    # up through their effects (the counters above).
+                    chaos["fault_report"] = service.fault_report()
                 # The recovery wait post-dates the traffic snapshot, so
                 # re-snapshot to include late respawns in the report.
                 result = dataclasses.replace(result, snapshot=snapshot,
@@ -483,7 +474,7 @@ def run_loadtest(model: Model, images: np.ndarray, config: Optional[ServeConfig]
                     chaos = {
                         "scenario": scenario,
                         "completed": snapshot.requests,
-                        "dropped": snapshot.dropped,
+                        "dropped": snapshot.counters["dropped"],
                         "queue_capacity": config.queue_capacity
                         if config is not None else None,
                     }

@@ -368,7 +368,9 @@ class ServeConfig:
         ``"fail_fast"``, which fails the dead worker's batches immediately
         (respawn still restores capacity).
     max_retries:
-        Re-dispatch attempts per batch before its requests fail.
+        Re-dispatch attempts per batch before its requests fail.  Only
+        attempts that reached a worker count: a batch still queued on a
+        worker that died is placed again for free.
     respawn:
         Rebuild a dead worker in the background (same replica recipe; the
         plan cache makes this recompile-free for process workers).
@@ -921,7 +923,7 @@ class InferenceService:
                 # Graceful degradation: a struggling pool sheds its
                 # lowest-priority classes at admission so stricter SLO
                 # classes keep their capacity.
-                self.metrics.record_shed()
+                self.metrics.count("shed_requests")
                 self.tracer.event("shed", priority=priority, reason=reason)
                 future.set_exception(
                     ServiceDegradedError(
@@ -930,7 +932,7 @@ class InferenceService:
                 return future
         capacity = self.config.queue_capacity
         if capacity is not None and self._outstanding >= capacity:
-            self.metrics.record_drop()
+            self.metrics.count("dropped")
             future.set_exception(
                 ServiceOverloadedError(
                     f"service backlog full ({self._outstanding} outstanding "
@@ -1180,13 +1182,13 @@ class InferenceService:
         batch, estimate, retries = item
         if not state.alive and not self._stopping:
             # Queued before the worker's death was noticed: skip the doomed
-            # forward (the worker is closed or closing) and go straight
-            # to the retry path.
+            # forward (the worker is closed or closing) and place the batch
+            # again.  No forward ran, so no retry is spent.
             state.accelerator.cancel_inference(estimate)
             await self._retry_or_fail(
                 batch, retries,
                 RuntimeError(f"worker {state.index} died before serving "
-                             "the batch"))
+                             "the batch"), reached_worker=False)
             return
         primary = self._batch_primary_trace(batch)
         dispatch_span = None
@@ -1250,7 +1252,7 @@ class InferenceService:
             exc = WorkerHungError(
                 f"worker {state.index} exceeded its "
                 f"{self.config.dispatch_timeout_s}s dispatch deadline")
-            self.metrics.record_dispatch_timeout()
+            self.metrics.count("dispatch_timeouts")
             self._timeout_times.append(loop.time())
             self.tracer.event("dispatch_timeout", worker=state.index,
                               mode=state.mode, attempt=retries)
@@ -1270,7 +1272,7 @@ class InferenceService:
                 # A CRC check caught slot bit-rot: the payload is bad but
                 # the worker is healthy, so the batch is re-dispatched
                 # without killing anything.
-                self.metrics.record_corruption()
+                self.metrics.count("corruptions")
                 self.tracer.event("slot_corruption", worker=state.index,
                                   mode=state.mode, attempt=retries,
                                   error=repr(exc))
@@ -1297,7 +1299,8 @@ class InferenceService:
             self._outstanding -= len(batch)
 
     async def _retry_or_fail(self, batch: List[Request], retries: int,
-                             exc: BaseException) -> None:
+                             exc: BaseException,
+                             reached_worker: bool = True) -> None:
         """Re-dispatch a dead worker's batch, or fail it to its clients.
 
         Retries are bounded by ``max_retries`` and disabled entirely under
@@ -1306,22 +1309,27 @@ class InferenceService:
         ``redispatch_backoff_base_s > 0`` each attempt waits
         ``base * 2**(attempt-1)`` (capped by ``REDISPATCH_BACKOFF_MAX_S``)
         plus up to 25% seeded jitter before re-entering placement, so a
-        flapping pool is not hammered by its own retry traffic.
+        flapping pool is not hammered by its own retry traffic.  A batch
+        that never reached its worker (queued behind one that died) is
+        placed again at once without spending a retry; ``recovery_wait_s``
+        still bounds its wait for a live worker.
         """
         if (self.config.retry_policy == "redispatch"
-                and retries < self.config.max_retries
+                and (retries < self.config.max_retries or not reached_worker)
                 and not self._stopping):
             base = self.config.redispatch_backoff_base_s
-            if base > 0.0 and retries >= 0:
+            if reached_worker and base > 0.0 and retries >= 0:
                 wait_s = min(base * (2.0 ** retries),
                              REDISPATCH_BACKOFF_MAX_S)
                 wait_s *= 1.0 + 0.25 * self._backoff_rng.random()
-                self.metrics.record_backoff(wait_s)
+                self.metrics.count("backoff_waits")
+                self.metrics.count("backoff_total_s", wait_s)
                 self.tracer.event("redispatch_backoff", attempt=retries + 1,
                                   wait_s=round(wait_s, 6))
                 await asyncio.sleep(wait_s)
             try:
-                await self._redispatch(batch, retries + 1)
+                await self._redispatch(
+                    batch, retries + 1 if reached_worker else retries)
                 return
             except Exception as redispatch_exc:  # noqa: BLE001
                 exc = redispatch_exc
@@ -1359,7 +1367,7 @@ class InferenceService:
         if not state.alive or self._stopping:
             return
         state.alive = False
-        self.metrics.record_worker_death()
+        self.metrics.count("worker_deaths")
         self.tracer.event("worker_death", worker=state.index,
                           mode=state.mode, error=repr(exc))
         if self._degraded_since is None:
@@ -1409,12 +1417,12 @@ class InferenceService:
                 break
             except Exception as exc:  # noqa: BLE001 — count and back off
                 failures += 1
-                self.metrics.record_respawn_failure()
+                self.metrics.count("respawn_failures")
                 self.tracer.event("respawn_failure", worker=index,
                                   attempt=failures, error=repr(exc))
                 if failures >= config.max_respawn_failures:
                     self._respawn_breaker_open.add(index)
-                    self.metrics.record_breaker_trip()
+                    self.metrics.count("breaker_trips")
                     self.tracer.event("respawn_breaker_open", worker=index)
                     warnings.warn(
                         f"worker {index} respawn failed {failures} times "
@@ -1427,7 +1435,8 @@ class InferenceService:
                     RESPAWN_BACKOFF_MAX_S)
                 wait_s *= 1.0 + 0.25 * self._backoff_rng.random()
                 if wait_s > 0:
-                    self.metrics.record_backoff(wait_s)
+                    self.metrics.count("backoff_waits")
+                    self.metrics.count("backoff_total_s", wait_s)
                     await asyncio.sleep(wait_s)
         else:
             return
@@ -1436,7 +1445,7 @@ class InferenceService:
             return
         self._workers[index] = worker
         self._worker_states[index].alive = True
-        self.metrics.record_respawn()
+        self.metrics.count("respawns")
         self.tracer.event("worker_respawn", worker=index)
         if self._degraded_since is not None and self.pool_recovered():
             loop = asyncio.get_running_loop()
@@ -1479,7 +1488,7 @@ class InferenceService:
                     continue
                 if now - seen[2] >= timeout_s:
                     self._heartbeat_seen.pop(state.index, None)
-                    self.metrics.record_heartbeat_trip()
+                    self.metrics.count("heartbeat_trips")
                     self._timeout_times.append(now)
                     self.tracer.event("heartbeat_trip", worker=state.index,
                                       mode=state.mode,
@@ -1558,7 +1567,7 @@ class InferenceService:
         estimate = rows * (self._conversions_per_sample or 0)
         worker = await self._place_batch(rows)
         worker.accelerator.begin_inference(estimate)
-        self.metrics.record_retry()
+        self.metrics.count("retried_batches")
         primary = self._batch_primary_trace(batch)
         self.tracer.event(
             "retry", trace_id=primary.trace_id if primary else None,
@@ -1666,8 +1675,8 @@ class InferenceService:
     def metrics_snapshot(self) -> MetricsSnapshot:
         """Freeze the service metrics (latency, batching, energy, workers)."""
         if self._plan_cache is not None:
-            self.metrics.plan_cache_hits = self._plan_cache.hits
-            self.metrics.plan_cache_misses = self._plan_cache.misses
+            self.metrics.counts.update(plan_cache_hits=self._plan_cache.hits,
+                                       plan_cache_misses=self._plan_cache.misses)
         return self.metrics.snapshot(self.worker_snapshots())
 
 

@@ -246,6 +246,8 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
                 "out_row_nbytes": out_row_nbytes,
                 "profile": plan.stage_profile(),
                 "blas_threads": blas.blas_threads(),
+                "scratch_bytes": plan.arena.nbytes(),
+                "largest_slab": plan.arena.largest_slab(),
             }
             if traced:
                 stage_stats["spans"] = batch_spans

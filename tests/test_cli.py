@@ -92,3 +92,30 @@ class TestRunCLIScratch:
         assert nbytes > slab_bytes > 0
         assert (f"plan scratch  {nbytes / 1e6:.2f} MB "
                 f"(largest slab {name}, {slab_bytes / 1e6:.2f} MB)") in out
+
+    def test_pipelined_profile_prints_each_stage_scratch(self, capsys,
+                                                         monkeypatch):
+        # Each stage's arena lives in its stage process; its size and
+        # largest slab travel back in the stage's stats dict.
+        import repro.shard
+
+        reports = []
+        run_pipelined = repro.shard.run_pipelined
+
+        def recording_run(*args, **kwargs):
+            reports.append(run_pipelined(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(repro.shard, "run_pipelined", recording_run)
+        assert main(["run", "--backend", "analog", "--samples", "64",
+                     "--mapped-layers", "3", "--pipeline-stages", "2",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        [report] = reports
+        assert len(report.stage_stats) == 2
+        for stage in report.stage_stats:
+            name, slab_bytes = stage["largest_slab"]
+            assert stage["scratch_bytes"] >= slab_bytes > 0
+            assert (f"stage {stage['stage']} plan scratch  "
+                    f"{stage['scratch_bytes'] / 1e6:.2f} MB "
+                    f"(largest slab {name}, {slab_bytes / 1e6:.2f} MB)") in out

@@ -128,9 +128,9 @@ class TestPlanCache:
 
         first, first_snap = run_async(one_run())
         second, second_snap = run_async(one_run())
-        assert first_snap.plan_cache_misses >= 1
-        assert second_snap.plan_cache_hits >= 1
-        assert second_snap.plan_cache_misses == 0
+        assert first_snap.counters["plan_cache_misses"] >= 1
+        assert second_snap.counters["plan_cache_hits"] >= 1
+        assert second_snap.counters["plan_cache_misses"] == 0
         assert np.array_equal(first, direct.logits)
         assert np.array_equal(second, direct.logits)
 
@@ -312,9 +312,9 @@ class TestWorkerDeathRecovery:
         served, recovered, snapshot, alive = run_async(scenario())
         assert all(np.array_equal(batch, direct.logits) for batch in served)
         assert recovered and alive == 2
-        assert snapshot.worker_deaths >= 1
-        assert snapshot.retried_batches >= 1
-        assert snapshot.respawns >= 1
+        assert snapshot.counters["worker_deaths"] >= 1
+        assert snapshot.counters["retried_batches"] >= 1
+        assert snapshot.counters["respawns"] >= 1
         assert snapshot.recovery_times_s
         assert "re-dispatched" in snapshot.render()
 
@@ -385,9 +385,57 @@ class TestWorkerDeathRecovery:
         served, recovered, snapshot = run_async(scenario())
         assert all(np.array_equal(batch, direct.logits) for batch in served)
         assert recovered
-        assert snapshot.worker_deaths >= 1
-        assert snapshot.respawns >= 1
+        assert snapshot.counters["worker_deaths"] >= 1
+        assert snapshot.counters["respawns"] >= 1
 
+
+class TestRetryBudget:
+    def test_batch_behind_a_dead_worker_keeps_its_retries(self, trained_setup):
+        # A batch queued on a worker that died before serving it never
+        # reached a worker: it is placed again, the survivor serves it and
+        # its retry count is unchanged, even at the max_retries bound.  A
+        # batch whose forward did reach a worker still fails at the bound.
+        model, x_test = trained_setup
+        direct = run_model(model, x_test[:4], backend="ideal", batch_size=4)
+
+        async def scenario():
+            service = InferenceService(model, ServeConfig(
+                max_batch=8, num_workers=2, max_retries=1, respawn=False))
+            await service.start()
+            attempts = []
+            serve_batch = service._serve_batch
+
+            async def recording(worker, state, item):
+                attempts.append((state.index, item[2]))
+                await serve_batch(worker, state, item)
+
+            service._serve_batch = recording
+            loop = asyncio.get_running_loop()
+
+            def batch():
+                service._outstanding += 4
+                return [Request(images=x_test[i:i + 1],
+                                future=loop.create_future(),
+                                arrival=loop.time()) for i in range(4)]
+
+            service._worker_states[0].alive = False
+            queued = batch()
+            await service._worker_queues[0].put((queued, 0, 1))
+            logits = np.concatenate([await request.future
+                                     for request in queued])
+            exhausted = batch()
+            await service._retry_or_fail(exhausted, 1,
+                                         RuntimeError("worker died mid-forward"))
+            errors = [request.future.exception() for request in exhausted]
+            snapshot = service.metrics_snapshot()
+            await service.stop()
+            return attempts, logits, errors, snapshot
+
+        attempts, logits, errors, snapshot = run_async(scenario())
+        assert attempts == [(0, 1), (1, 1)]
+        assert np.array_equal(logits, direct.logits)
+        assert all(isinstance(error, RuntimeError) for error in errors)
+        assert snapshot.counters["retried_batches"] == 1
 
 class TestChaosScenarios:
     def test_kill_storm_zero_client_failures(self, trained_setup, tmp_path):
@@ -406,8 +454,8 @@ class TestChaosScenarios:
         assert chaos["kills"] >= 1
         assert result.failures == 0
         assert chaos["recovered"] and chaos["alive_workers"] == 2
-        assert result.snapshot.worker_deaths >= 1
-        assert result.snapshot.respawns >= 1
+        assert result.snapshot.counters["worker_deaths"] >= 1
+        assert result.snapshot.counters["respawns"] >= 1
 
     def test_overload_scenario_sheds_instead_of_failing(self, trained_setup):
         model, x_test = trained_setup
@@ -416,9 +464,9 @@ class TestChaosScenarios:
                               rate_rps=1000.0, num_requests=64, seed=0,
                               time_scale=0.0, scenario="overload")
         assert result.chaos["scenario"] == "overload"
-        assert result.snapshot.dropped > 0
+        assert result.snapshot.counters["dropped"] > 0
         # Every failure is an admission drop — no served request failed.
-        assert result.failures == result.snapshot.dropped
+        assert result.failures == result.snapshot.counters["dropped"]
 
     def test_unknown_scenario_rejected(self, trained_setup):
         model, x_test = trained_setup

@@ -293,7 +293,7 @@ class TestChaosRecovery:
         assert chaos.chaos["dispatch_timeouts"] >= 1, "the hang never tripped"
         assert chaos.failures == 0
         assert chaos.chaos["recovered"]
-        assert chaos.snapshot.respawns >= 1
+        assert chaos.snapshot.counters["respawns"] >= 1
         # Ideal backend: per-request logits are batch- and retry-invariant,
         # so the chaos run must be bit-identical to the fault-free run.
         assert np.array_equal(chaos.logits, clean.logits)
@@ -318,7 +318,7 @@ class TestChaosRecovery:
         chaos = _chaos_load(model, x_test, chaos_config)
         assert chaos.chaos["corruptions"] >= 1, "the corruption went uncaught"
         assert chaos.failures == 0
-        assert chaos.snapshot.worker_deaths == 0, (
+        assert chaos.snapshot.counters["worker_deaths"] == 0, (
             "integrity failures must re-dispatch without killing the worker")
         assert np.array_equal(chaos.logits, clean.logits)
 
@@ -351,9 +351,9 @@ class TestChaosRecovery:
                 FaultRule(site="pipeline.edge.write", action="corrupt",
                           at=(1,), max_fires=1),)))
         chaos_logits, snapshot = run_async(drive(chaos_config))
-        assert snapshot.corruptions >= 1, "the edge corruption went uncaught"
-        assert snapshot.retried_batches >= 1
-        assert snapshot.worker_deaths == 0
+        assert snapshot.counters["corruptions"] >= 1, "the edge corruption went uncaught"
+        assert snapshot.counters["retried_batches"] >= 1
+        assert snapshot.counters["worker_deaths"] == 0
         assert np.array_equal(chaos_logits, clean_logits)
 
     def test_chaos_rerun_is_bit_identical(self, trained_setup):
@@ -393,7 +393,7 @@ class TestHeartbeatWatchdog:
             # Wait for the trip *and* the respawn it starts: stopping at
             # the trip alone races the respawn against the assertions.
             deadline = asyncio.get_running_loop().time() + 10.0
-            while ((service.metrics_snapshot().heartbeat_trips < 1
+            while ((service.metrics_snapshot().counters["heartbeat_trips"] < 1
                     or not service.pool_recovered())
                    and asyncio.get_running_loop().time() < deadline):
                 await asyncio.sleep(0.05)
@@ -403,8 +403,8 @@ class TestHeartbeatWatchdog:
             return warm, after, snapshot
 
         warm, after, snapshot = run_async(scenario())
-        assert snapshot.heartbeat_trips >= 1, "the watchdog never tripped"
-        assert snapshot.respawns >= 1
+        assert snapshot.counters["heartbeat_trips"] >= 1, "the watchdog never tripped"
+        assert snapshot.counters["respawns"] >= 1
         assert np.array_equal(warm, after)
 
 
@@ -429,7 +429,7 @@ class TestRespawnCircuitBreaker:
             await service.submit(x_test[0])
             os.kill(service.process_worker_pids()[0][0], signal.SIGKILL)
             deadline = asyncio.get_running_loop().time() + 10.0
-            while (service.metrics_snapshot().breaker_trips < 1
+            while (service.metrics_snapshot().counters["breaker_trips"] < 1
                    and asyncio.get_running_loop().time() < deadline):
                 await service.submit(x_test[1])
                 await asyncio.sleep(0.05)
@@ -440,8 +440,8 @@ class TestRespawnCircuitBreaker:
             return survivor, snapshot, recovered
 
         survivor, snapshot, recovered = run_async(scenario())
-        assert snapshot.respawn_failures >= config.max_respawn_failures
-        assert snapshot.breaker_trips >= 1
+        assert snapshot.counters["respawn_failures"] >= config.max_respawn_failures
+        assert snapshot.counters["breaker_trips"] >= 1
         assert not recovered, "the breaker must hold the dead slot down"
         assert survivor.shape == (1, 4)
 
@@ -477,8 +477,8 @@ class TestGracefulDegradation:
 
         hung, snapshot = run_async(scenario())
         assert hung.shape == (1, 4)
-        assert snapshot.dispatch_timeouts >= 1
-        assert snapshot.shed_requests >= 1
+        assert snapshot.counters["dispatch_timeouts"] >= 1
+        assert snapshot.counters["shed_requests"] >= 1
 
 
 class TestPlanCacheClaims:

@@ -53,7 +53,14 @@ from repro.obs.trace import (
 from repro.serve import InferenceService, ServeConfig, serve_requests
 from repro.serve.cli import build_serve_parser, _config_from_args
 from repro.serve.loadgen import run_loadtest
-from repro.serve.metrics import ServiceMetrics, percentile_ms
+from repro.serve.metrics import (
+    EVENT_COUNTERS,
+    METRICS,
+    ServiceMetrics,
+    StageOccupancy,
+    WorkerSnapshot,
+    percentile_ms,
+)
 
 
 def run_async(coro):
@@ -410,6 +417,117 @@ class TestPrometheusRendering:
         assert f"{NAMESPACE}_ready 1" in text
         assert f"{NAMESPACE}_outstanding_requests 3" in text
 
+
+class TestMetricTable:
+    """The renderings against the declared table: nothing missing, nothing
+    undeclared."""
+
+    LIVE = {"alive_workers": 1.0, "outstanding_requests": 3.0, "ready": 1.0,
+            "shm_request_writes": 4.0, "shm_request_bytes": 512.0,
+            "shm_response_writes": 5.0, "shm_response_bytes": 256.0}
+
+    def _snapshot(self):
+        metrics = ServiceMetrics(energy_per_conversion_j=1e-12)
+        metrics.record_arrival(0.0, 3)
+        metrics.record_batch(rows=4, request_latencies_s=[0.001, 0.002, 0.003,
+                                                          0.004],
+                             now=1.0, conversions=100,
+                             request_classes=["interactive"] + ["batch"] * 3)
+        metrics.record_batch(rows=1, request_latencies_s=[0.005], now=2.0,
+                             conversions=20, request_classes=["interactive"])
+        metrics.record_recovery(0.25)
+        # Every event counter distinct and nonzero.
+        for amount, name in enumerate(EVENT_COUNTERS, start=2):
+            metrics.count(name, amount)
+        stages = (StageOccupancy(0, 0, 3, 1, 0.5, 0.25, 0.125, 12),
+                  StageOccupancy(1, 3, 6, 1, 0.75, 0.0625, 0.03125, 8))
+        workers = [
+            WorkerSnapshot(index=0, batches=1, rows=4, conversions=100,
+                           busy_seconds=2.5e-4),
+            WorkerSnapshot(index=1, batches=1, rows=1, conversions=20,
+                           busy_seconds=1.25e-4, mode="pipeline",
+                           transport_s=0.0625, stages=stages, alive=False),
+        ]
+        return metrics.snapshot(workers)
+
+    def test_event_counters_are_the_fourteen(self):
+        snapshot = self._snapshot()
+        assert len(EVENT_COUNTERS) == 14
+        assert dict(snapshot.counters) == {
+            name: amount for amount, name in enumerate(EVENT_COUNTERS, start=2)}
+        with pytest.raises(TypeError):
+            snapshot.counters["dropped"] = 0  # read-only
+        with pytest.raises(KeyError):
+            ServiceMetrics().count("undeclared")
+
+    def test_every_declared_metric_is_rendered_everywhere(self):
+        snapshot = self._snapshot()
+        text = render_prometheus(snapshot, extra_gauges=self.LIVE)
+        document = snapshot_to_json(snapshot, extra_gauges=self.LIVE)
+        report = snapshot.render()
+        samples = [line for line in text.splitlines()
+                   if not line.startswith("#")]
+        for metric in METRICS:
+            if metric.kind:
+                family = f"{NAMESPACE}_{metric.prometheus}"
+                assert f"# HELP {family} {metric.help}" in text
+                assert f"# TYPE {family} {metric.kind}" in text
+                wanted = [f'{key}="{value}"' for key, value in metric.labels]
+                assert any(line.split("{")[0].split(" ")[0] == family
+                           and all(pair in line for pair in wanted)
+                           for line in samples), metric
+            section = metric.section
+            if section == "":
+                assert metric.key in document
+            elif section == "batch_histogram":
+                assert document[section] == {"1": 1, "4": 1}
+            elif section == "class_latency_ms":
+                assert all(metric.key in row
+                           for row in document[section].values())
+            elif section == "workers":
+                assert all(metric.key in row for row in document[section])
+            elif section == "workers.stages":
+                assert len(document["workers"][1]["stages"]) == 2
+                assert all(metric.key in row
+                           for row in document["workers"][1]["stages"])
+            else:
+                assert metric.key in document[section], metric
+            # The probe's gauges are not in a snapshot; the histogram line,
+            # the latency line and the row titles carry the rest.
+            if (section not in ("live", "batch_histogram")
+                    and metric.name not in ("index", "mode", "layers")):
+                assert metric.text in report, metric
+        for title in ("latency p50/p95/p99", "class batch", "class interactive",
+                      "worker 0 (thread)", "worker 1 (pipeline)",
+                      "stage 1 (ops [3, 6])", "batch-size histogram 1r x1"):
+            assert title in report
+
+    def test_every_rendered_family_and_key_is_declared(self):
+        snapshot = self._snapshot()
+        text = render_prometheus(snapshot, extra_gauges=self.LIVE)
+        document = snapshot_to_json(snapshot, extra_gauges=self.LIVE)
+        families = {metric.prometheus for metric in METRICS if metric.kind}
+        helps = [line.split()[2][len(NAMESPACE) + 1:]
+                 for line in text.splitlines() if line.startswith("# HELP")]
+        # The characterization gauges (hw_*) are published, not declared.
+        assert sorted(name for name in helps
+                      if not name.startswith("hw_")) == sorted(families)
+
+        def keys(section):
+            return {metric.key for metric in METRICS
+                    if metric.section == section}
+
+        sections = {metric.section.split(".")[0] for metric in METRICS} - {""}
+        assert set(document) <= keys("") | sections | {"hardware_health"}
+        for section in ("fault_tolerance", "plan_cache", "queue_depth",
+                        "latency_ms", "live"):
+            assert set(document[section]) == keys(section)
+        for row in document["class_latency_ms"].values():
+            assert set(row) == keys("class_latency_ms")
+        for worker in document["workers"]:
+            assert set(worker) == keys("workers") | {"stages"}
+            for stage in worker["stages"]:
+                assert set(stage) == keys("workers.stages")
 
 class TestProbesAndServer:
     def test_endpoints_against_live_service(self, trained_setup):

@@ -260,7 +260,7 @@ class TestInferenceService:
         # submit_many enqueues contiguous max_batch-row slices: 64 samples
         # arrive as 4 stacked requests (O(1) futures per executed batch).
         assert snapshot.samples == 64 and snapshot.requests == 4
-        assert snapshot.dropped == 0
+        assert snapshot.counters["dropped"] == 0
 
     def test_served_logits_bit_identical_any_split_ideal(self, trained_setup):
         # max_batch=7 forces uneven splits; the ideal backend is
@@ -322,7 +322,7 @@ class TestInferenceService:
 
         results, snapshot = run_async(scenario())
         assert len(results) == 5 and all(r.shape == (1, 4) for r in results)
-        assert snapshot.requests == 5 and snapshot.dropped == 0
+        assert snapshot.requests == 5 and snapshot.counters["dropped"] == 0
 
     def test_stop_without_drain_fails_pending(self, trained_setup):
         model, _, x_test, _ = trained_setup
@@ -370,7 +370,7 @@ class TestInferenceService:
         outcomes, snapshot = run_async(scenario())
         dropped = [o for o in outcomes if isinstance(o, ServiceOverloadedError)]
         served = [o for o in outcomes if isinstance(o, np.ndarray)]
-        assert snapshot.dropped == len(dropped) > 0
+        assert snapshot.counters["dropped"] == len(dropped) > 0
         assert len(served) + len(dropped) == 10
 
     def test_sustained_overload_hits_admission_bound(self, trained_setup):
@@ -409,7 +409,7 @@ class TestInferenceService:
         outcomes, snapshot = run_async(scenario())
         assert all(isinstance(o, np.ndarray) for o in outcomes[:3])
         assert all(isinstance(o, ServiceOverloadedError) for o in outcomes[3:])
-        assert snapshot.dropped == 3
+        assert snapshot.counters["dropped"] == 3
 
     def test_multi_worker_spreads_load(self, trained_setup):
         model, _, x_test, _ = trained_setup
@@ -512,7 +512,7 @@ class TestInferenceService:
                               pattern="poisson", rate_rps=5000.0,
                               num_requests=50, seed=1234)
         assert result.failures == 0
-        assert result.snapshot.dropped == 0
+        assert result.snapshot.counters["dropped"] == 0
         assert result.snapshot.requests == 50
         assert result.snapshot.latency_p99_ms < 250.0
         assert np.isfinite(result.logits).all()
