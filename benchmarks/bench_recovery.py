@@ -7,7 +7,7 @@ The acceptance bars (hard asserts, so the gate never silently relaxes):
   failures** — every dead worker's batches re-dispatch to survivors;
 * the pool respawns back to its configured replica count within the
   recovery timeout;
-* the respawned workers come from the plan-cache payload — the run
+* the respawned workers reuse the in-memory stage payloads — the run
   records plan-cache hit/miss counters and asserts the storm itself
   compiled nothing (misses happen at most once, at cold start);
 * a seeded *hang* injection (a wedged forward that never raises) trips
@@ -66,8 +66,8 @@ def workload():
 def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
                                                         tmp_path_factory):
     """Kill-storm, seeded hang and corrupt-slot drives over process
-    workers: zero failures, full respawn, plan cache keeps the respawns
-    recompile-free; writes ``BENCH_recovery.json`` (one write, all keys).
+    workers: zero failures, full respawn, respawns recompile-free (they
+    reuse the in-memory stage payloads); writes ``BENCH_recovery.json`` (one write, all keys).
     """
     model, x_test = workload
     cache_dir = str(tmp_path_factory.mktemp("plan-cache"))

@@ -1288,8 +1288,9 @@ class PlanCache:
     """A versioned on-disk cache of pickled execution-plan payloads.
 
     Entries live as ``<fingerprint>.plan`` files under ``directory`` and
-    hold exactly the bytes :mod:`repro.serve` ships to a process worker
-    (``pickle.dumps(runner.plan)``).  The fingerprint
+    hold a pickled compiled plan (``pickle.dumps(runner.plan)``), which
+    :mod:`repro.serve` cuts into the stage payloads its process workers
+    run.  The fingerprint
     (:func:`plan_fingerprint`) keys on model/backend/context content and
     embeds :data:`PLAN_CACHE_VERSION`, so stale-format entries are simply
     never looked up — invalidation is a version bump away and corrupt or

@@ -54,7 +54,7 @@ SITES = (
     "shm.request.write",    # parent writes a worker's first ring
     "shm.response.write",   # a worker's last stage writes its last ring
     "pipeline.edge.write",  # a stage writes an interior pipeline ring
-    "plan_cache.load",      # parent loads a compiled plan during (re)spawn
+    "plan_cache.load",      # parent looks a compiled plan up at cold start
     "respawn",              # parent enters the worker respawn path
 )
 

@@ -47,22 +47,25 @@ def _labels(labels: Dict[str, str]) -> str:
 
 
 class _PromWriter:
+    """Buffers samples per family; renders each family as one contiguous
+    group (the text format requires it), families in first-seen order."""
+
     def __init__(self) -> None:
-        self.lines: List[str] = []
-        self._typed = set()
+        self.families: Dict[str, List[str]] = {}
 
     def sample(self, name: str, kind: str, help_text: str, value: float,
                labels: Optional[Dict[str, str]] = None) -> None:
         full = f"{NAMESPACE}_{name}"
-        if full not in self._typed:
-            self.lines.append(f"# HELP {full} {help_text}")
-            self.lines.append(f"# TYPE {full} {kind}")
-            self._typed.add(full)
-        self.lines.append(
+        lines = self.families.get(full)
+        if lines is None:
+            lines = self.families[full] = [f"# HELP {full} {help_text}",
+                                           f"# TYPE {full} {kind}"]
+        lines.append(
             f"{full}{_labels(labels or {})} {_format(_finite(value))}")
 
     def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        return "".join(line + "\n" for lines in self.families.values()
+                       for line in lines)
 
 
 def render_prometheus(snapshot, extra_gauges: Optional[Dict[str, float]] = None

@@ -11,10 +11,11 @@ system::
 * :mod:`repro.serve.scheduler` — round-robin placement over
   occupancy-tracked :class:`~repro.core.accelerator.AFPRAccelerator`
   worker pools,
-* :mod:`repro.serve.service` — the asyncio :class:`InferenceService`
-  (worker substrates: in-loop threads, or shipped plans run by a
-  :mod:`repro.shard` stage pipeline — one stage for ``workers="process"``,
-  ``N`` for ``pipeline_stages=N``),
+* :mod:`repro.serve.service` — the asyncio :class:`InferenceService`,
+* :mod:`repro.serve.workers` — the ``Worker`` protocol and its substrates:
+  in-loop threads, or shipped plans run by a :mod:`repro.shard` stage
+  pipeline (one stage for ``workers="process"``, ``N`` for
+  ``pipeline_stages=N``),
 * :mod:`repro.serve.metrics` — latency percentiles, queue depth, batch-size
   histogram, throughput and energy-per-request,
 * :mod:`repro.serve.loadgen` — seeded open-loop Poisson / bursty / uniform

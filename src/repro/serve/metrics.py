@@ -120,9 +120,9 @@ METRICS: Tuple[Metric, ...] = (
            "Total seconds spent in retry/respawn backoff.", "fault_tolerance",
            "backoff_seconds_total", report="backoff"),
     Metric("plan_cache_hits", COUNTER, "lookups",
-           "Compiled-plan cache hits during (re)spawns.", "plan_cache"),
+           "Compiled-plan cache hits at cold starts.", "plan_cache"),
     Metric("plan_cache_misses", COUNTER, "lookups",
-           "Compiled-plan cache misses during (re)spawns.", "plan_cache"),
+           "Compiled-plan cache misses at cold starts.", "plan_cache"),
     Metric("conversions", COUNTER, "conversions",
            "Analog macro conversions spent (metered or estimated)."),
     Metric("conversions_estimated", "", "bool",

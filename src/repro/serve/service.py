@@ -8,16 +8,11 @@ coalesces the queue into execution batches; a multi-macro scheduler places
 each batch on one of ``num_workers`` workers, each owning its own model
 replica, prepared execution backend (via
 :class:`~repro.exec.engine.BatchRunner`) and occupancy-tracked
-:class:`~repro.core.accelerator.AFPRAccelerator`.  Two worker substrates
-serve the replicas:
-
-* ``_ThreadWorker`` runs batch forwards in threads of the service process
-  (NumPy releases the GIL in the kernels that matter);
-* ``_PipelineWorker`` runs pickled compiled plans in worker processes
-  joined by shared-memory slot rings
-  (:class:`~repro.shard.pipeline.ShardedPipeline`).  ``workers="process"``
-  is a one-stage pipeline running the whole plan; ``pipeline_stages >= 2``
-  cuts the plan into that many stage processes.
+:class:`~repro.core.accelerator.AFPRAccelerator`.  The service sees its
+workers only through the :class:`~repro.serve.workers.Worker` protocol;
+thread workers run the replicas in threads of the service process, process
+workers run pickled stage plans in stage processes (one stage for
+``workers="process"``, ``N`` for ``pipeline_stages=N``).
 
 Determinism contract: requests are batched strictly in arrival order, and a
 batch's logits are exactly ``backend.forward`` of the stacked request rows —
@@ -30,11 +25,11 @@ Fault tolerance: a worker-level fault (a worker or stage process died) is
 classified apart from request-level errors.  The dead worker is marked
 unplaceable, its in-flight and queued batches are re-dispatched to
 surviving replicas up to ``max_retries`` attempts, and a background task
-respawns the worker — loading its compiled plan from the
-on-disk :class:`~repro.exec.plan.PlanCache` when one is configured, so
-respawn skips recompilation.  Request-level errors (a forward exception)
-still fail only their own batch: they would fail identically on any
-replica.  **Noise-stream caveat**: a re-dispatched batch re-runs on a
+respawns the worker from the stage payloads already in memory, so respawn
+never recompiles (only a cold start reads the on-disk
+:class:`~repro.exec.plan.PlanCache`).  Request-level errors (a forward
+exception) still fail only their own batch: they would fail identically on
+any replica.  **Noise-stream caveat**: a re-dispatched batch re-runs on a
 replica whose analog noise streams have advanced differently, so retried
 analog batches draw fresh noise — bit-identity against a single fault-free
 run is only guaranteed for the no-fault path.  Runs that need bit identity
@@ -49,7 +44,6 @@ import collections
 import copy
 import dataclasses
 import pickle
-import time
 import warnings
 from random import Random
 from typing import Dict, List, Optional, Tuple, Union
@@ -58,12 +52,12 @@ import numpy as np
 
 from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.engine import BatchRunner
-from repro.exec.plan import PlanCache, StageProfile, plan_fingerprint
+from repro.exec.plan import PlanCache, plan_fingerprint
 from repro.exec.registry import create_backend
 from repro.faults import injector as fault_injector
 from repro.faults.injector import FaultInjector, FaultSpec
 from repro.nn.model import Model
-from repro.obs.trace import PlanTraceBuffer, RequestTrace, Tracer, plan_trace
+from repro.obs.trace import RequestTrace, Tracer
 from repro.power.efficiency import energy_per_conversion
 from repro.serve.batcher import (
     CLOSE,
@@ -88,200 +82,17 @@ from repro.serve.scheduler import (
     build_worker_states,
 )
 from repro.serve.shm import IntegrityError
+from repro.serve.workers import (
+    TRANSPORT_COUNTERS,
+    PipelineWorker,
+    ThreadWorker,
+    Worker,
+)
 
-#: Extra in-flight batches of a process or pipeline worker beyond one per
-#: stage: each worker's window is ``stages + TRANSPORT_SLOTS`` batches, and
-#: each of its shared-memory rings has that many slots.
-TRANSPORT_SLOTS = 4
 #: Cap on one batch re-dispatch backoff (before jitter).
 REDISPATCH_BACKOFF_MAX_S = 1.0
 #: Cap on the backoff between failed respawn attempts (before jitter).
 RESPAWN_BACKOFF_MAX_S = 5.0
-
-
-class _ThreadWorker:
-    """In-loop worker: a prepared BatchRunner driven via ``asyncio.to_thread``."""
-
-    mode = "thread"
-
-    def __init__(self, runner: BatchRunner) -> None:
-        self.runner = runner
-
-    async def forward(self, images: np.ndarray, traced: bool = False
-                      ) -> Tuple[np.ndarray, int, Optional[List]]:
-        """Run one batch; returns (logits, measured conversions, remote spans).
-
-        ``remote`` is None untraced, else ``[(None, forward_s, records)]``
-        — the worker-clock span payload :meth:`Tracer.attach_remote`
-        re-anchors under the dispatch span.  Thread workers share the
-        service clock, but shipping relative spans keeps one format across
-        both substrates.
-        """
-        before = self.runner.conversions()
-        if traced:
-            logits, forward_s, records = await asyncio.to_thread(
-                self._traced_forward, images)
-            remote: Optional[List] = [(None, forward_s, records)]
-        else:
-            logits = await asyncio.to_thread(self.runner.forward, images)
-            remote = None
-        return logits, self.runner.conversions() - before, remote
-
-    def _traced_forward(self, images: np.ndarray) -> Tuple:
-        # Runs inside the asyncio.to_thread worker thread, so the
-        # thread-local plan-trace buffer never leaks across concurrent
-        # batches on other threads.
-        start = time.perf_counter()
-        buffer = PlanTraceBuffer(t0=start)
-        with plan_trace(buffer):
-            logits = self.runner.forward(images)
-        return logits, time.perf_counter() - start, buffer.records
-
-    async def stage_profile(self) -> Dict[str, float]:
-        """The runner's plan-stage breakdown."""
-        return self.runner.stage_profile()
-
-    def kill(self) -> None:
-        """No-op: Python threads cannot be killed.
-
-        A hung thread worker is still *classified* dead by the dispatch
-        deadline (its batches re-dispatch and a replacement runner is
-        built); the wedged thread itself is abandoned and only releases
-        its core when its forward eventually returns.
-        """
-
-    async def close(self) -> None:
-        """Tear the backend off the replica."""
-        await asyncio.to_thread(self.runner.close)
-
-
-class _PipelineWorker:
-    """Out-of-process worker: compiled plan payloads run by stage processes.
-
-    ``workers="process"`` ships the replica's whole compiled plan to a
-    one-stage :class:`~repro.shard.pipeline.ShardedPipeline`: each replica
-    gets a real core of its own (NumPy sections that hold the GIL no longer
-    serialise against the other replicas), and batches in and logits out
-    cross shared-memory slot rings.  ``pipeline_stages >= 2`` instead ships
-    one op range of the plan's op program per stage (greedy cost balance
-    under the ``macro_budget`` crossbar constraint — see
-    :mod:`repro.shard.partition`), one process per stage.
-
-    A one-stage worker is pumped one batch at a time, so a dispatch
-    deadline times one forward.  A multi-stage worker serves
-    ``max_inflight`` batches concurrently — that overlap across stages is
-    the throughput win — so the service's worker loop pumps it with
-    concurrent tasks.  ``submit`` runs on the event loop and never waits
-    (the pump width is at most the pipeline's in-flight window), so
-    batches enter the pipeline in dispatch order and the FIFO stage rings
-    keep it: pipelined serving stays bit-identical to single-worker
-    serving even for the order-sensitive analog noise streams.
-    """
-
-    def __init__(self, payloads: List[bytes], max_batch: int = 64,
-                 checksum: bool = False,
-                 fault_spec: Optional[Dict] = None,
-                 heartbeat_interval_s: Optional[float] = None) -> None:
-        from repro.shard.pipeline import ShardedPipeline
-
-        self.pipeline = ShardedPipeline(
-            payloads, max_batch=max_batch, slots=TRANSPORT_SLOTS,
-            checksum=checksum,
-            fault_spec=fault_spec, heartbeat_interval_s=heartbeat_interval_s)
-        self.sharded = self.pipeline.num_stages > 1
-        #: Batches the worker loop may keep in flight at once.
-        self.max_inflight = self.pipeline.window if self.sharded else 1
-        self.transport_s = 0.0
-        #: Latest per-stage accounting (sharded workers only).
-        self.stage_stats: List[Dict] = []
-        self._conversions_total = 0
-
-    async def start(self) -> None:
-        """Spawn the stage processes; fails fast if a stage plan won't load."""
-        await asyncio.to_thread(self.pipeline.start)
-
-    def heartbeat_counts(self) -> Optional[Tuple[float, ...]]:
-        """Per-stage heartbeat counters, or None when disabled."""
-        return self.pipeline.heartbeat_counts()
-
-    def kill(self) -> None:
-        """SIGKILL every stage process (hung-worker reaper)."""
-        self.pipeline.kill()
-
-    @property
-    def shm_segment_names(self) -> List[str]:
-        """Names of the live ring segments (for the leak tests)."""
-        return self.pipeline.segment_names
-
-    async def forward(self, images: np.ndarray, traced: bool = False
-                      ) -> Tuple[np.ndarray, int, Optional[List]]:
-        """Run one batch; returns (logits, measured conversions, remote spans).
-
-        For traced batches every stage ships its per-layer spans and this
-        batch's forward seconds in its stats dict; ``remote`` lays them out
-        in stage order — ``[(stage_index, batch_forward_s, spans), ...]``,
-        with ``None`` as the index of a one-stage worker's whole-plan
-        forward — so the parent renders the stages sequentially under the
-        dispatch span (their real overlap is across *batches*, not within
-        one).
-        """
-        future = self.pipeline.submit(images, traced)
-        logits, stats = await asyncio.wrap_future(future)
-        # Each stage stamps its cumulative conversion count as the batch
-        # passes, so a completed batch carries a consistent "all stages
-        # through batch b" total; deltas between completions meter batches.
-        total = sum(stage["conversions"] for stage in stats)
-        measured = total - self._conversions_total
-        self._conversions_total = total
-        if self.sharded:
-            self.stage_stats = stats
-        self.transport_s = sum(stage["transport_s"] for stage in stats)
-        remote = None
-        if traced:
-            remote = [
-                (stage.get("stage", position) if self.sharded else None,
-                 stage.get("batch_forward_s", 0.0),
-                 stage.get("spans", []))
-                for position, stage in enumerate(stats)
-            ]
-        return logits, measured, remote
-
-    async def stage_profile(self) -> Dict[str, float]:
-        """Summed plan-stage breakdown (plus a per-stage list when sharded)."""
-        combined: Dict[str, float] = StageProfile().as_dict()
-        summed = [key for key in combined
-                  if key not in ("forwards", "transport_s", "bubble_s")]
-        stages = []
-        for stage in self.pipeline.stage_stats():
-            profile = dict(stage.get("profile", {}))
-            for key in summed:
-                combined[key] += float(profile.get(key, 0.0))
-            combined["forwards"] = max(combined["forwards"],
-                                       float(profile.get("forwards", 0.0)))
-            combined["transport_s"] += float(stage.get("transport_s", 0.0))
-            profile["transport_s"] = float(stage.get("transport_s", 0.0))
-            profile["bubble_s"] = float(stage.get("bubble_s", 0.0))
-            stages.append({
-                "stage": stage.get("stage"),
-                "layers": list(stage.get("layers", (0, 0))),
-                "batches": stage.get("batches", 0),
-                "profile": profile,
-            })
-        if self.sharded:
-            # Bubble time is input starvation between stages; a single
-            # stage's is plain idle time, so a one-stage worker reports 0.
-            combined["bubble_s"] = sum(stage["profile"]["bubble_s"]
-                                       for stage in stages)
-            combined["stages"] = stages
-        return combined
-
-    async def close(self) -> None:
-        """Stop the stage processes and unlink every ring segment.
-
-        The parent owns the segments, so they are removed even when a
-        stage process already crashed mid-batch.
-        """
-        await asyncio.to_thread(self.pipeline.close)
 
 
 class ServiceClosedError(RuntimeError):
@@ -324,11 +135,12 @@ class ServeConfig:
     workers:
         Worker substrate: ``"thread"`` (default) runs each replica's
         forwards in worker threads of the service process; ``"process"``
-        builds each replica's execution plan once, pickles it and runs it
-        as a one-stage pipeline in a dedicated process — real cores
-        instead of GIL-shared threads, with deterministic per-worker state
-        (replica ``i`` is constructed by the same seeded recipe in both
-        modes, so served logits match the in-loop workers bit for bit).
+        builds the replica's execution plan once, pickles its whole op
+        program and runs it as a one-stage pipeline in a dedicated
+        process — real cores instead of GIL-shared threads, with
+        deterministic per-worker state (replica ``i`` is constructed by
+        the same seeded recipe in both modes, so served logits match the
+        in-loop workers bit for bit).
         Images go in and logits come back through parent-owned
         shared-memory rings (zero-copy views in the worker, unlinked on
         close); the first batch and batches too large for a slot travel by
@@ -372,17 +184,19 @@ class ServeConfig:
         attempts that reached a worker count: a batch still queued on a
         worker that died is placed again for free.
     respawn:
-        Rebuild a dead worker in the background (same replica recipe; the
-        plan cache makes this recompile-free for process workers).
+        Rebuild a dead worker in the background (same replica recipe;
+        process workers reuse the stage payloads already in memory, so
+        they never recompile).
     recovery_wait_s:
         How long a batch may wait for a respawn when *no* worker is alive
         before its requests fail.
     plan_cache:
         Directory of the on-disk compiled-plan cache
-        (:class:`repro.exec.plan.PlanCache`).  Process-worker plans are
-        looked up by model/backend/context fingerprint so cold starts and
-        respawns skip plan compilation; ``None`` (default) disables the
-        cache (respawns still reuse the in-memory payload).
+        (:class:`repro.exec.plan.PlanCache`).  The compiled plan of
+        process and pipeline workers is looked up by model/backend/context
+        fingerprint, so a cold start skips plan compilation and only cuts
+        the cached plan into stages; ``None`` (default) disables the cache.
+        Respawns never read it: they reuse the in-memory stage payloads.
     priority_classes:
         Optional ``{class_name: max_wait_ms}`` SLO tiers.  A request's
         class picks its flush-deadline budget (see
@@ -549,7 +363,7 @@ class InferenceService:
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[DynamicBatcher] = None
         self._worker_states: List[WorkerState] = []
-        self._workers: List[Union[_ThreadWorker, _PipelineWorker]] = []
+        self._workers: List[Worker] = []
         self._worker_queues: List[asyncio.Queue] = []
         self._tasks: List[asyncio.Task] = []
         self._scheduler: Optional[Scheduler] = None
@@ -561,8 +375,7 @@ class InferenceService:
         self._worker_mode = ("pipeline" if self.config.pipeline_stages > 1
                              else self.config.workers)
         self._plan_cache: Optional[PlanCache] = None
-        self._plan_payload: Optional[bytes] = None
-        self._pipeline_partition = None
+        self._payloads: Optional[List[bytes]] = None
         self._respawn_tasks: set = set()
         self._watchdog_task: Optional[asyncio.Task] = None
         self._signature: Optional[Tuple[int, ...]] = None
@@ -618,8 +431,7 @@ class InferenceService:
         self._workers = []
         self._outstanding = 0
         self._stopping = False
-        self._plan_payload = None
-        self._pipeline_partition = None
+        self._payloads = None
         self._respawn_tasks = set()
         self._degraded_since = None
         self._timeout_times = collections.deque()
@@ -663,16 +475,17 @@ class InferenceService:
             self._queue = None
             self._batcher = None
             raise
+        # One consumer per batch a worker may keep in flight.
         self._tasks = [
             asyncio.create_task(self._worker_loop(index),
                                 name=f"serve-worker-{index}")
-            for index in range(config.num_workers)
+            for index, worker in enumerate(self._workers)
+            for _ in range(worker.max_inflight)
         ]
         self._tasks.append(
             asyncio.create_task(self._dispatch_loop(), name="serve-dispatch")
         )
-        if (config.heartbeat_timeout_s is not None
-                and self._worker_mode in ("process", "pipeline")):
+        if config.heartbeat_timeout_s is not None:
             self._watchdog_task = asyncio.create_task(
                 self._watchdog_loop(), name="serve-watchdog")
         self._started = True
@@ -698,70 +511,74 @@ class InferenceService:
             BatchRunner, replica, backend, context=config.context
         )
 
-    async def _process_plan_payload(self) -> bytes:
-        """The pickled plan shipped to process workers, cached per service.
+    async def _stage_payloads(self) -> List[bytes]:
+        """The pickled stage plans every process worker runs, cut once per run.
 
-        Resolution order: in-memory (already built this run) → on-disk
-        plan cache (fingerprint hit skips compilation entirely) → compile
-        a fresh replica, pickle it and persist it for the next start or
-        respawn.
+        The compiled plan comes from the on-disk plan cache on a
+        fingerprint hit, else from a freshly prepared replica (stored for
+        the next cold start), and is cut into ``pipeline_stages`` stage
+        plans under the ``macro_budget`` crossbar constraint
+        (:func:`~repro.shard.partition.build_stage_payloads`).  Every
+        replica is the same seeded recipe, so these payloads serve every
+        process worker, respawns included.
         """
-        if self._plan_payload is not None:
-            return self._plan_payload
+        if self._payloads is not None:
+            return self._payloads
+        # Imported lazily: repro.shard pulls in the pipeline machinery only
+        # process workers need (and avoids an import cycle through
+        # repro.serve.shm).
+        from repro.shard.partition import build_stage_payloads
+
         config = self.config
         # Backend *instances* carry arbitrary caller state the fingerprint
         # cannot see; only registry-name recipes are cacheable.
         cache = self._plan_cache if isinstance(config.backend, str) else None
-        key = None
-        claimed = False
-        if cache is not None:
-            key = await asyncio.to_thread(
-                plan_fingerprint, self.model, config.backend, config.context)
-            payload = await self._load_cached_plan(cache, key)
-            if payload is None:
-                # Write-once guard: first contender claims the key and
-                # compiles; the rest wait for its entry instead of
-                # double-compiling the identical plan.
-                claimed = await asyncio.to_thread(cache.claim, key)
-                if not claimed:
-                    payload = await asyncio.to_thread(cache.wait_for, key)
-            if payload is not None:
-                if config.macro_budget is not None:
-                    # The budget guard normally runs on the freshly
-                    # compiled plan; a hit skipped compilation, so count
-                    # macros on an unpickled copy instead.
-                    plan = await asyncio.to_thread(pickle.loads, payload)
-                    self._enforce_plan_budget(plan)
-                self._plan_payload = payload
-                return payload
+        key, cached, claimed, runner = None, None, False, None
         try:
-            runner = await self._build_runner()
-            try:
-                if config.macro_budget is not None:
-                    await asyncio.to_thread(self._enforce_macro_budget, runner)
-                payload = await asyncio.to_thread(pickle.dumps, runner.plan)
-            finally:
-                await asyncio.to_thread(runner.close)
-            if cache is not None and key is not None:
-                try:
-                    await asyncio.to_thread(cache.store, key, payload)
-                except OSError as exc:
-                    warnings.warn(
-                        f"plan cache write failed ({exc!r}); serving "
-                        "without it", RuntimeWarning, stacklevel=2)
+            if cache is not None:
+                key = await asyncio.to_thread(
+                    plan_fingerprint, self.model, config.backend,
+                    config.context)
+                cached = await self._load_cached_plan(cache, key)
+                if cached is None:
+                    # Write-once guard: first contender claims the key and
+                    # compiles; the rest wait for its entry instead of
+                    # double-compiling the identical plan.
+                    claimed = await asyncio.to_thread(cache.claim, key)
+                    if not claimed:
+                        cached = await asyncio.to_thread(cache.wait_for, key)
+            if cached is not None:
+                plan = await asyncio.to_thread(pickle.loads, cached)
+            else:
+                runner = await self._build_runner()
+                plan = runner.plan
+                if cache is not None:
+                    try:
+                        await asyncio.to_thread(
+                            lambda: cache.store(key, pickle.dumps(plan)))
+                    except OSError as exc:
+                        warnings.warn(
+                            f"plan cache write failed ({exc!r}); serving "
+                            "without it", RuntimeWarning, stacklevel=2)
+            partition = await asyncio.to_thread(
+                build_stage_payloads, plan, config.pipeline_stages,
+                probe=config.context.calibration,
+                max_macros_per_stage=config.macro_budget)
         finally:
+            if runner is not None:
+                await asyncio.to_thread(runner.close)
             if claimed:
                 await asyncio.to_thread(cache.release, key)
-        self._plan_payload = payload
-        return payload
+        self._payloads = partition.payloads
+        return self._payloads
 
     async def _load_cached_plan(self, cache: PlanCache,
                                 key: str) -> Optional[bytes]:
         """One cache lookup, with the ``plan_cache.load`` injection site.
 
-        A ``crash`` rule here makes the (re)spawn path fail — exercising
-        respawn backoff and the circuit breaker; a ``corrupt`` rule (no
-        mutable payload at this site) degrades the lookup to a miss.
+        A ``crash`` rule here makes a cold start fail (respawns reuse the
+        in-memory payloads and never look the plan up); a ``corrupt`` rule
+        (no mutable payload at this site) degrades the lookup to a miss.
         """
         corrupt = False
         if self._injector is not None:
@@ -769,45 +586,28 @@ class InferenceService:
         payload = await asyncio.to_thread(cache.load, key)
         return None if corrupt else payload
 
-    async def _partition_payloads(self):
-        """The per-stage pipeline payloads, built once per service run.
-
-        Every replica is the same seeded recipe, so one partition's pickled
-        stage plans serve every pipeline worker — including respawns, which
-        therefore never recompile or re-partition.
-        """
-        if self._pipeline_partition is not None:
-            return self._pipeline_partition
-        runner = await self._build_runner()
-        try:
-            partition = await asyncio.to_thread(self._build_partition, runner)
-        finally:
-            await asyncio.to_thread(runner.close)
-        self._pipeline_partition = partition
-        return partition
-
-    async def _build_worker(self) -> Union["_ThreadWorker", "_PipelineWorker"]:
+    async def _build_worker(self) -> Worker:
         """Build and start one worker of the configured substrate."""
         config = self.config
         if self._worker_mode == "thread":
             runner = await self._build_runner()
-            try:
-                if config.macro_budget is not None:
-                    await asyncio.to_thread(self._enforce_macro_budget, runner)
-            except Exception:
+            used, budget = runner.plan.num_macros(), config.macro_budget
+            if budget is not None and used > budget:
+                from repro.shard.partition import CapacityError
+
                 await asyncio.to_thread(runner.close)
-                raise
-            return _ThreadWorker(runner)
-        if self._worker_mode == "pipeline":
-            payloads = (await self._partition_payloads()).payloads
-        else:
-            payloads = [await self._process_plan_payload()]
+                raise CapacityError(
+                    f"model maps onto {used} macros but the worker crossbar "
+                    f"budget is {budget}; shard it with "
+                    f"ServeConfig(pipeline_stages>= {-(-used // budget)})")
+            return ThreadWorker(runner)
         heartbeat = (config.heartbeat_interval_s
                      if config.heartbeat_timeout_s is not None else None)
-        worker = _PipelineWorker(payloads, max_batch=config.max_batch,
-                                 checksum=config.shm_integrity,
-                                 fault_spec=self._fault_spec_dict,
-                                 heartbeat_interval_s=heartbeat)
+        worker = PipelineWorker(await self._stage_payloads(),
+                                max_batch=config.max_batch,
+                                checksum=config.shm_integrity,
+                                fault_spec=self._fault_spec_dict,
+                                heartbeat_interval_s=heartbeat)
         try:
             await worker.start()
         except Exception:
@@ -981,35 +781,6 @@ class InferenceService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _build_partition(self, runner: BatchRunner):
-        """Cut a prepared replica plan into pipeline stage payloads."""
-        # Imported lazily: repro.shard pulls in the pipeline machinery only
-        # pipeline-mode services need (and avoids an import cycle through
-        # repro.serve.shm).
-        from repro.shard.partition import build_stage_payloads
-
-        config = self.config
-        return build_stage_payloads(
-            runner.plan, config.pipeline_stages,
-            probe=config.context.calibration,
-            max_macros_per_stage=config.macro_budget)
-
-    def _enforce_macro_budget(self, runner: BatchRunner) -> None:
-        """Reject a single-worker replica exceeding the crossbar budget."""
-        self._enforce_plan_budget(runner.plan)
-
-    def _enforce_plan_budget(self, plan) -> None:
-        from repro.shard.partition import CapacityError
-
-        used = plan.num_macros()
-        budget = self.config.macro_budget
-        if used > budget:
-            raise CapacityError(
-                f"model maps onto {used} macros but the worker crossbar "
-                f"budget is {budget}; shard it with "
-                f"ServeConfig(pipeline_stages>= {-(-used // budget)})"
-            )
-
     def _ensure_conversion_estimate(self, batch: List[Request]) -> None:
         if self._conversions_per_sample is not None:
             return
@@ -1128,54 +899,33 @@ class InferenceService:
                     self._finish_request_traces(batch, error=exc)
                     self._outstanding -= len(batch)
         finally:
-            # Always broadcast shutdown, even if dispatch died: workers must
-            # never be left blocking on their queues.
-            for queue in self._worker_queues:
-                queue.put_nowait(None)
+            # Always broadcast shutdown, one sentinel per consumer, even if
+            # dispatch died: workers must never be left blocking on their
+            # queues.
+            for queue, worker in zip(self._worker_queues, self._workers):
+                for _ in range(worker.max_inflight):
+                    queue.put_nowait(None)
 
     async def _worker_loop(self, index: int) -> None:
-        """Pump one worker's queue.
+        """One consumer of a worker's queue: serve its batches one by one.
 
-        Ordinary workers serve one batch at a time.  A worker advertising
-        ``max_inflight > 1`` (the pipeline workers) is pumped with that many
-        concurrent batch tasks — stages overlap across batches, which is
-        the pipeline's throughput win; the worker itself serialises
-        pipeline *entry* so batch order (and with it analog bit identity)
-        is preserved.
+        A worker slot runs ``max_inflight`` consumers.  A pipeline worker's
+        consumers keep that many batches in flight, so stages overlap
+        across batches (the pipeline's throughput win); the worker
+        serialises pipeline *entry*, so batch order (and with it analog
+        bit identity) is preserved.  Other workers get one consumer, and a
+        dispatch deadline times one forward.
         """
         queue = self._worker_queues[index]
         state = self._worker_states[index]
-        limit = max(int(getattr(self._workers[index], "max_inflight", 1)), 1)
-        semaphore = asyncio.Semaphore(limit)
-        pending: set = set()
         while True:
             item = await queue.get()
             if item is None:
-                break
+                return
             # Fetched per item: a respawn replaces the worker object at
             # this index, and batches queued before (or during) the death
             # must run on whatever currently backs the slot.
-            worker = self._workers[index]
-            await semaphore.acquire()
-            if limit == 1:
-                try:
-                    await self._serve_batch(worker, state, item)
-                finally:
-                    semaphore.release()
-            else:
-                task = asyncio.create_task(
-                    self._serve_batch_release(worker, state, item, semaphore))
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-        if pending:
-            await asyncio.gather(*pending)
-
-    async def _serve_batch_release(self, worker, state, item,
-                                   semaphore: asyncio.Semaphore) -> None:
-        try:
-            await self._serve_batch(worker, state, item)
-        finally:
-            semaphore.release()
+            await self._serve_batch(self._workers[index], state, item)
 
     async def _serve_batch(self, worker, state, item) -> None:
         loop = asyncio.get_running_loop()
@@ -1226,8 +976,8 @@ class InferenceService:
             # pessimistic estimate leaves phantom load behind.
             state.accelerator.complete_inference(
                 measured if measured else estimate, booked=estimate)
-            state.transport_s = getattr(worker, "transport_s", 0.0)
-            state.stage_stats = getattr(worker, "stage_stats", None) or []
+            state.transport_s = worker.transport_s
+            state.stage_stats = worker.stage_stats
             self._outstanding -= len(batch)
             self.metrics.record_batch(
                 rows=int(inputs.shape[0]),
@@ -1384,15 +1134,15 @@ class InferenceService:
         """Release a dead worker's resources and (optionally) respawn it.
 
         Closing the dead worker first unlinks its shared-memory segments
-        even mid-crash (the parent owns them).  The replacement is built
-        from the cached plan payload — the on-disk cache when configured,
-        the in-memory copy otherwise — so respawn never recompiles.
+        even mid-crash (the parent owns them).  A process worker's
+        replacement runs the stage payloads already in memory, so respawn
+        never recompiles.
 
         Respawn attempts retry with exponential backoff (seeded jitter)
         up to ``max_respawn_failures`` times; exhausting them opens this
         slot's circuit breaker — capacity stays degraded and no further
         respawns are attempted for the slot, so a poisoned spawn path
-        (e.g. an injected ``plan_cache.load`` crash) cannot spin hot.
+        (e.g. an injected ``respawn`` crash) cannot spin hot.
         """
         if kill_first:
             try:
@@ -1607,15 +1357,13 @@ class InferenceService:
         ]
 
     def shm_segment_names(self) -> List[str]:
-        """Shared-memory segments currently owned by the process workers.
+        """Shared-memory segments currently owned by the workers.
 
         Used by the leak tests: every listed name must be gone from the
         system after :meth:`stop` / the workers' ``close``.
         """
-        names: List[str] = []
-        for worker in self._workers:
-            names.extend(getattr(worker, "shm_segment_names", []))
-        return names
+        return [name for worker in self._workers
+                for name in worker.segment_names]
 
     def process_worker_pids(self) -> Dict[int, List[int]]:
         """PIDs of the live worker processes, keyed by worker index.
@@ -1627,14 +1375,9 @@ class InferenceService:
         """
         pids: Dict[int, List[int]] = {}
         for state in self._worker_states:
-            if not state.alive:
-                continue
-            worker = self._workers[state.index]
-            if isinstance(worker, _PipelineWorker):
-                procs = [int(proc.pid) for proc in worker.pipeline._procs
-                         if proc.is_alive()]
-                if procs:
-                    pids[state.index] = procs
+            live = self._workers[state.index].pids() if state.alive else []
+            if live:
+                pids[state.index] = live
         return pids
 
     def alive_worker_count(self) -> int:
@@ -1650,12 +1393,10 @@ class InferenceService:
         worker's first batch) contribute zeros; the exposition reports
         the totals as ``shm_*`` gauges.
         """
-        totals = {"request_writes": 0, "request_bytes": 0,
-                  "response_writes": 0, "response_bytes": 0}
+        totals = dict.fromkeys(TRANSPORT_COUNTERS, 0)
         for worker in self._workers:
-            if isinstance(worker, _PipelineWorker):
-                for key, value in worker.pipeline.transport_counters().items():
-                    totals[key] += int(value)
+            for key, value in worker.transport_counters().items():
+                totals[key] += int(value)
         return totals
 
     def pool_recovered(self) -> bool:

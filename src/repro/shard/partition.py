@@ -250,8 +250,10 @@ def build_stage_payloads(plan: ModelPlan, num_stages: int,
     payloads snapshot the ops' exact post-prepare state, which is what
     keeps pipelined execution bit-identical to running the uncut plan on
     one worker.  The parent may ``plan.close()`` once the payloads exist.
+    One stage has nothing to balance, so it runs no probe forward.
     """
-    if probe is not None:
+    measured = probe is not None and num_stages > 1
+    if measured:
         costs = probe_op_costs(pickle.dumps(plan), probe)
     else:
         costs = static_op_costs(plan)
@@ -266,5 +268,5 @@ def build_stage_payloads(plan: ModelPlan, num_stages: int,
     payloads = [pickle.dumps(plan.stage(start, stop))
                 for start, stop in boundaries]
     return StagePartition(boundaries=boundaries, op_costs=costs,
-                          op_macros=macros, measured=probe is not None,
+                          op_macros=macros, measured=measured,
                           payloads=payloads)

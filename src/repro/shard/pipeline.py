@@ -5,8 +5,8 @@ worker processes.  Batches stream through the chain as micro-batches: while
 stage 1 computes batch *b*, stage 0 is already computing batch *b+1*, so
 steady-state throughput approaches the slowest stage instead of the sum of
 all stages — the standard pipeline-parallel deployment of multi-macro CIM
-accelerators.  A chain of one stage whose payload is a whole
-:class:`~repro.exec.plan.ModelPlan` is the serving layer's process worker
+accelerators.  A chain of one stage running the whole op program
+(``plan.stage(0, len(plan.ops))``) is the serving layer's process worker
 (``ServeConfig(workers="process")``).
 
 Every **edge** of the chain (parent→stage 0, stage *i*→stage *i+1*, last
@@ -153,7 +153,7 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
     except BaseException as exc:  # noqa: BLE001 — report, then die
         control.put(("error", stage_index, repr(exc)))
         return
-    control.put(("ready", stage_index, plan.num_macros()))
+    control.put(("ready", stage_index))
     in_ring: Optional[SlotRing] = None
     out_ring: Optional[SlotRing] = None
     batches = 0
@@ -298,7 +298,6 @@ class ShardedPipeline:
         #: Stage heartbeat period; None disables the heartbeat ring.
         self.heartbeat_interval_s = heartbeat_interval_s
         self._heartbeat_ring: Optional[SlotRing] = None
-        self.stage_macros: List[int] = []
         self._procs: List[multiprocessing.Process] = []
         self._ready: List = []
         self._control = None
@@ -371,7 +370,6 @@ class ShardedPipeline:
 
     def _await_stage_readiness(self) -> None:
         deadline = time.monotonic() + self.start_timeout_s
-        macros = [0] * self.num_stages
         pending = set(range(self.num_stages))
         while pending:
             timeout = max(deadline - time.monotonic(), 0.01)
@@ -386,10 +384,7 @@ class ShardedPipeline:
                 raise PipelineStageError(
                     f"stage {message[1]} failed to load its plan: {message[2]}"
                 )
-            _, index, stage_macros = message
-            macros[index] = int(stage_macros)
-            pending.discard(index)
-        self.stage_macros = macros
+            pending.discard(message[1])
 
     def close(self) -> None:
         """Shut the stages down, fail pending work, unlink every segment."""
@@ -442,6 +437,10 @@ class ShardedPipeline:
                 except Exception:  # noqa: BLE001 — already reaped
                     pass
 
+    def pids(self) -> List[int]:
+        """PIDs of the live stage processes, in stage order."""
+        return [int(proc.pid) for proc in self._procs if proc.is_alive()]
+
     def heartbeat_counts(self) -> Optional[Tuple[float, ...]]:
         """Current per-stage heartbeat counters, or None when disabled."""
         if self._heartbeat_ring is None:
@@ -450,14 +449,6 @@ class ShardedPipeline:
             float(self._heartbeat_ring.view(stage, (1,), np.float64)[0])
             for stage in range(self.num_stages)
         )
-
-    def __enter__(self) -> "ShardedPipeline":
-        if not self._started:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Submission

@@ -1679,23 +1679,40 @@ class TestProcessServing:
         assert snapshots["thread"].conversions == snapshots["process"].conversions
 
     def test_process_stage_profile_carries_thread_keys(self, plan_setup):
-        # A process worker reports the same breakdown rows as a thread
-        # worker, the digital sub-stages (im2col, adder) included.
-        from repro.serve import ServeConfig
-        from repro.serve.loadgen import run_loadtest
+        # Process and pipeline workers report the same breakdown rows as a
+        # thread worker, the digital sub-stages (im2col, adder) included;
+        # a pipeline worker adds its per-stage list.  Every worker the
+        # service builds satisfies the Worker protocol.
+        import asyncio
+
+        from repro.serve import InferenceService, ServeConfig
+        from repro.serve.workers import Worker
 
         model, x_train, x_test, _ = plan_setup
+
+        async def served_profile(**substrate):
+            service = InferenceService(model, ServeConfig(
+                backend="analog", max_batch=4, context=plan_context(x_train),
+                **substrate))
+            await service.start()
+            try:
+                await service.submit_many(x_test[:8])
+                assert all(isinstance(worker, Worker)
+                           for worker in service._workers)
+                (profile,) = await service.stage_profiles()
+            finally:
+                await service.stop()
+            return profile
+
         keys = {}
-        for mode in ("thread", "process"):
-            result = run_loadtest(
-                model, x_test[:8],
-                ServeConfig(backend="analog", max_batch=4,
-                            context=plan_context(x_train), workers=mode),
-                num_requests=8, collect_profile=True)
-            (profile,) = result.stage_profiles
+        for mode, substrate in (("thread", {}),
+                                ("process", {"workers": "process"}),
+                                ("pipeline", {"pipeline_stages": 2})):
+            profile = asyncio.run(served_profile(**substrate))
             keys[mode] = set(profile)
             assert profile["adder_s"] > 0
         assert keys["thread"] == keys["process"]
+        assert keys["pipeline"] == keys["thread"] | {"stages"}
 
     def test_unknown_worker_mode_rejected(self, plan_setup):
         from repro.serve import InferenceService, ServeConfig

@@ -108,15 +108,16 @@ class TestPlanCache:
         assert cache.load("key") is None
         assert cache.misses == 1
 
+    @pytest.mark.parametrize("stages", [1, 2])
     def test_cold_start_hits_cache_and_serves_identically(self, trained_setup,
-                                                          tmp_path):
+                                                          tmp_path, stages):
         # Service A compiles and persists the plan; service B (a fresh
         # instance, same recipe) must hit the cache and serve the same
-        # logits without recompiling.
+        # logits without recompiling, one stage or cut into a pipeline.
         model, x_test = trained_setup
         direct = run_model(model, x_test[:8], backend="ideal", batch_size=8)
         config = ServeConfig(max_batch=8, workers="process",
-                             plan_cache=str(tmp_path))
+                             pipeline_stages=stages, plan_cache=str(tmp_path))
 
         async def one_run():
             service = InferenceService(model, config)

@@ -529,6 +529,20 @@ class TestMetricTable:
             for stage in worker["stages"]:
                 assert set(stage) == keys("workers.stages")
 
+    def test_families_are_contiguous(self):
+        # Two workers (one pipelined) and two priority classes: after each
+        # family's # TYPE line come all of its samples, then the next
+        # family — never a sample of a family already left behind.
+        text = render_prometheus(self._snapshot(), extra_gauges=self.LIVE)
+        order, family = [], None
+        for line in text.splitlines():
+            if line.startswith("# TYPE"):
+                family = line.split()[2]
+                order.append(family)
+            elif not line.startswith("#"):
+                assert line.split("{")[0].split(" ")[0] == family, line
+        assert len(order) == len(set(order))
+
 class TestProbesAndServer:
     def test_endpoints_against_live_service(self, trained_setup):
         model, _, x_test = trained_setup

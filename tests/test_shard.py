@@ -206,7 +206,10 @@ class TestSplitPlan:
             assert runner.plan.num_macros() >= 1
             partition = build_stage_payloads(runner.plan, 2,
                                              probe=x_train[:16])
-        assert partition.measured
+            # One stage has nothing to balance: no probe forward runs.
+            whole = build_stage_payloads(runner.plan, 1, probe=x_train[:16])
+        assert partition.measured and not whole.measured
+        assert whole.boundaries == [(0, len(whole.op_costs))]
         assert partition.num_stages == 2
         assert sum(partition.stage_macros()) == count_plan_macros_value(partition)
         description = partition.describe()
@@ -339,7 +342,7 @@ class TestShardedPipeline:
             pipeline.forward(x_test[:8])
             names = pipeline.segment_names
             assert names and all(segment_exists(name) for name in names)
-            os.kill(pipeline._procs[0].pid, signal.SIGKILL)
+            os.kill(pipeline.pids()[0], signal.SIGKILL)
             # Depending on when the collector notices the death, either the
             # submit itself or its future fails — both with the stage error.
             with pytest.raises(PipelineStageError):
