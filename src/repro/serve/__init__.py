@@ -12,6 +12,7 @@ system::
   occupancy-tracked :class:`~repro.core.accelerator.AFPRAccelerator`
   worker pools,
 * :mod:`repro.serve.service` — the asyncio :class:`InferenceService`,
+* :mod:`repro.serve.recovery` — the clock-free recovery policy behind it,
 * :mod:`repro.serve.workers` — the ``Worker`` protocol and its substrates:
   in-loop threads, or shipped plans run by a :mod:`repro.shard` stage
   pipeline (one stage for ``workers="process"``, ``N`` for

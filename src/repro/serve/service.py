@@ -21,31 +21,25 @@ would see, the served logits are bit-identical on every backend, and on the
 row-independent digital backends (``ideal``, ``fake_quant``) they are
 bit-identical regardless of how the batcher happened to split the traffic.
 
-Fault tolerance: a worker-level fault (a worker or stage process died) is
-classified apart from request-level errors.  The dead worker is marked
-unplaceable, its in-flight and queued batches are re-dispatched to
-surviving replicas up to ``max_retries`` attempts, and a background task
-respawns the worker from the stage payloads already in memory, so respawn
-never recompiles (only a cold start reads the on-disk
-:class:`~repro.exec.plan.PlanCache`).  Request-level errors (a forward
-exception) still fail only their own batch: they would fail identically on
-any replica.  **Noise-stream caveat**: a re-dispatched batch re-runs on a
-replica whose analog noise streams have advanced differently, so retried
-analog batches draw fresh noise — bit-identity against a single fault-free
-run is only guaranteed for the no-fault path.  Runs that need bit identity
-even under faults should pin ``retry_policy="fail_fast"``, which restores
-the fail-the-batch behaviour while keeping respawn.
+Fault tolerance: the clock-free :class:`~repro.serve.recovery.RecoveryPolicy`
+built per ``start()`` makes every recovery decision, and this module carries
+the decisions out (kill, close, respawn, sleep, count, trace, resolve
+futures).  A dead or hung worker is marked unplaceable, its batches
+re-dispatch to surviving replicas, and it respawns from the stage payloads
+already in memory (only a cold start reads the on-disk
+:class:`~repro.exec.plan.PlanCache`).  A request-level error (a forward
+exception) fails only its own batch.  A retried analog batch draws fresh
+noise on its new replica, so runs that need bit identity even under faults
+pin ``retry_policy="fail_fast"``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import collections
 import copy
 import dataclasses
 import pickle
 import warnings
-from random import Random
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -75,24 +69,25 @@ from repro.serve.metrics import (
     StageOccupancy,
     WorkerSnapshot,
 )
+from repro.serve.recovery import (
+    CORRUPT,
+    HEARTBEAT_INTERVAL_S,
+    HUNG,
+    REQUEST,
+    RecoveryPolicy,
+)
 from repro.serve.scheduler import (
     NoAliveWorkersError,
     Scheduler,
     WorkerState,
     build_worker_states,
 )
-from repro.serve.shm import IntegrityError
 from repro.serve.workers import (
     TRANSPORT_COUNTERS,
     PipelineWorker,
     ThreadWorker,
     Worker,
 )
-
-#: Cap on one batch re-dispatch backoff (before jitter).
-REDISPATCH_BACKOFF_MAX_S = 1.0
-#: Cap on the backoff between failed respawn attempts (before jitter).
-RESPAWN_BACKOFF_MAX_S = 5.0
 
 
 class ServiceClosedError(RuntimeError):
@@ -120,6 +115,12 @@ class WorkerHungError(RuntimeError):
 @dataclasses.dataclass
 class ServeConfig:
     """Configuration of an :class:`InferenceService`.
+
+    The recovery fields (``retry_policy``, ``max_retries``, ``respawn``,
+    the timeouts, the backoff base and the ``shed_*`` triggers) feed
+    :class:`~repro.serve.recovery.RecoveryPolicy`, whose module also holds
+    the fixed recovery constants: capacity wait, heartbeat period, respawn
+    backoff and breaker.
 
     Attributes
     ----------
@@ -170,26 +171,18 @@ class ServeConfig:
         Execution context shared by every worker's backend (calibration,
         macro config, formats, seed).
     retry_policy:
-        What happens to the in-flight batches of a worker that *died*
-        (a worker or stage process exited — never plain forward
-        exceptions, which fail only their own batch).
-        ``"redispatch"`` (default) re-queues them onto surviving replicas
-        up to ``max_retries`` attempts.  Retried analog batches draw fresh
-        noise (the replacement replica's streams have advanced
-        differently), so bit-identity-critical runs should pin
-        ``"fail_fast"``, which fails the dead worker's batches immediately
-        (respawn still restores capacity).
+        What happens to the batches of a worker that died or hung (never
+        plain forward exceptions, which fail only their own batch):
+        ``"redispatch"`` (default) re-queues them onto surviving replicas;
+        ``"fail_fast"`` fails them at once, for runs that need bit identity
+        even under faults (a retried analog batch draws fresh noise on its
+        new replica).  Respawn restores capacity either way.
     max_retries:
-        Re-dispatch attempts per batch before its requests fail.  Only
-        attempts that reached a worker count: a batch still queued on a
-        worker that died is placed again for free.
+        Re-dispatch attempts per batch that reached a worker; a batch still
+        queued on a worker that died is placed again for free.
     respawn:
-        Rebuild a dead worker in the background (same replica recipe;
-        process workers reuse the stage payloads already in memory, so
-        they never recompile).
-    recovery_wait_s:
-        How long a batch may wait for a respawn when *no* worker is alive
-        before its requests fail.
+        Rebuild a dead worker in the background from the stage payloads
+        already in memory (a respawn never recompiles).
     plan_cache:
         Directory of the on-disk compiled-plan cache
         (:class:`repro.exec.plan.PlanCache`).  The compiled plan of
@@ -204,54 +197,33 @@ class ServeConfig:
         are rejected at submit.  ``None`` keeps the single global
         ``max_wait_ms`` for everyone.
     dispatch_timeout_s:
-        Per-dispatch deadline: a batch whose worker forward exceeds it is
-        treated as served by a *hung* worker — the worker is reaped (hard
-        SIGKILL for process/pipeline substrates) and respawned, and the
-        batch re-dispatches under ``max_retries`` exactly like a death.
-        ``None`` (default) disables the deadline.  Note the first batch
-        per worker rides the warm-up path, so leave headroom above the
-        steady-state forward time.
+        Per-dispatch deadline: a forward that exceeds it marks its worker
+        *hung* (hard-killed, respawned, the batch re-dispatched like a
+        death).  ``None`` (default) disables it.  The first batch per
+        worker rides the warm-up path, so leave headroom.
     heartbeat_timeout_s:
-        Enables the heartbeat watchdog: process/pipeline workers run a
-        daemon beat thread updating a parent-owned shared-memory counter
-        every ``heartbeat_interval_s``; a worker whose counters stall
-        longer than this is declared hung (reaped + respawned) even with
-        no batch in flight — catching frozen/SIGSTOPped processes the
-        dispatch deadline alone cannot see.  ``None`` (default) disables
-        the watchdog.
-    heartbeat_interval_s:
-        Beat period of the worker-side heartbeat threads and sampling
-        period of the parent watchdog.
+        Enables the heartbeat watchdog: a process or pipeline worker whose
+        shared-memory beat counters stall this long is hung even with no
+        batch in flight (a frozen or SIGSTOPped process the dispatch
+        deadline alone cannot see).  ``None`` (default) disables it.
     redispatch_backoff_base_s:
-        Exponential backoff before each batch re-dispatch: attempt ``k``
-        waits ``base * 2**k`` (capped at ``REDISPATCH_BACKOFF_MAX_S``)
-        plus seeded jitter, so a dying pool is not hammered with
-        immediate retries.  ``0`` (default) re-dispatches immediately.
-    respawn_backoff_base_s:
-        Exponential backoff (plus seeded jitter, capped at
-        ``RESPAWN_BACKOFF_MAX_S``) between *failed* respawn attempts of
-        one worker slot.
-    max_respawn_failures:
-        Circuit breaker: after this many consecutive respawn failures the
-        slot's breaker opens and respawning stops (capacity stays
-        degraded, counted in metrics) instead of respawn-storming.
+        Base of the exponential backoff (seeded jitter, capped) before
+        each batch re-dispatch; ``0`` (default) re-dispatches at once.
     shm_integrity:
-        CRC32 per shm slot (process-worker rings and pipeline stage
-        rings): computed into a slot header at write, verified on read.
-        A mismatch is classified as a *corrupt batch* — re-dispatched
-        under the retry budget without killing the worker.  Off by
-        default (zero extra bytes or work on the hot path).
+        CRC32 per shm slot (process-worker and pipeline stage rings),
+        written into a slot header and checked on read; a mismatch
+        re-dispatches the batch without killing the worker.  Off by
+        default (no extra bytes or work on the hot path).
     shed_alive_fraction:
-        Graceful degradation trigger: shed when the alive fraction of the
-        pool drops *below* this (e.g. ``0.5``).  ``None`` disables the
-        alive-fraction trigger.  Degradation sheds the laxest configured
-        priority class (largest ``max_wait_ms``, the lowest SLO tier), or
-        the default class when no classes are configured, with a fast
-        :class:`ServiceDegradedError` rejection at admission, counted in
-        metrics.
+        Graceful degradation: shed while fewer than this fraction of the
+        workers are alive.  Shedding rejects the laxest priority class
+        (largest ``max_wait_ms``; the default class when none are
+        configured) at admission with :class:`ServiceDegradedError`.
+        ``None`` (default) disables this trigger.
     shed_timeout_threshold / shed_timeout_window_s:
-        Second trigger: shed while at least this many dispatch timeouts
-        landed within the trailing window.  ``None`` disables it.
+        Second trigger: shed while at least this many timeouts landed in
+        the trailing window; dispatch timeouts and heartbeat trips both
+        count.  ``None`` disables it.
     faults:
         Optional :class:`repro.faults.FaultSpec` installing the
         deterministic chaos injector into this service and every worker
@@ -281,15 +253,11 @@ class ServeConfig:
     retry_policy: str = "redispatch"
     max_retries: int = 2
     respawn: bool = True
-    recovery_wait_s: float = 30.0
     plan_cache: Optional[str] = None
     priority_classes: Optional[Dict[str, float]] = None
     dispatch_timeout_s: Optional[float] = None
     heartbeat_timeout_s: Optional[float] = None
-    heartbeat_interval_s: float = 0.05
     redispatch_backoff_base_s: float = 0.0
-    respawn_backoff_base_s: float = 0.05
-    max_respawn_failures: int = 3
     shm_integrity: bool = False
     shed_alive_fraction: Optional[float] = None
     shed_timeout_threshold: Optional[int] = None
@@ -319,36 +287,12 @@ class InferenceService:
         if (self.config.macro_budget is not None
                 and self.config.macro_budget < 1):
             raise ValueError("macro_budget must be >= 1 (or None)")
-        if self.config.retry_policy not in ("redispatch", "fail_fast"):
-            raise ValueError(
-                f"unknown retry policy {self.config.retry_policy!r}; "
-                "choose 'redispatch' or 'fail_fast'"
-            )
-        if self.config.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         for name, wait_ms in (self.config.priority_classes or {}).items():
             if wait_ms < 0:
                 raise ValueError(
                     f"priority class {name!r} max_wait_ms must be >= 0")
-        if (self.config.dispatch_timeout_s is not None
-                and self.config.dispatch_timeout_s <= 0):
-            raise ValueError("dispatch_timeout_s must be > 0 (or None)")
-        if (self.config.heartbeat_timeout_s is not None
-                and self.config.heartbeat_timeout_s <= 0):
-            raise ValueError("heartbeat_timeout_s must be > 0 (or None)")
-        if self.config.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be > 0")
-        if (self.config.redispatch_backoff_base_s < 0
-                or self.config.respawn_backoff_base_s < 0):
-            raise ValueError("backoff bases must be >= 0")
-        if self.config.max_respawn_failures < 1:
-            raise ValueError("max_respawn_failures must be >= 1")
-        if (self.config.shed_alive_fraction is not None
-                and not 0.0 < self.config.shed_alive_fraction <= 1.0):
-            raise ValueError("shed_alive_fraction must be in (0, 1]")
-        if (self.config.shed_timeout_threshold is not None
-                and self.config.shed_timeout_threshold < 1):
-            raise ValueError("shed_timeout_threshold must be >= 1 (or None)")
+        # Validates the recovery fields; start() builds a fresh one per run.
+        self._policy = RecoveryPolicy(self.config)
         self.metrics = ServiceMetrics(
             energy_per_conversion_j=energy_per_conversion(self.config.context.macro_config)
         )
@@ -379,37 +323,10 @@ class InferenceService:
         self._respawn_tasks: set = set()
         self._watchdog_task: Optional[asyncio.Task] = None
         self._signature: Optional[Tuple[int, ...]] = None
-        self._degraded_since: Optional[float] = None
-        # --- robustness state (fault injection, hangs, backoff, shedding) ---
         self._injector: Optional[FaultInjector] = None
         self._fault_spec_dict = (self.config.faults.to_dict()
                                  if self.config.faults is not None else None)
-        self._shed_enabled = (
-            self.config.shed_alive_fraction is not None
-            or self.config.shed_timeout_threshold is not None)
-        self._shed_classes = self._resolve_shed_classes()
-        self._timeout_times: collections.deque = collections.deque()
-        self._respawn_breaker_open: set = set()
-        # Seeded apart from the numpy streams: jitter must never perturb
-        # served numerics.
-        self._backoff_rng = Random(
-            f"serve-backoff:{getattr(self.config.context, 'seed', 0)}")
-        self._heartbeat_seen: Dict[int, Tuple[object, Tuple, float]] = {}
         self._fault_report: Dict[str, Dict[str, int]] = {}
-
-    def _resolve_shed_classes(self) -> frozenset:
-        """Which priority classes degradation sheds.
-
-        The laxest configured class (largest flush budget — the lowest SLO
-        tier) is shed; with no classes at all, everything is the default
-        class and is sheddable.
-        """
-        classes = self.config.priority_classes
-        if not classes:
-            return frozenset((DEFAULT_PRIORITY,))
-        laxest = max(classes.values())
-        return frozenset(name for name, wait in classes.items()
-                         if wait >= laxest)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -433,10 +350,7 @@ class InferenceService:
         self._stopping = False
         self._payloads = None
         self._respawn_tasks = set()
-        self._degraded_since = None
-        self._timeout_times = collections.deque()
-        self._respawn_breaker_open = set()
-        self._heartbeat_seen = {}
+        self._policy = RecoveryPolicy(config)
         if config.faults is not None:
             # Parent-side sites (shm request writes, plan-cache loads, the
             # respawn path) fire on this injector; worker processes install
@@ -601,7 +515,7 @@ class InferenceService:
                     f"budget is {budget}; shard it with "
                     f"ServeConfig(pipeline_stages>= {-(-used // budget)})")
             return ThreadWorker(runner)
-        heartbeat = (config.heartbeat_interval_s
+        heartbeat = (HEARTBEAT_INTERVAL_S
                      if config.heartbeat_timeout_s is not None else None)
         worker = PipelineWorker(await self._stage_payloads(),
                                 max_batch=config.max_batch,
@@ -628,13 +542,10 @@ class InferenceService:
         self._stopping = True
         first_error: Optional[BaseException] = None
         try:
-            task = self._watchdog_task
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                    pass
+            if self._watchdog_task is not None:
+                self._watchdog_task.cancel()
+                await asyncio.gather(self._watchdog_task,
+                                     return_exceptions=True)
                 self._watchdog_task = None
             # Let in-flight respawns finish (they check _stopping and tear
             # their worker back down) so no process leaks past stop.
@@ -717,8 +628,10 @@ class InferenceService:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[np.ndarray]" = loop.create_future()
         now = loop.time()
-        if self._shed_enabled and priority in self._shed_classes:
-            reason = self._shedding_now(now)
+        if self._policy.sheds:
+            reason = self._policy.shed_reason(
+                priority, self.alive_worker_count(), len(self._worker_states),
+                now)
             if reason is not None:
                 # Graceful degradation: a struggling pool sheds its
                 # lowest-priority classes at admission so stricter SLO
@@ -800,9 +713,13 @@ class InferenceService:
             except asyncio.QueueEmpty:
                 return
             if item is not CLOSE:
-                fail_requests([item], error)
-                self._finish_request_traces([item], error=error)
-                self._outstanding -= 1
+                self._fail_batch([item], error)
+
+    def _fail_batch(self, batch: List[Request], error: BaseException) -> None:
+        """Fail every request of ``batch`` to its client, for good."""
+        fail_requests(batch, error)
+        self._finish_request_traces(batch, error=error)
+        self._outstanding -= len(batch)
 
     # ------------------------------------------------------------------
     # Tracing
@@ -887,17 +804,9 @@ class InferenceService:
                         # traffic over it.
                         self._conversions_per_sample = 0
                 try:
-                    rows = sum(request.rows for request in batch)
-                    estimate = rows * self._conversions_per_sample
-                    worker = await self._place_batch(rows)
-                    worker.accelerator.begin_inference(estimate)
-                    self.metrics.record_dispatch(self._queue.qsize())
-                    await self._worker_queues[worker.index].put(
-                        (batch, estimate, 0))
+                    await self._place_batch(batch)
                 except Exception as exc:  # noqa: BLE001 — fail, don't hang
-                    fail_requests(batch, exc)
-                    self._finish_request_traces(batch, error=exc)
-                    self._outstanding -= len(batch)
+                    self._fail_batch(batch, exc)
         finally:
             # Always broadcast shutdown, one sentinel per consumer, even if
             # dispatch died: workers must never be left blocking on their
@@ -989,139 +898,79 @@ class InferenceService:
                 request_classes=[request.priority for request in batch],
             )
             self._finish_request_traces(batch)
-        except asyncio.TimeoutError:
-            # Dispatch deadline: the forward outlived its SLO budget — a
-            # wedged worker (injected hang, livelock) that never raises.
-            # Classified exactly like a death, plus a hard kill() first:
-            # an orderly close would otherwise wait on the hung process.
-            # Must precede the generic handler — on Python 3.11+
-            # asyncio.TimeoutError is the builtin TimeoutError.
-            if dispatch_span is not None:
-                self.tracer.end(dispatch_span, error="dispatch_timeout")
-            state.accelerator.cancel_inference(estimate)
-            exc = WorkerHungError(
-                f"worker {state.index} exceeded its "
-                f"{self.config.dispatch_timeout_s}s dispatch deadline")
-            self.metrics.count("dispatch_timeouts")
-            self._timeout_times.append(loop.time())
-            self.tracer.event("dispatch_timeout", worker=state.index,
-                              mode=state.mode, attempt=retries)
-            if not self._stopping:
-                self._note_worker_death(state, exc, kill=True)
-                await self._retry_or_fail(batch, retries, exc)
-                return
-            fail_requests(batch, exc)
-            self._finish_request_traces(batch, error=exc)
-            self._outstanding -= len(batch)
         except Exception as exc:  # noqa: BLE001 — classify, retry or fail
-            if dispatch_span is not None:
-                self.tracer.end(dispatch_span, error=repr(exc))
+            # On Python 3.11+ asyncio.TimeoutError is the builtin one: a
+            # blown dispatch deadline, i.e. a wedged worker that never raises.
+            fault = self._policy.classify(
+                exc, isinstance(exc, asyncio.TimeoutError), state.alive,
+                self._stopping)
             state.accelerator.cancel_inference(estimate)
-            if (self._is_corruption(exc) and state.alive
-                    and not self._stopping):
-                # A CRC check caught slot bit-rot: the payload is bad but
-                # the worker is healthy, so the batch is re-dispatched
-                # without killing anything.
+            if fault == HUNG:
+                exc = WorkerHungError(
+                    f"worker {state.index} exceeded its "
+                    f"{self.config.dispatch_timeout_s}s dispatch deadline")
+                self.metrics.count("dispatch_timeouts")
+                self._policy.note_timeout(loop.time())
+                self.tracer.event("dispatch_timeout", worker=state.index,
+                                  mode=state.mode, attempt=retries)
+            if dispatch_span is not None:
+                self.tracer.end(dispatch_span, error=(
+                    "dispatch_timeout" if fault == HUNG else repr(exc)))
+            if fault == REQUEST:
+                # Stacking errors, forward exceptions, a scatter row
+                # mismatch: they would fail the same way on any replica,
+                # and the worker survives any single bad batch.
+                self._fail_batch(batch, exc)
+                return
+            if fault == CORRUPT:
+                # Slot bit-rot on a healthy worker: nothing is killed.
                 self.metrics.count("corruptions")
                 self.tracer.event("slot_corruption", worker=state.index,
                                   mode=state.mode, attempt=retries,
                                   error=repr(exc))
-                await self._retry_or_fail(batch, retries, exc)
-                return
-            # A fault is worker-level either by type (StageDiedError) or
-            # by correlation: the worker was marked dead while this batch
-            # raced its teardown, so errors like "pipeline is not running"
-            # still count.
-            death = self._is_worker_death(exc) or not state.alive
-            if death and not self._stopping:
-                # Worker-level fault (a worker or stage process died): the
-                # batch itself is fine, so it is re-dispatchable.  Mark the
-                # worker down and respawn it.
-                self._note_worker_death(state, exc)
-                await self._retry_or_fail(batch, retries, exc)
-                return
-            # Request-level failure (stacking errors, forward exceptions,
-            # scatter row mismatch): it would fail the same way on any
-            # replica, so it propagates to exactly this batch's clients.
-            # The worker itself survives any single bad batch.
-            fail_requests(batch, exc)
-            self._finish_request_traces(batch, error=exc)
-            self._outstanding -= len(batch)
+            else:
+                # A hung worker is hard-killed first: an orderly close
+                # would wait on the wedged process.
+                self._note_worker_death(state, exc, kill=fault == HUNG)
+            await self._retry_or_fail(batch, retries, exc)
 
     async def _retry_or_fail(self, batch: List[Request], retries: int,
                              exc: BaseException,
                              reached_worker: bool = True) -> None:
-        """Re-dispatch a dead worker's batch, or fail it to its clients.
-
-        Retries are bounded by ``max_retries`` and disabled entirely under
-        ``retry_policy="fail_fast"`` (the pre-fault-tolerance behaviour,
-        for noise-stream-sensitive runs).  With
-        ``redispatch_backoff_base_s > 0`` each attempt waits
-        ``base * 2**(attempt-1)`` (capped by ``REDISPATCH_BACKOFF_MAX_S``)
-        plus up to 25% seeded jitter before re-entering placement, so a
-        flapping pool is not hammered by its own retry traffic.  A batch
-        that never reached its worker (queued behind one that died) is
-        placed again at once without spending a retry; ``recovery_wait_s``
-        still bounds its wait for a live worker.
-        """
-        if (self.config.retry_policy == "redispatch"
-                and (retries < self.config.max_retries or not reached_worker)
-                and not self._stopping):
-            base = self.config.redispatch_backoff_base_s
-            if reached_worker and base > 0.0 and retries >= 0:
-                wait_s = min(base * (2.0 ** retries),
-                             REDISPATCH_BACKOFF_MAX_S)
-                wait_s *= 1.0 + 0.25 * self._backoff_rng.random()
-                self.metrics.count("backoff_waits")
-                self.metrics.count("backoff_total_s", wait_s)
-                self.tracer.event("redispatch_backoff", attempt=retries + 1,
-                                  wait_s=round(wait_s, 6))
-                await asyncio.sleep(wait_s)
+        """Re-dispatch a faulted worker's batch as the policy decides
+        (after its backoff wait), or fail it to its clients."""
+        retry = self._policy.retry(retries, reached_worker, self._stopping)
+        if retry is not None:
+            if retry.wait_s > 0.0:
+                self.tracer.event("redispatch_backoff", attempt=retry.attempt,
+                                  wait_s=round(retry.wait_s, 6))
+                await self._sleep_backoff(retry.wait_s)
             try:
-                await self._redispatch(
-                    batch, retries + 1 if reached_worker else retries)
+                await self._place_batch(batch, retry=retry.attempt)
                 return
             except Exception as redispatch_exc:  # noqa: BLE001
                 exc = redispatch_exc
-        fail_requests(batch, exc)
-        self._finish_request_traces(batch, error=exc)
-        self._outstanding -= len(batch)
+        self._fail_batch(batch, exc)
+
+    async def _sleep_backoff(self, wait_s: float) -> None:
+        self.metrics.count("backoff_waits")
+        self.metrics.count("backoff_total_s", wait_s)
+        await asyncio.sleep(wait_s)
 
     # ------------------------------------------------------------------
     # Fault tolerance
     # ------------------------------------------------------------------
-    def _is_worker_death(self, exc: BaseException) -> bool:
-        """Whether ``exc`` means the *worker* died rather than the batch."""
-        from repro.shard.pipeline import StageDiedError
-
-        return isinstance(exc, StageDiedError)
-
-    def _is_corruption(self, exc: BaseException) -> bool:
-        """Whether ``exc`` is a transport-integrity (CRC) failure.
-
-        Corruption means the *payload* went bad in flight, not the worker:
-        the batch is re-dispatched but nothing is killed or respawned.
-        """
-        from repro.shard.pipeline import StageCorruptionError
-
-        return isinstance(exc, (IntegrityError, StageCorruptionError))
-
     def _note_worker_death(self, state: WorkerState, exc: BaseException,
                            kill: bool = False) -> None:
-        """Mark a worker dead once and kick off its background recovery.
-
-        ``kill=True`` (hung workers: dispatch timeouts, heartbeat trips)
-        SIGKILLs the worker's processes before teardown — a wedged process
-        never exits on its own, and an orderly close would wait on it.
-        """
+        """Mark a worker dead once and start its background recovery;
+        ``kill=True`` (a hung worker) SIGKILLs its processes first."""
         if not state.alive or self._stopping:
             return
         state.alive = False
         self.metrics.count("worker_deaths")
         self.tracer.event("worker_death", worker=state.index,
                           mode=state.mode, error=repr(exc))
-        if self._degraded_since is None:
-            self._degraded_since = asyncio.get_running_loop().time()
+        self._policy.worker_died(asyncio.get_running_loop().time())
         dead = self._workers[state.index]
         task = asyncio.create_task(
             self._recover_worker(state.index, dead, kill_first=kill),
@@ -1131,17 +980,11 @@ class InferenceService:
 
     async def _recover_worker(self, index: int, dead_worker,
                               kill_first: bool = False) -> None:
-        """Release a dead worker's resources and (optionally) respawn it.
+        """Release a dead worker's resources and respawn it if allowed.
 
         Closing the dead worker first unlinks its shared-memory segments
-        even mid-crash (the parent owns them).  A process worker's
-        replacement runs the stage payloads already in memory, so respawn
-        never recompiles.
-
-        Respawn attempts retry with exponential backoff (seeded jitter)
-        up to ``max_respawn_failures`` times; exhausting them opens this
-        slot's circuit breaker — capacity stays degraded and no further
-        respawns are attempted for the slot, so a poisoned spawn path
+        even mid-crash (the parent owns them).  Failed respawns back off
+        until the policy opens the slot's breaker, so a poisoned spawn path
         (e.g. an injected ``respawn`` crash) cannot spin hot.
         """
         if kill_first:
@@ -1153,41 +996,26 @@ class InferenceService:
             await dead_worker.close()
         except Exception:  # noqa: BLE001 — it is already dead
             pass
-        if not self.config.respawn or self._stopping:
-            return
-        if index in self._respawn_breaker_open:
-            return
-        config = self.config
-        failures = 0
-        while not self._stopping:
+        while self._policy.may_respawn(index, self._stopping):
             try:
                 if self._injector is not None:
                     self._injector.fire("respawn")
                 worker = await self._build_worker()
                 break
             except Exception as exc:  # noqa: BLE001 — count and back off
-                failures += 1
+                failures, wait_s = self._policy.respawn_failed(index)
                 self.metrics.count("respawn_failures")
                 self.tracer.event("respawn_failure", worker=index,
                                   attempt=failures, error=repr(exc))
-                if failures >= config.max_respawn_failures:
-                    self._respawn_breaker_open.add(index)
+                if wait_s is None:
                     self.metrics.count("breaker_trips")
                     self.tracer.event("respawn_breaker_open", worker=index)
                     warnings.warn(
                         f"worker {index} respawn failed {failures} times "
                         f"(last: {exc!r}); circuit breaker open, pool "
-                        "capacity stays degraded",
-                        RuntimeWarning, stacklevel=2)
+                        "capacity stays degraded", RuntimeWarning)
                     return
-                wait_s = min(
-                    config.respawn_backoff_base_s * (2.0 ** (failures - 1)),
-                    RESPAWN_BACKOFF_MAX_S)
-                wait_s *= 1.0 + 0.25 * self._backoff_rng.random()
-                if wait_s > 0:
-                    self.metrics.count("backoff_waits")
-                    self.metrics.count("backoff_total_s", wait_s)
-                    await asyncio.sleep(wait_s)
+                await self._sleep_backoff(wait_s)
         else:
             return
         if self._stopping:
@@ -1197,83 +1025,39 @@ class InferenceService:
         self._worker_states[index].alive = True
         self.metrics.count("respawns")
         self.tracer.event("worker_respawn", worker=index)
-        if self._degraded_since is not None and self.pool_recovered():
-            loop = asyncio.get_running_loop()
-            self.metrics.record_recovery(loop.time() - self._degraded_since)
-            self._degraded_since = None
+        recovery_s = self._policy.respawned(
+            index, asyncio.get_running_loop().time(), self.pool_recovered())
+        if recovery_s is not None:
+            self.metrics.record_recovery(recovery_s)
 
     async def _watchdog_loop(self) -> None:
-        """Trip hung workers whose heartbeat counters stop advancing.
+        """Feed every worker's heartbeat counters to the policy each beat,
+        and kill and respawn the workers it trips.
 
-        Each process/pipeline worker runs a beat thread bumping a counter
-        in a parent-owned shm ring.  This loop samples every alive
-        worker's counters; when none of them changed for
-        ``heartbeat_timeout_s`` the process is frozen at the OS level
-        (SIGSTOP, pathological GC, a crashed beat thread) and is killed
-        and respawned.  An injected ``hang`` (a sleeping forward) keeps
-        beating — the *dispatch deadline* owns that case; the watchdog
-        owns true freezes that a deadline alone cannot distinguish from
-        slow work.
+        A tripped worker is frozen at the OS level (SIGSTOP, a crashed beat
+        thread).  An injected ``hang`` (a sleeping forward) keeps beating:
+        the dispatch deadline owns that case.
         """
-        timeout_s = self.config.heartbeat_timeout_s
-        interval = max(self.config.heartbeat_interval_s, 0.01)
         while not self._stopping:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL_S)
             if self._stopping or not self._started:
                 return
-            loop = asyncio.get_running_loop()
-            now = loop.time()
+            now = asyncio.get_running_loop().time()
             for state in list(self._worker_states):
-                if not state.alive:
-                    self._heartbeat_seen.pop(state.index, None)
-                    continue
                 worker = self._workers[state.index]
-                counts = worker.heartbeat_counts()
-                if counts is None:
-                    continue  # ring degraded at spawn: watchdog blind here
-                seen = self._heartbeat_seen.get(state.index)
-                if (seen is None or seen[0] is not worker
-                        or seen[1] != counts):
-                    self._heartbeat_seen[state.index] = (worker, counts, now)
+                stalled_s = self._policy.heartbeat(
+                    state.index, worker,
+                    worker.heartbeat_counts() if state.alive else None, now)
+                if stalled_s is None:
                     continue
-                if now - seen[2] >= timeout_s:
-                    self._heartbeat_seen.pop(state.index, None)
-                    self.metrics.count("heartbeat_trips")
-                    self._timeout_times.append(now)
-                    self.tracer.event("heartbeat_trip", worker=state.index,
-                                      mode=state.mode,
-                                      stalled_s=round(now - seen[2], 3))
-                    self._note_worker_death(
-                        state,
-                        WorkerHungError(
-                            f"worker {state.index} heartbeat stalled for "
-                            f"{now - seen[2]:.2f}s"),
-                        kill=True)
-
-    def _shedding_now(self, now: float) -> Optional[str]:
-        """The active degradation reason, or None when admitting normally.
-
-        Sheds when the alive fraction of the pool dropped below
-        ``shed_alive_fraction`` or when ``shed_timeout_threshold`` dispatch
-        timeouts / heartbeat trips landed inside the sliding
-        ``shed_timeout_window_s``.
-        """
-        config = self.config
-        states = self._worker_states
-        if config.shed_alive_fraction is not None and states:
-            alive = sum(1 for s in states if s.alive)
-            if alive / len(states) < config.shed_alive_fraction:
-                return (f"alive fraction {alive}/{len(states)} below "
-                        f"{config.shed_alive_fraction}")
-        if config.shed_timeout_threshold is not None:
-            horizon = now - config.shed_timeout_window_s
-            times = self._timeout_times
-            while times and times[0] < horizon:
-                times.popleft()
-            if len(times) >= config.shed_timeout_threshold:
-                return (f"{len(times)} timeouts in the last "
-                        f"{config.shed_timeout_window_s}s")
-        return None
+                self.metrics.count("heartbeat_trips")
+                self.tracer.event("heartbeat_trip", worker=state.index,
+                                  mode=state.mode, stalled_s=round(stalled_s, 3))
+                self._note_worker_death(
+                    state,
+                    WorkerHungError(f"worker {state.index} heartbeat stalled "
+                                    f"for {stalled_s:.2f}s"),
+                    kill=True)
 
     def fault_report(self) -> Dict[str, Dict[str, int]]:
         """Parent-side injected-fault fire counts per site and action.
@@ -1286,43 +1070,40 @@ class InferenceService:
             return self._injector.report()
         return dict(self._fault_report)
 
-    async def _place_batch(self, rows: int) -> WorkerState:
-        """Select a worker, waiting out a total loss of capacity.
+    async def _place_batch(self, batch: List[Request],
+                           retry: Optional[int] = None) -> None:
+        """Book ``batch`` on a worker and queue it there.
 
-        When every worker is dead but a respawn is pending, placement
-        waits (bounded by ``recovery_wait_s``) instead of failing the
-        batch — the kill-storm contract is zero client-visible failures
-        as long as the pool can recover.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.recovery_wait_s
-        while True:
-            try:
-                return self._scheduler.select(rows)
-            except NoAliveWorkersError:
-                if (self._stopping or not self._respawn_tasks
-                        or loop.time() >= deadline):
-                    raise
-                await asyncio.sleep(0.005)
-
-    async def _redispatch(self, batch: List[Request], retries: int) -> None:
-        """Re-queue a dead worker's batch onto a surviving replica.
-
-        The retried batch re-enters placement exactly like a fresh one
-        (occupancy booked on the new worker); on analog backends it will
-        draw fresh noise there — see the module docstring and
-        ``retry_policy``.
+        ``retry`` is a re-dispatch's attempt number (None for a fresh
+        batch); a retried analog batch draws fresh noise on its new
+        replica.  While no worker is alive but a respawn is pending,
+        placement waits as long as the policy allows.
         """
         rows = sum(request.rows for request in batch)
         estimate = rows * (self._conversions_per_sample or 0)
-        worker = await self._place_batch(rows)
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        while True:
+            try:
+                worker = self._scheduler.select(rows)
+                break
+            except NoAliveWorkersError:
+                if not self._policy.await_capacity(
+                        loop.time() - start, bool(self._respawn_tasks),
+                        self._stopping):
+                    raise
+                await asyncio.sleep(0.005)
         worker.accelerator.begin_inference(estimate)
-        self.metrics.count("retried_batches")
-        primary = self._batch_primary_trace(batch)
-        self.tracer.event(
-            "retry", trace_id=primary.trace_id if primary else None,
-            worker=worker.index, attempt=retries, rows=rows)
-        await self._worker_queues[worker.index].put((batch, estimate, retries))
+        if retry is None:
+            self.metrics.record_dispatch(self._queue.qsize())
+        else:
+            self.metrics.count("retried_batches")
+            primary = self._batch_primary_trace(batch)
+            self.tracer.event(
+                "retry", trace_id=primary.trace_id if primary else None,
+                worker=worker.index, attempt=retry, rows=rows)
+        await self._worker_queues[worker.index].put(
+            (batch, estimate, retry or 0))
 
     # ------------------------------------------------------------------
     # Reporting

@@ -14,15 +14,22 @@ The contracts under test (see the PR's tentpole):
 * SLO priority classes shorten the flush deadline of the batches that
   carry them and show up as class-tagged latency percentiles;
 * a kill-storm (repeated SIGKILLs during traffic) produces zero
-  client-visible failures and a pool respawned to full strength.
+  client-visible failures and a pool respawned to full strength;
+* every recovery decision (:class:`repro.serve.recovery.RecoveryPolicy`)
+  holds as a plain function of (event, state, ``now``), with no processes
+  and no event loop.
 """
 
+import ast
 import asyncio
 import os
+import pathlib
+import re
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.exec import run_model
 from repro.exec.backend import ExecutionContext
@@ -37,12 +44,27 @@ from repro.serve.batcher import (
     scatter_results,
 )
 from repro.serve.cli import build_serve_parser, parse_class_map
+from repro.serve import recovery
 from repro.serve.loadgen import assign_priorities, run_loadtest
+from repro.serve.recovery import (
+    CORRUPT,
+    DEAD,
+    HUNG,
+    MAX_RESPAWN_FAILURES,
+    REDISPATCH_BACKOFF_MAX_S,
+    REQUEST,
+    RESPAWN_BACKOFF_BASE_S,
+    RESPAWN_BACKOFF_MAX_S,
+    RecoveryPolicy,
+    Retry,
+)
 from repro.serve.scheduler import (
     NoAliveWorkersError,
     Scheduler,
     build_worker_states,
 )
+from repro.serve.shm import IntegrityError
+from repro.shard.pipeline import StageCorruptionError, StageDiedError
 
 
 def run_async(coro):
@@ -437,6 +459,220 @@ class TestRetryBudget:
         assert np.array_equal(logits, direct.logits)
         assert all(isinstance(error, RuntimeError) for error in errors)
         assert snapshot.counters["retried_batches"] == 1
+
+def _within_jitter(wait_s: float, base: float, attempt: int,
+                   cap: float) -> bool:
+    floor = min(base * 2 ** attempt, cap)
+    return floor <= wait_s <= 1.25 * floor
+
+
+class TestRecoveryPolicy:
+    """The recovery decisions as plain calls: no processes, no event loop."""
+
+    @pytest.mark.parametrize("exc, timed_out, alive, stopping, fault", [
+        (TimeoutError(), True, True, False, HUNG),
+        (TimeoutError(), True, True, True, HUNG),
+        (StageDiedError("stage 0 exited"), False, True, False, DEAD),
+        # A batch that raced its worker's teardown: dead by correlation.
+        (RuntimeError("pipeline is not running"), False, False, False, DEAD),
+        (IntegrityError("crc"), False, True, False, CORRUPT),
+        (StageCorruptionError("crc"), False, True, False, CORRUPT),
+        (IntegrityError("crc"), False, False, False, DEAD),
+        (ValueError("bad rows"), False, True, False, REQUEST),
+        (StageDiedError("stage 0 exited"), False, False, True, REQUEST),
+        (IntegrityError("crc"), False, True, True, REQUEST),
+    ])
+    def test_classification(self, exc, timed_out, alive, stopping, fault):
+        policy = RecoveryPolicy(ServeConfig())
+        assert policy.classify(exc, timed_out, alive, stopping) == fault
+
+    def test_retry_budget_and_free_replacement(self):
+        policy = RecoveryPolicy(ServeConfig(max_retries=2))
+        assert policy.retry(0, True, stopping=False) == Retry(0.0, 1)
+        assert policy.retry(1, True, stopping=False) == Retry(0.0, 2)
+        assert policy.retry(2, True, stopping=False) is None
+        # Never reached its worker: placed again at once, even at the bound.
+        assert policy.retry(2, False, stopping=False) == Retry(0.0, 2)
+        assert policy.retry(0, True, stopping=True) is None
+        fail_fast = RecoveryPolicy(ServeConfig(retry_policy="fail_fast"))
+        assert fail_fast.retry(0, True, stopping=False) is None
+        assert fail_fast.retry(0, False, stopping=False) is None
+
+    def test_backoff_sequence_is_seeded_and_capped(self):
+        def waits(seed_value):
+            policy = RecoveryPolicy(ServeConfig(
+                max_retries=8, redispatch_backoff_base_s=0.1,
+                context=ExecutionContext(seed=seed_value)))
+            return [policy.retry(k, True, stopping=False).wait_s
+                    for k in range(8)]
+
+        first = waits(3)
+        assert first == waits(3) and first != waits(4)
+        assert all(_within_jitter(wait, 0.1, k, REDISPATCH_BACKOFF_MAX_S)
+                   for k, wait in enumerate(first))
+        assert max(first) <= 1.25 * REDISPATCH_BACKOFF_MAX_S
+
+    def test_breaker_opens_at_the_nth_consecutive_failure(self):
+        policy = RecoveryPolicy(ServeConfig())
+        for failure in range(1, MAX_RESPAWN_FAILURES):
+            count, wait_s = policy.respawn_failed(0)
+            assert count == failure and _within_jitter(
+                wait_s, RESPAWN_BACKOFF_BASE_S, failure - 1,
+                RESPAWN_BACKOFF_MAX_S)
+            assert policy.may_respawn(0, stopping=False)
+        assert policy.respawn_failed(0) == (MAX_RESPAWN_FAILURES, None)
+        assert not policy.may_respawn(0, stopping=False)
+        assert policy.may_respawn(1, stopping=False)
+        # A successful respawn ends a slot's run of failures.
+        policy.respawn_failed(1)
+        policy.respawned(1, now=0.0, pool_whole=False)
+        assert policy.respawn_failed(1)[0] == 1
+        assert not RecoveryPolicy(ServeConfig(respawn=False)).may_respawn(
+            0, stopping=False)
+
+    def test_recovery_time_spans_first_death_to_whole_pool(self):
+        policy = RecoveryPolicy(ServeConfig())
+        policy.worker_died(10.0)
+        policy.worker_died(11.0)
+        assert policy.respawned(0, 12.0, pool_whole=False) is None
+        assert policy.respawned(1, 14.5, pool_whole=True) == 4.5
+        assert policy.respawned(1, 15.0, pool_whole=True) is None
+
+    def test_heartbeat_stall_trips_at_the_timeout(self):
+        policy = RecoveryPolicy(ServeConfig(heartbeat_timeout_s=4.0))
+        worker = object()
+        assert policy.heartbeat(0, worker, (1,), 0.0) is None
+        assert policy.heartbeat(0, worker, (2,), 1.0) is None
+        assert policy.heartbeat(0, worker, (2,), 4.5) is None
+        assert policy.heartbeat(0, worker, (2,), 5.0) == 4.0
+        # A trip forgets the slot: its next sample starts a fresh clock.
+        assert policy.heartbeat(0, worker, (2,), 9.5) is None
+
+    def test_replacement_worker_restarts_the_stall_clock(self):
+        policy = RecoveryPolicy(ServeConfig(heartbeat_timeout_s=4.0))
+        dead, replacement = object(), object()
+        policy.heartbeat(0, dead, (7,), 0.0)
+        assert policy.heartbeat(0, replacement, (7,), 3.0) is None
+        assert policy.heartbeat(0, replacement, (7,), 6.5) is None
+        assert policy.heartbeat(0, replacement, (7,), 7.0) == 4.0
+        # No counts (a dead worker, or a blind ring) forget the slot too.
+        policy.heartbeat(1, dead, (1,), 0.0)
+        assert policy.heartbeat(1, dead, None, 2.0) is None
+        assert policy.heartbeat(1, dead, (1,), 5.0) is None
+
+    def test_alive_fraction_sheds_only_the_laxest_class(self):
+        policy = RecoveryPolicy(ServeConfig(
+            shed_alive_fraction=0.5,
+            priority_classes={"interactive": 0.5, "batch": 20.0}))
+        assert policy.sheds and policy.shed_classes == {"batch"}
+        assert "alive fraction 1/4" in policy.shed_reason("batch", 1, 4, 0.0)
+        assert policy.shed_reason("interactive", 1, 4, 0.0) is None
+        assert policy.shed_reason("batch", 2, 4, 0.0) is None
+        assert not RecoveryPolicy(ServeConfig()).sheds
+
+    def test_timeout_window_counts_heartbeat_trips(self):
+        policy = RecoveryPolicy(ServeConfig(
+            shed_timeout_threshold=2, shed_timeout_window_s=10.0,
+            heartbeat_timeout_s=1.0))
+        worker = object()
+        policy.note_timeout(0.0)
+        assert policy.shed_reason(DEFAULT_PRIORITY, 1, 1, 0.0) is None
+        policy.heartbeat(0, worker, (1,), 0.0)
+        assert policy.heartbeat(0, worker, (1,), 2.0) == 2.0
+        reason = policy.shed_reason(DEFAULT_PRIORITY, 1, 1, 2.0)
+        assert reason == "2 timeouts in the last 10.0s"
+        # The dispatch timeout at t=0 leaves the trailing window.
+        assert policy.shed_reason(DEFAULT_PRIORITY, 1, 1, 10.5) is None
+
+    @seed(31)
+    @settings(max_examples=150, deadline=None)
+    @given(seed_value=st.integers(0, 2 ** 16),
+           max_retries=st.integers(0, 4), fail_fast=st.booleans(),
+           base=st.sampled_from([0.0, 0.001, 0.05, 0.4]),
+           events=st.lists(st.tuples(
+               st.sampled_from(["reached", "queued", "respawn_failed",
+                                "respawned"]),
+               st.integers(0, 2)), max_size=40))
+    def test_random_event_sequences_keep_the_invariants(
+            self, seed_value, max_retries, fail_fast, base, events):
+        def run():
+            policy = RecoveryPolicy(ServeConfig(
+                retry_policy="fail_fast" if fail_fast else "redispatch",
+                max_retries=max_retries, redispatch_backoff_base_s=base,
+                context=ExecutionContext(seed=seed_value)))
+            retries, waits = 0, []
+            for kind, slot in events:
+                if kind == "respawn_failed":
+                    failures, wait_s = policy.respawn_failed(slot)
+                    if wait_s is None:
+                        assert failures >= MAX_RESPAWN_FAILURES
+                        assert not policy.may_respawn(slot, stopping=False)
+                    else:
+                        assert _within_jitter(wait_s, RESPAWN_BACKOFF_BASE_S,
+                                              failures - 1,
+                                              RESPAWN_BACKOFF_MAX_S)
+                        waits.append(wait_s)
+                    continue
+                if kind == "respawned":
+                    policy.respawned(slot, 0.0, pool_whole=True)
+                    continue
+                decision = policy.retry(retries, kind == "reached",
+                                        stopping=False)
+                if fail_fast:
+                    assert decision is None
+                if decision is None:
+                    retries = 0  # the batch failed; the next one starts over
+                    continue
+                if kind == "reached":
+                    assert _within_jitter(decision.wait_s, base, retries,
+                                          REDISPATCH_BACKOFF_MAX_S)
+                else:
+                    assert decision == Retry(0.0, retries)
+                retries = decision.attempt
+                assert retries <= max_retries
+                waits.append(decision.wait_s)
+            return waits
+
+        assert run() == run()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("retry_policy", "sometimes",
+         "retry_policy 'sometimes' must be 'redispatch' or 'fail_fast'"),
+        ("max_retries", -1, "max_retries -1 must be >= 0"),
+        ("dispatch_timeout_s", 0.0,
+         "dispatch_timeout_s 0.0 must be > 0 (or None)"),
+        ("heartbeat_timeout_s", -1.0,
+         "heartbeat_timeout_s -1.0 must be > 0 (or None)"),
+        ("redispatch_backoff_base_s", -0.5,
+         "redispatch_backoff_base_s -0.5 must be >= 0"),
+        ("shed_alive_fraction", 1.5,
+         "shed_alive_fraction 1.5 must be in (0, 1] (or None)"),
+        ("shed_alive_fraction", 0.0,
+         "shed_alive_fraction 0.0 must be in (0, 1] (or None)"),
+        ("shed_timeout_threshold", 0,
+         "shed_timeout_threshold 0 must be >= 1 (or None)"),
+        ("shed_timeout_window_s", 0.0, "shed_timeout_window_s 0.0 must be > 0"),
+    ])
+    def test_recovery_field_validation_names_the_range(
+            self, trained_setup, field, value, message):
+        model, _ = trained_setup
+        with pytest.raises(ValueError, match=re.escape(message)):
+            InferenceService(model, ServeConfig(**{field: value}))
+
+    def test_policy_module_reads_no_clock_and_does_no_io(self):
+        # The policy must stay drivable by a virtual clock: the module may
+        # not import an event loop, a clock, threads, processes or the OS.
+        tree = ast.parse(pathlib.Path(recovery.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        banned = {"asyncio", "time", "threading", "multiprocessing", "os"}
+        assert imported and not imported & banned
+
 
 class TestChaosScenarios:
     def test_kill_storm_zero_client_failures(self, trained_setup, tmp_path):

@@ -46,6 +46,7 @@ from repro.serve import InferenceService, ServeConfig, ServiceDegradedError
 from repro.serve.batcher import DynamicBatcher, Request
 from repro.serve.cli import parse_fault_spec
 from repro.serve.loadgen import run_loadtest
+from repro.serve.recovery import MAX_RESPAWN_FAILURES
 from repro.serve.shm import IntegrityError, SlotRing
 
 
@@ -381,8 +382,7 @@ class TestHeartbeatWatchdog:
         model, x_test = trained_setup
         config = ServeConfig(backend="ideal", max_batch=8, max_wait_ms=2.0,
                              num_workers=2, workers="process", max_retries=4,
-                             heartbeat_timeout_s=0.4,
-                             heartbeat_interval_s=0.05)
+                             heartbeat_timeout_s=0.4)
 
         async def scenario():
             service = InferenceService(model, config)
@@ -412,13 +412,11 @@ class TestRespawnCircuitBreaker:
     def test_repeated_respawn_failure_opens_the_breaker(self, trained_setup):
         # Every respawn attempt is made to fail (injected crash at the
         # parent's `respawn` site): the breaker must open after
-        # max_respawn_failures instead of hot-looping, and the surviving
+        # MAX_RESPAWN_FAILURES instead of hot-looping, and the surviving
         # worker keeps serving.
         model, x_test = trained_setup
         config = ServeConfig(backend="ideal", max_batch=8, max_wait_ms=2.0,
                              num_workers=2, workers="process", max_retries=4,
-                             max_respawn_failures=2,
-                             respawn_backoff_base_s=0.01,
                              faults=FaultSpec(seed=0, rules=(
                                  FaultRule(site="respawn", action="crash",
                                            p=1.0),)))
@@ -440,7 +438,7 @@ class TestRespawnCircuitBreaker:
             return survivor, snapshot, recovered
 
         survivor, snapshot, recovered = run_async(scenario())
-        assert snapshot.counters["respawn_failures"] >= config.max_respawn_failures
+        assert snapshot.counters["respawn_failures"] >= MAX_RESPAWN_FAILURES
         assert snapshot.counters["breaker_trips"] >= 1
         assert not recovered, "the breaker must hold the dead slot down"
         assert survivor.shape == (1, 4)

@@ -615,7 +615,7 @@ class TestProbesAndServer:
         async def scenario():
             service = InferenceService(model, ServeConfig(
                 max_batch=8, workers="process", num_workers=1,
-                max_retries=4, recovery_wait_s=30.0))
+                max_retries=4))
             await service.start()
             probe = ServiceProbe(service)
             try:
@@ -792,8 +792,7 @@ class TestKillStormTracing:
         model, _, x_test = trained_setup
         trace_path = tmp_path / "storm.json"
         config = ServeConfig(max_batch=8, workers="process", num_workers=2,
-                             max_retries=4, recovery_wait_s=30.0,
-                             trace_sample_rate=1.0)
+                             max_retries=4, trace_sample_rate=1.0)
         result = run_loadtest(model, x_test[:48], config, rate_rps=500.0,
                               num_requests=48, scenario="kill-storm",
                               kills=2, kill_interval_s=0.04,

@@ -424,7 +424,7 @@ class TestInferenceService:
         # Every field is a knob someone must exercise (a benchmark, a CI
         # smoke or a paper figure); the budget keeps unused ones from
         # creeping back in.
-        assert len(dataclasses.fields(ServeConfig)) <= 28
+        assert len(dataclasses.fields(ServeConfig)) <= 24
 
     def test_backend_instance_rejected_for_multiple_workers(self, trained_setup):
         from repro.exec import IdealBackend
