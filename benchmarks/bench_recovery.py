@@ -1,10 +1,11 @@
-"""Benchmark: fault-tolerance contract under kill-storm and chaos drives.
+"""Benchmark: fault-tolerance contract under seeded chaos drives.
 
 The acceptance bars (hard asserts, so the gate never silently relaxes):
 
-* with ``retry_policy="redispatch"`` a storm of SIGKILLs against random
-  process workers during open-loop traffic causes **zero client-visible
-  failures** — every dead worker's batches re-dispatch to survivors;
+* with ``retry_policy="redispatch"`` a storm of seeded worker exits
+  (``crash_mode="exit"`` at worker-process fault sites) during open-loop
+  traffic causes **zero client-visible failures** — every dead worker's
+  batches re-dispatch to survivors;
 * the pool respawns back to its configured replica count within the
   recovery timeout;
 * the respawned workers reuse the in-memory stage payloads — the run
@@ -40,8 +41,15 @@ from repro.serve.loadgen import run_loadtest
 
 REQUESTS = 90 if smoke_mode() else 240
 CHAOS_REQUESTS = 60 if smoke_mode() else 160
-KILLS = 2 if smoke_mode() else 4
 RATE_RPS = 600.0
+#: Each worker process hard-exits on its fourth forward and on its second
+#: response-ring write (once per process; the rules re-arm on respawn).
+STORM_SPEC = FaultSpec(seed=3, rules=(
+    FaultRule(site="worker.forward", action="crash", crash_mode="exit",
+              at=(3,), max_fires=1),
+    FaultRule(site="shm.response.write", action="crash", crash_mode="exit",
+              at=(1,), max_fires=1),
+))
 
 
 @pytest.fixture(scope="module")
@@ -65,20 +73,20 @@ def workload():
 @pytest.mark.benchmark(group="recovery")
 def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
                                                         tmp_path_factory):
-    """Kill-storm, seeded hang and corrupt-slot drives over process
+    """Worker-exit storm, seeded hang and corrupt-slot drives over process
     workers: zero failures, full respawn, respawns recompile-free (they
     reuse the in-memory stage payloads); writes ``BENCH_recovery.json`` (one write, all keys).
     """
     model, x_test = workload
     cache_dir = str(tmp_path_factory.mktemp("plan-cache"))
     config = ServeConfig(max_batch=16, num_workers=2, workers="process",
-                         plan_cache=cache_dir, max_retries=4)
+                         plan_cache=cache_dir, max_retries=4,
+                         faults=STORM_SPEC)
 
     def storm():
         return run_loadtest(model, x_test, config, pattern="uniform",
                             rate_rps=RATE_RPS, num_requests=REQUESTS,
-                            seed=5, scenario="kill-storm", kills=KILLS,
-                            kill_interval_s=0.04)
+                            seed=5)
 
     result = benchmark.pedantic(storm, rounds=1, iterations=1)
     chaos = result.chaos
@@ -88,7 +96,8 @@ def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
     recovery_s = float(chaos["recovery_s"])
 
     print()
-    print(f"kill-storm: {chaos['kills']} kills, {result.failures} client "
+    print(f"storm: {chaos['worker_deaths']} worker deaths, "
+          f"{result.failures} client "
           f"failures / {REQUESTS} requests, "
           f"{snapshot.counters['retried_batches']} batches re-dispatched, "
           f"{snapshot.counters['respawns']} respawns, worst recovery "
@@ -110,7 +119,7 @@ def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
                       hang_s=30.0, max_fires=1),)))
     hang = run_loadtest(model, x_test, hang_config, pattern="uniform",
                         rate_rps=RATE_RPS, num_requests=CHAOS_REQUESTS,
-                        seed=5, scenario="chaos-sweep")
+                        seed=5)
     hang_chaos = hang.chaos
     hang_success = 1.0 - hang.failures / CHAOS_REQUESTS
     print(f"hang-recovery: {hang_chaos['dispatch_timeouts']} dispatch "
@@ -126,7 +135,7 @@ def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
                       max_fires=1),)))
     corrupt = run_loadtest(model, x_test, corrupt_config, pattern="uniform",
                            rate_rps=RATE_RPS, num_requests=CHAOS_REQUESTS,
-                           seed=5, scenario="chaos-sweep")
+                           seed=5)
     corrupt_chaos = corrupt.chaos
     corrupt_success = 1.0 - corrupt.failures / CHAOS_REQUESTS
     print(f"corrupt-slot: {corrupt_chaos['corruptions']} corruptions "
@@ -137,8 +146,6 @@ def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
     # whole BENCH_recovery.json, so split writes would drop earlier keys.
     path = write_bench_json("recovery", {
         "requests": REQUESTS,
-        "kills_requested": KILLS,
-        "kills_delivered": chaos["kills"],
         "client_success_ratio": success_ratio,
         "recovered_fraction": recovered_fraction,
         "recovery_s": recovery_s,
@@ -161,9 +168,9 @@ def test_chaos_drives_recover_with_zero_client_failures(benchmark, workload,
     })
     print(f"Trajectory written to {path}")
 
-    assert chaos["kills"] >= 1, "the storm never landed a kill"
+    assert snapshot.counters["worker_deaths"] >= 1, "the storm killed no worker"
     assert result.failures == 0, (
-        f"{result.failures} client-visible failures during the kill-storm")
+        f"{result.failures} client-visible failures during the storm")
     assert chaos["recovered"], "pool did not respawn to full strength"
     assert recovered_fraction == 1.0
     assert snapshot.counters["respawns"] >= 1

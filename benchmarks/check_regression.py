@@ -54,7 +54,7 @@ GUARDED_RATIOS: Dict[str, Dict[str, float]] = {
     "BENCH_pipeline.json": {"pipeline_speedup": 0.35},
     # The recovery ratios are success *fractions*, not speedups: the
     # benchmark hard-asserts them all at 1.0 (zero client failures, full
-    # respawn — for the kill-storm, the injected-hang and the
+    # respawn — for the worker-exit storm, the injected-hang and the
     # corrupt-slot drives alike), so any drop at all is a regression —
     # the floor exists only to keep the gate's arithmetic uniform.
     "BENCH_recovery.json": {"client_success_ratio": 0.0,

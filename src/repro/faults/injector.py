@@ -50,13 +50,17 @@ import numpy as np
 #: Known injection sites (documentation + spec validation).  ``.write``
 #: suffixes are appended by slot rings to their configured site prefix.
 SITES = (
-    "worker.forward",       # worker-side forward entry (process/thread/stage)
+    "worker.forward",       # a worker process or pipeline stage's forward entry
     "shm.request.write",    # parent writes a worker's first ring
     "shm.response.write",   # a worker's last stage writes its last ring
     "pipeline.edge.write",  # a stage writes an interior pipeline ring
     "plan_cache.load",      # parent looks a compiled plan up at cold start
     "respawn",              # parent enters the worker respawn path
 )
+
+#: The sites that fire inside a worker process, where ``crash_mode="exit"``
+#: is a worker death; the others fire in the serving process itself.
+WORKER_SITES = ("worker.forward", "shm.response.write", "pipeline.edge.write")
 
 _ACTIONS = ("delay", "hang", "crash", "corrupt")
 _CRASH_MODES = ("raise", "exit")

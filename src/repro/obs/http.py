@@ -10,7 +10,7 @@ Probe semantics (the contract ROADMAP item 1 asks for):
 
 ``/healthz``
     Liveness — 200 as long as the serving process is up and the event
-    loop has ever started.  A kill-storm that downs every *worker* keeps
+    loop has ever started.  A chaos run that downs every *worker* keeps
     liveness green; the supervisor should not restart the parent because
     its children died.
 ``/readyz``

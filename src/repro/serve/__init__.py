@@ -39,7 +39,6 @@ from repro.serve.batcher import DEFAULT_PRIORITY, DynamicBatcher, Request
 from repro.serve.energy import estimate_conversions_per_sample
 from repro.serve.loadgen import (
     ARRIVAL_PROCESSES,
-    LOAD_SCENARIOS,
     LoadResult,
     assign_priorities,
     bursty_arrivals,
@@ -71,7 +70,6 @@ __all__ = [
     "Request",
     "estimate_conversions_per_sample",
     "ARRIVAL_PROCESSES",
-    "LOAD_SCENARIOS",
     "LoadResult",
     "assign_priorities",
     "bursty_arrivals",

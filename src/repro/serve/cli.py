@@ -5,7 +5,10 @@ CNN, pushes a short seeded warm-up load through it and prints the metrics
 report — the one-command proof that the queue -> batcher -> scheduler ->
 backend pipeline works.  ``loadtest`` exposes the full load-generation
 harness: arrival pattern, offered rate, request count, batching and
-worker-pool knobs, and an optional batch-size-1 comparison run::
+worker-pool knobs, and an optional batch-size-1 comparison run.  A
+``--fault-spec`` run ends with a chaos verdict (zero client failures, pool
+recovered) and a ``--queue-capacity`` run with an overload verdict (every
+failure an admission drop); either failing exits 1::
 
     python -m repro serve
     python -m repro loadtest --pattern bursty --rate 4000 --requests 512
@@ -13,10 +16,8 @@ worker-pool knobs, and an optional batch-size-1 comparison run::
     python -m repro loadtest --compare-batch1
     python -m repro loadtest --pipeline-stages 3 --profile
     python -m repro loadtest --worker-mode process --workers 2 \
-        --scenario kill-storm --kills 3
-    python -m repro loadtest --worker-mode process --workers 2 \
-        --scenario chaos-sweep --fault-spec chaos.json \
-        --dispatch-timeout-ms 1500 --shm-integrity
+        --fault-spec chaos.json --dispatch-timeout-ms 1500 --shm-integrity
+    python -m repro loadtest --queue-capacity 8 --rate 20000
     python -m repro loadtest --priority-classes interactive=0.5,batch=20 \
         --priority-mix interactive=0.3,batch=0.7
     python -m repro loadtest --trace-out trace.json --metrics-port 0 \
@@ -35,7 +36,7 @@ from repro.exec.registry import available_backends
 from repro.nn import DatasetConfig, SGD, SyntheticImageDataset, Trainer
 from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, ReLU
 from repro.nn.model import Model, Sequential
-from repro.serve.loadgen import ARRIVAL_PROCESSES, LOAD_SCENARIOS, run_loadtest
+from repro.serve.loadgen import ARRIVAL_PROCESSES, run_loadtest
 from repro.serve.metrics import METRICS
 from repro.serve.service import ServeConfig
 
@@ -194,19 +195,6 @@ def build_serve_parser(command: str) -> argparse.ArgumentParser:
                             help="SLO gate: exit non-zero if p99 latency "
                                  "exceeds this bound or any request "
                                  "failed/dropped (for CI smoke jobs)")
-        parser.add_argument("--scenario", default="steady",
-                            choices=LOAD_SCENARIOS,
-                            help="drive scenario: steady traffic, overload "
-                                 "shedding summary, or a kill-storm chaos "
-                                 "run (SIGKILL random worker processes "
-                                 "during traffic, then check recovery)")
-        parser.add_argument("--kills", type=int, default=3,
-                            help="kill-storm: number of SIGKILLs to deliver")
-        parser.add_argument("--chaos-kills", type=int, default=0,
-                            help="chaos-sweep: SIGKILLs to mix into the "
-                                 "fault-spec-driven drive (default none)")
-        parser.add_argument("--kill-interval-ms", type=float, default=50.0,
-                            help="kill-storm: pause between SIGKILLs")
         parser.add_argument("--priority-mix", default=None, metavar="SPEC",
                             help="assign SLO classes to requests as "
                                  "name=weight pairs, e.g. "
@@ -284,17 +272,11 @@ def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]
             context=dataclasses.replace(config.context, calibration=x_train[:16],
                                         max_mapped_layers=1),
         )
-    scenario = getattr(args, "scenario", "steady")
     priority_mix = (parse_class_map(args.priority_mix, "--priority-mix")
                     if getattr(args, "priority_mix", None) else None)
     result = run_loadtest(model, x_test, config, pattern=args.pattern,
                           rate_rps=args.rate, num_requests=args.requests,
                           seed=args.seed, collect_profile=args.profile,
-                          scenario=scenario,
-                          kills=getattr(args, "kills", 3),
-                          kill_interval_s=getattr(args, "kill_interval_ms",
-                                                  50.0) / 1e3,
-                          chaos_kills=getattr(args, "chaos_kills", 0),
                           priority_mix=priority_mix,
                           trace_out=args.trace_out,
                           metrics_port=args.metrics_port,
@@ -338,27 +320,26 @@ def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]
         ]
     exit_code = 0
     dropped = result.snapshot.counters["dropped"]
-    if scenario in ("kill-storm", "chaos-sweep"):
-        chaos = result.chaos or {}
+    if config.faults is not None:
+        chaos = result.chaos
         problems = []
         if result.failures:
             problems.append(f"{result.failures} client-visible failures")
-        if not chaos.get("recovered", False):
+        if not chaos["recovered"]:
             problems.append(
-                f"pool not recovered ({chaos.get('alive_workers')}/"
+                f"pool not recovered ({chaos['alive_workers']}/"
                 f"{args.workers} workers alive)")
         if problems:
-            lines.append(f"{scenario.upper()} FAIL: " + "; ".join(problems))
+            lines.append("CHAOS FAIL: " + "; ".join(problems))
             exit_code = 1
         else:
             counts = [f"{metric.text} {chaos[metric.name]}" for metric in METRICS
-                      if metric.section == "fault_tolerance"
-                      and chaos.get(metric.name)]
-            lines.append(
-                f"{scenario.upper()} OK: {chaos.get('kills')} kills, "
-                + ", ".join(counts) + ", 0 client failures, pool recovered "
-                f"to {args.workers} workers")
-    elif scenario == "overload":
+                      if metric.section == "fault_tolerance" and metric.kind
+                      and (chaos[metric.name] or metric.name == "worker_deaths")]
+            lines.append("CHAOS OK: " + ", ".join(
+                counts + ["0 client failures",
+                          f"pool recovered to {args.workers} workers"]))
+    if config.queue_capacity is not None:
         if result.failures == dropped:
             lines.append(f"OVERLOAD OK: every failure was an admission "
                          f"drop ({dropped} dropped, "

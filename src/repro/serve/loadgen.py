@@ -20,32 +20,24 @@ Arrival processes
 ``uniform``
     Deterministic, evenly spaced arrivals — the control case.
 
-Scenarios
----------
-Beyond the steady drive, :func:`run_loadtest` can exercise the service's
-failure modes:
+Verdicts
+--------
+:func:`run_loadtest` drives one open loop; what it summarises follows from
+the service config, never from a separate drive switch:
 
-``overload``
-    Same traffic, but the result carries an explicit admission-control
-    summary (completed vs. dropped); pair it with a bounded
-    ``ServeConfig.queue_capacity`` and an offered rate above capacity to
-    check that overload sheds load instead of failing served requests.
-``kill-storm``
-    A chaos drive: while traffic is in flight, a seeded killer repeatedly
-    SIGKILLs random worker processes (process workers or pipeline stage
-    processes).  With the default ``retry_policy="redispatch"`` the
-    contract is zero client-visible failures and a pool respawned back to
-    its configured replica count, which the result's ``chaos`` summary
-    reports.
-``chaos-sweep``
-    A *deterministic* chaos drive: the faults come from the seeded
-    ``ServeConfig.faults`` spec (hangs, crashes, slot corruption, delays
-    at named injection sites) instead of — or, with ``chaos_kills > 0``,
-    in addition to — random SIGKILLs.  The contract matches kill-storm
-    (zero client-visible failures, full recovery) and the summary adds
-    the injector's fire report plus the dispatch-timeout / corruption /
-    heartbeat counters, so a sweep is replayable from ``(seed,
-    fault_spec)`` alone.
+``ServeConfig.faults``
+    A chaos drive: the faults come from the seeded ``FaultSpec`` (hangs,
+    crashes, slot corruption, delays at named injection sites; a
+    ``crash`` with ``crash_mode="exit"`` at a worker-process site is a
+    worker death).  After the traffic, the run waits for the pool to
+    respawn to full strength, and ``LoadResult.chaos`` carries the
+    recovery summary, the fault-tolerance counters and the injector's
+    fire report.  The contract is zero client-visible failures and full
+    recovery, replayable from ``(seed, fault_spec)`` alone.
+``ServeConfig.queue_capacity``
+    An overload drive: ``LoadResult.chaos`` adds an admission-control
+    summary (completed vs. dropped); with an offered rate above capacity
+    it checks that overload sheds load instead of failing served requests.
 """
 
 from __future__ import annotations
@@ -53,8 +45,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import os
-import signal
 import urllib.error
 import urllib.request
 from typing import Callable, Dict, List, Optional, Sequence
@@ -170,7 +160,8 @@ class LoadResult:
     failures: int
     #: Per-worker plan-stage breakdowns, when the load test collected them.
     stage_profiles: Optional[List[Dict[str, float]]] = None
-    #: Scenario summary (overload shedding / kill-storm recovery), if any.
+    #: Chaos recovery and overload shedding summary, when the config
+    #: asks for either (``faults`` / ``queue_capacity``).
     chaos: Optional[Dict[str, object]] = None
     #: Observability summary (trace export, scrape statuses), when the
     #: load test ran with ``trace_out`` / ``metrics_port`` / ``metrics_out``.
@@ -193,7 +184,7 @@ class LoadResult:
         if self.chaos:
             pairs = ", ".join(f"{key}={value}"
                               for key, value in self.chaos.items())
-            text += f"\nscenario: {pairs}"
+            text += f"\nsummary: {pairs}"
         if self.obs:
             pairs = ", ".join(f"{key}={value}"
                               for key, value in sorted(self.obs.items()))
@@ -265,10 +256,6 @@ async def run_open_loop(service: InferenceService, images: np.ndarray,
     )
 
 
-#: Scenario names :func:`run_loadtest` understands.
-LOAD_SCENARIOS = ("steady", "overload", "kill-storm", "chaos-sweep")
-
-
 def assign_priorities(priority_mix: Dict[str, float], num_requests: int,
                       seed: int = 0) -> List[str]:
     """Seeded per-request SLO-class assignment from a ``{class: weight}``
@@ -284,36 +271,6 @@ def assign_priorities(priority_mix: Dict[str, float], num_requests: int,
     picks = rng.choice(len(names), size=num_requests,
                        p=weights / weights.sum())
     return [names[pick] for pick in picks]
-
-
-async def _kill_worker_processes(service: InferenceService,
-                                 traffic: "asyncio.Task", kills: int,
-                                 interval_s: float, seed: int) -> int:
-    """SIGKILL random worker processes while ``traffic`` is in flight.
-
-    Picks a live worker pid from the service's own pool every
-    ``interval_s`` seconds, up to ``kills`` kills; stops early once the
-    traffic task finishes (no point shooting an idle pool).  Returns the
-    number of kills actually delivered.
-    """
-    rng = np.random.default_rng(seed)
-    killed = 0
-    while killed < kills and not traffic.done():
-        await asyncio.sleep(interval_s)
-        if traffic.done():
-            break
-        pids = sorted(pid for worker_pids in
-                      service.process_worker_pids().values()
-                      for pid in worker_pids)
-        if not pids:
-            continue  # every replica is mid-respawn; try again next tick
-        pid = int(pids[int(rng.integers(len(pids)))])
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            continue  # already reaped between listing and killing
-        killed += 1
-    return killed
 
 
 def _scrape(url: str, timeout_s: float = 5.0) -> Dict[str, object]:
@@ -385,10 +342,7 @@ def run_loadtest(model: Model, images: np.ndarray, config: Optional[ServeConfig]
                  num_requests: int = 256, seed: int = 0,
                  time_scale: float = 1.0,
                  collect_profile: bool = False,
-                 scenario: str = "steady",
-                 kills: int = 3, kill_interval_s: float = 0.05,
                  recovery_timeout_s: float = 30.0,
-                 chaos_kills: int = 0,
                  priority_mix: Optional[Dict[str, float]] = None,
                  trace_out: Optional[str] = None,
                  metrics_port: Optional[int] = None,
@@ -399,16 +353,12 @@ def run_loadtest(model: Model, images: np.ndarray, config: Optional[ServeConfig]
     breakdown (fetched from the worker processes in ``workers="process"``
     mode) before shutting the service down.
 
-    ``scenario`` selects the drive (see the module docstring): ``steady``
-    is the plain open loop, ``overload`` summarises admission-control
-    shedding in ``LoadResult.chaos``, and ``kill-storm`` SIGKILLs
-    ``kills`` random worker processes every ``kill_interval_s`` seconds
-    during traffic and then waits (up to ``recovery_timeout_s``) for the
-    pool to respawn to full strength.  ``chaos-sweep`` drives the faults
-    configured in ``ServeConfig.faults`` (its deterministic schedule is
-    the whole point), optionally mixing in ``chaos_kills`` SIGKILLs, and
-    reports the injector's fire counts alongside the recovery summary.
-    ``priority_mix`` tags requests with seeded SLO classes, e.g.
+    The summary in ``LoadResult.chaos`` follows from ``config`` (see the
+    module docstring): with ``faults`` set, the run waits (up to
+    ``recovery_timeout_s``) for the pool to respawn to full strength and
+    reports the recovery, the fault-tolerance counters and the injector's
+    fire counts; with ``queue_capacity`` set, it reports admission-control
+    shedding.  ``priority_mix`` tags requests with seeded SLO classes, e.g.
     ``{"interactive": 0.2, "batch": 0.8}``.
 
     Observability (:mod:`repro.obs`): ``trace_out`` exports the run's span
@@ -420,9 +370,7 @@ def run_loadtest(model: Model, images: np.ndarray, config: Optional[ServeConfig]
     ``metrics_out`` writes the final snapshot as JSON.  The collected
     summary lands in ``LoadResult.obs``.
     """
-    if scenario not in LOAD_SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; "
-                         f"known scenarios: {', '.join(LOAD_SCENARIOS)}")
+    config = config if config is not None else ServeConfig()
     arrivals = make_arrivals(pattern, rate_rps, num_requests, seed=seed)
     priorities = (assign_priorities(priority_mix, num_requests, seed=seed)
                   if priority_mix else None)
@@ -435,50 +383,33 @@ def run_loadtest(model: Model, images: np.ndarray, config: Optional[ServeConfig]
             if metrics_port is not None:
                 server = MetricsServer(ServiceProbe(service),
                                        port=metrics_port).start()
-            traffic = asyncio.ensure_future(
-                run_open_loop(service, images, arrivals,
-                              time_scale=time_scale, priorities=priorities))
-            chaos: Optional[Dict[str, object]] = None
-            if scenario in ("kill-storm", "chaos-sweep"):
-                kill_budget = kills if scenario == "kill-storm" else chaos_kills
-                killed = 0
-                if kill_budget > 0:
-                    killed = await _kill_worker_processes(
-                        service, traffic, kill_budget, kill_interval_s, seed)
-                result = await traffic
+            result = await run_open_loop(service, images, arrivals,
+                                         time_scale=time_scale,
+                                         priorities=priorities)
+            chaos: Dict[str, object] = {}
+            if config.faults is not None:
                 recovered = await _await_pool_recovery(
                     service, recovery_timeout_s)
+                # The recovery wait post-dates the traffic snapshot, so
+                # re-snapshot to include late respawns in the report.
                 snapshot = service.metrics_snapshot()
-                chaos = {
-                    "scenario": scenario,
-                    "kills": killed,
-                    "recovered": recovered,
-                    "alive_workers": service.alive_worker_count(),
+                result = dataclasses.replace(result, snapshot=snapshot)
+                chaos.update(
+                    recovered=recovered,
+                    alive_workers=service.alive_worker_count(),
                     **{metric.name: snapshot.counters[metric.name]
                        for metric in METRICS
                        if metric.section == "fault_tolerance" and metric.kind},
-                    "recovery_s": max(snapshot.recovery_times_s, default=0.0),
-                }
-                if scenario == "chaos-sweep":
+                    recovery_s=max(snapshot.recovery_times_s, default=0.0),
                     # Parent-side fire counts only; worker-site fires show
                     # up through their effects (the counters above).
-                    chaos["fault_report"] = service.fault_report()
-                # The recovery wait post-dates the traffic snapshot, so
-                # re-snapshot to include late respawns in the report.
-                result = dataclasses.replace(result, snapshot=snapshot,
-                                             chaos=chaos)
-            else:
-                result = await traffic
-                if scenario == "overload":
-                    snapshot = result.snapshot
-                    chaos = {
-                        "scenario": scenario,
-                        "completed": snapshot.requests,
-                        "dropped": snapshot.counters["dropped"],
-                        "queue_capacity": config.queue_capacity
-                        if config is not None else None,
-                    }
-                    result = dataclasses.replace(result, chaos=chaos)
+                    fault_report=service.fault_report())
+            if config.queue_capacity is not None:
+                chaos.update(completed=result.snapshot.requests,
+                             dropped=result.snapshot.counters["dropped"],
+                             queue_capacity=config.queue_capacity)
+            if chaos:
+                result = dataclasses.replace(result, chaos=chaos)
             if collect_profile:
                 result = dataclasses.replace(
                     result, stage_profiles=await service.stage_profiles())

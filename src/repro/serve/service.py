@@ -49,7 +49,7 @@ from repro.exec.engine import BatchRunner
 from repro.exec.plan import PlanCache, plan_fingerprint
 from repro.exec.registry import create_backend
 from repro.faults import injector as fault_injector
-from repro.faults.injector import FaultInjector, FaultSpec
+from repro.faults.injector import SITES, WORKER_SITES, FaultInjector, FaultSpec
 from repro.nn.model import Model
 from repro.obs.trace import RequestTrace, Tracer
 from repro.power.efficiency import energy_per_conversion
@@ -87,6 +87,23 @@ from repro.serve.workers import (
     PipelineWorker,
     ThreadWorker,
     Worker,
+)
+
+
+#: Fault-rule checks: (the rule is invalid when, what is wrong and the fix).
+FAULT_RULE_CHECKS = (
+    (lambda rule, mode: rule.site not in SITES,
+     "is not a known site; name one of " + ", ".join(SITES)),
+    (lambda rule, mode: mode == "thread" and rule.site != "respawn",
+     "never fires on thread workers (only 'respawn' does); serve with "
+     "workers='process' to inject it"),
+    (lambda rule, mode: mode == "process" and rule.site == "pipeline.edge.write",
+     "fires only between pipeline stages; set pipeline_stages >= 2"),
+    (lambda rule, mode: (rule.action == "crash" and rule.crash_mode == "exit"
+                         and rule.site not in WORKER_SITES),
+     "runs in the serving process, where crash_mode 'exit' would exit the "
+     "service; use crash_mode 'raise', or exit at a worker-process site ("
+     + ", ".join(WORKER_SITES) + ")"),
 )
 
 
@@ -228,7 +245,9 @@ class ServeConfig:
         Optional :class:`repro.faults.FaultSpec` installing the
         deterministic chaos injector into this service and every worker
         process it spawns.  ``None`` (default; production) leaves every
-        injection site a no-op.
+        injection site a no-op.  A rule at a site the workers never reach,
+        or a ``crash_mode="exit"`` outside a worker process, is rejected
+        at construction (:data:`FAULT_RULE_CHECKS`).
     trace_sample_rate:
         Per-request probability (``0..1``) of recording a full distributed
         span tree — queue wait, batch formation, dispatch, worker/stage
@@ -291,6 +310,12 @@ class InferenceService:
             if wait_ms < 0:
                 raise ValueError(
                     f"priority class {name!r} max_wait_ms must be >= 0")
+        self._worker_mode = ("pipeline" if self.config.pipeline_stages > 1
+                             else self.config.workers)
+        for rule in (self.config.faults.rules if self.config.faults else ()):
+            for invalid, problem in FAULT_RULE_CHECKS:
+                if invalid(rule, self._worker_mode):
+                    raise ValueError(f"fault site {rule.site!r} {problem}")
         # Validates the recovery fields; start() builds a fresh one per run.
         self._policy = RecoveryPolicy(self.config)
         self.metrics = ServiceMetrics(
@@ -316,8 +341,6 @@ class InferenceService:
         self._started = False
         self._accepting = False
         self._stopping = False
-        self._worker_mode = ("pipeline" if self.config.pipeline_stages > 1
-                             else self.config.workers)
         self._plan_cache: Optional[PlanCache] = None
         self._payloads: Optional[List[bytes]] = None
         self._respawn_tasks: set = set()
@@ -1151,8 +1174,8 @@ class InferenceService:
 
         Process and pipeline workers report every live stage process (one
         for a process worker).  Thread workers (and dead workers) are
-        absent.  This is what the kill-storm loadgen scenario
-        and the chaos tests aim their SIGKILLs at.
+        absent.  This is what the chaos tests aim their SIGKILLs and
+        SIGSTOPs at.
         """
         pids: Dict[int, List[int]] = {}
         for state in self._worker_states:

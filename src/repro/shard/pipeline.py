@@ -55,6 +55,13 @@ from repro.faults import injector as fault_injector
 from repro.obs.trace import PlanTraceBuffer, plan_trace
 from repro.serve.shm import IntegrityError, SlotRing
 
+#: Serialises stage-process forks across threads (concurrent respawns).  A
+#: fork from another thread between a ``Process.start``'s sentinel
+#: ``pipe()`` and its parent-side ``close`` of the write end hands that
+#: write end to the other child, and the first process's death then goes
+#: unseen by :meth:`ShardedPipeline._watch_stages` while the other lives.
+_FORK_LOCK = threading.Lock()
+
 
 class PipelineStageError(RuntimeError):
     """Raised (via batch futures) when a stage fails or dies mid-run."""
@@ -353,8 +360,9 @@ class ShardedPipeline:
             )
             for index in range(self.num_stages)
         ]
-        for proc in self._procs:
-            proc.start()
+        with _FORK_LOCK:
+            for proc in self._procs:
+                proc.start()
         self._started = True
         try:
             self._await_stage_readiness()

@@ -13,7 +13,7 @@ The contracts under test (see the PR's tentpole):
   bad client can never fail the requests it would have co-batched with;
 * SLO priority classes shorten the flush deadline of the batches that
   carry them and show up as class-tagged latency percentiles;
-* a kill-storm (repeated SIGKILLs during traffic) produces zero
+* a storm of injected worker exits during traffic produces zero
   client-visible failures and a pool respawned to full strength;
 * every recovery decision (:class:`repro.serve.recovery.RecoveryPolicy`)
   holds as a plain function of (event, state, ``now``), with no processes
@@ -43,8 +43,9 @@ from repro.serve.batcher import (
     Request,
     scatter_results,
 )
-from repro.serve.cli import build_serve_parser, parse_class_map
-from repro.serve import recovery
+from repro.faults import FaultRule, FaultSpec
+from repro.serve import loadgen, recovery
+from repro.serve.cli import build_serve_parser, main as serve_main, parse_class_map
 from repro.serve.loadgen import assign_priorities, run_loadtest
 from repro.serve.recovery import (
     CORRUPT,
@@ -674,21 +675,31 @@ class TestRecoveryPolicy:
         assert imported and not imported & banned
 
 
+#: Seeded worker deaths: each worker process hard-exits on its fourth
+#: forward and on its second response-ring write (once per process; the
+#: rules re-arm in every respawned worker).
+STORM_SPEC = FaultSpec(seed=3, rules=(
+    FaultRule(site="worker.forward", action="crash", crash_mode="exit",
+              at=(3,), max_fires=1),
+    FaultRule(site="shm.response.write", action="crash", crash_mode="exit",
+              at=(1,), max_fires=1),
+))
+
+
 class TestChaosScenarios:
-    def test_kill_storm_zero_client_failures(self, trained_setup, tmp_path):
-        # The acceptance chaos drive: SIGKILL random process workers while
-        # traffic is in flight.  With retries enabled there must be zero
+    def test_worker_exit_storm_zero_client_failures(self, trained_setup, tmp_path):
+        # The acceptance chaos drive: process workers die while traffic is
+        # in flight.  With retries enabled there must be zero
         # client-visible failures and the pool must respawn to the
         # configured replica count.
         model, x_test = trained_setup
         config = ServeConfig(max_batch=8, num_workers=2, workers="process",
-                             plan_cache=str(tmp_path), max_retries=4)
+                             plan_cache=str(tmp_path), max_retries=4,
+                             faults=STORM_SPEC)
         result = run_loadtest(model, x_test, config, pattern="uniform",
-                              rate_rps=600.0, num_requests=90, seed=3,
-                              scenario="kill-storm", kills=2,
-                              kill_interval_s=0.04)
+                              rate_rps=600.0, num_requests=90, seed=3)
         chaos = result.chaos
-        assert chaos["kills"] >= 1
+        assert chaos["worker_deaths"] >= 1
         assert result.failures == 0
         assert chaos["recovered"] and chaos["alive_workers"] == 2
         assert result.snapshot.counters["worker_deaths"] >= 1
@@ -699,16 +710,37 @@ class TestChaosScenarios:
         config = ServeConfig(max_batch=8, queue_capacity=4)
         result = run_loadtest(model, x_test, config, pattern="uniform",
                               rate_rps=1000.0, num_requests=64, seed=0,
-                              time_scale=0.0, scenario="overload")
-        assert result.chaos["scenario"] == "overload"
+                              time_scale=0.0)
+        assert result.chaos["queue_capacity"] == 4
         assert result.snapshot.counters["dropped"] > 0
         # Every failure is an admission drop — no served request failed.
         assert result.failures == result.snapshot.counters["dropped"]
 
-    def test_unknown_scenario_rejected(self, trained_setup):
-        model, x_test = trained_setup
-        with pytest.raises(ValueError, match="scenario"):
-            run_loadtest(model, x_test, ServeConfig(), scenario="lightning")
+    @pytest.mark.parametrize("workers, rule, message", [
+        ("thread", FaultRule(site="worker.forward", action="crash",
+                             at=(0, 1, 2)),
+         "fault site 'worker.forward' never fires on thread workers"),
+        ("process", FaultRule(site="pipeline.edge.write", action="corrupt",
+                              at=(0,)),
+         "fault site 'pipeline.edge.write' fires only between pipeline "
+         "stages; set pipeline_stages >= 2"),
+        ("process", FaultRule(site="worker.forwrd", action="hang", at=(0,)),
+         "fault site 'worker.forwrd' is not a known site"),
+        # These sites fire in the parent: an exit there would take the
+        # whole service down, not deliver a worker death.
+        *[("process", FaultRule(site=site, action="crash", crash_mode="exit",
+                                at=(0,)),
+           f"fault site {site!r} runs in the serving process, where "
+           "crash_mode 'exit' would exit the service")
+          for site in ("shm.request.write", "plan_cache.load", "respawn")],
+    ])
+    def test_fault_rule_that_cannot_work_is_rejected(self, trained_setup,
+                                                     workers, rule, message):
+        model, _ = trained_setup
+        config = ServeConfig(workers=workers,
+                             faults=FaultSpec(seed=0, rules=(rule,)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            InferenceService(model, config)
 
 
 class TestCliWiring:
@@ -723,17 +755,41 @@ class TestCliWiring:
     def test_loadtest_parser_accepts_chaos_flags(self):
         parser = build_serve_parser("loadtest")
         args = parser.parse_args([
-            "--scenario", "kill-storm", "--kills", "2",
-            "--kill-interval-ms", "25", "--retry-policy", "redispatch",
+            "--retry-policy", "redispatch",
             "--max-retries", "3", "--plan-cache", "/tmp/plans",
             "--priority-classes", "interactive=0.5,batch=20",
             "--priority-mix", "interactive=0.3,batch=0.7",
         ])
-        assert args.scenario == "kill-storm"
-        assert args.kills == 2
         assert args.max_retries == 3
 
     def test_serve_parser_has_fault_tolerance_flags(self):
         args = build_serve_parser("serve").parse_args(
             ["--no-respawn", "--retry-policy", "fail_fast"])
         assert args.no_respawn and args.retry_policy == "fail_fast"
+
+    @pytest.mark.parametrize("flags, verdict, absent", [
+        (["--queue-capacity", "4"], "OVERLOAD OK: every failure was an "
+         "admission drop", "CHAOS"),
+        (["--fault-spec", '{"seed": 0, "rules": [{"site": "respawn", '
+          '"action": "delay", "at": [0]}]}'],
+         "CHAOS OK: worker deaths 0, 0 client failures, pool recovered to "
+         "1 workers", "OVERLOAD"),
+    ])
+    def test_verdict_follows_from_the_config(self, capsys, flags, verdict,
+                                             absent):
+        assert serve_main(["loadtest", "--requests", "32", "--rate",
+                           "100000", *flags]) == 0
+        out = capsys.readouterr().out
+        assert verdict in out
+        assert absent not in out
+
+    def test_unrecovered_pool_fails_the_chaos_verdict(self, capsys,
+                                                      monkeypatch):
+        async def never_recovers(service, timeout_s):
+            return False
+
+        monkeypatch.setattr(loadgen, "_await_pool_recovery", never_recovers)
+        assert serve_main(["loadtest", "--requests", "16", "--fault-spec",
+                           '{"seed": 0, "rules": [{"site": "respawn", '
+                           '"action": "delay", "at": [0]}]}']) == 1
+        assert "CHAOS FAIL: pool not recovered" in capsys.readouterr().out

@@ -263,7 +263,7 @@ class TestSlotRingIntegrity:
             ring.unlink()
 
 
-def _chaos_load(model, x_test, config, scenario="chaos-sweep"):
+def _chaos_load(model, x_test, config):
     # ``time_scale=0`` queues every request up-front, so the batcher cuts
     # the same full batches every run: identical batch shapes keep BLAS on
     # identical code paths, which is what makes "bit-identical" a fair
@@ -271,7 +271,7 @@ def _chaos_load(model, x_test, config, scenario="chaos-sweep"):
     # co-batched gemm result in the last ulp).
     return run_loadtest(model, x_test, config, pattern="uniform",
                         rate_rps=600.0, num_requests=48, seed=5,
-                        time_scale=0.0, scenario=scenario)
+                        time_scale=0.0)
 
 
 class TestChaosRecovery:
@@ -282,8 +282,7 @@ class TestChaosRecovery:
         model, x_test = trained_setup
         base = dict(backend="ideal", max_batch=8, max_wait_ms=2.0,
                     num_workers=2, workers="process")
-        clean = _chaos_load(model, x_test, ServeConfig(**base),
-                            scenario="steady")
+        clean = _chaos_load(model, x_test, ServeConfig(**base))
         chaos_config = ServeConfig(
             **base, dispatch_timeout_s=0.5, max_retries=8,
             redispatch_backoff_base_s=0.01,
@@ -309,8 +308,7 @@ class TestChaosRecovery:
         model, x_test = trained_setup
         base = dict(backend="ideal", max_batch=8, max_wait_ms=2.0,
                     num_workers=2, workers="process", shm_integrity=True)
-        clean = _chaos_load(model, x_test, ServeConfig(**base),
-                            scenario="steady")
+        clean = _chaos_load(model, x_test, ServeConfig(**base))
         chaos_config = ServeConfig(
             **base, max_retries=8, redispatch_backoff_base_s=0.01,
             faults=FaultSpec(seed=11, rules=(

@@ -30,6 +30,7 @@ import pytest
 
 from repro.exec.backend import ExecutionContext
 from repro.exec.engine import run_model
+from repro.faults import FaultRule, FaultSpec
 from repro.nn import DatasetConfig, SGD, Sequential, SyntheticImageDataset, Trainer
 from repro.nn.layers import Flatten, Linear, ReLU
 from repro.obs.export import (
@@ -791,14 +792,21 @@ class TestKillStormTracing:
                                                          tmp_path):
         model, _, x_test = trained_setup
         trace_path = tmp_path / "storm.json"
+        # Each worker process hard-exits on its fourth forward and on its
+        # second response-ring write (once per process).
+        storm = FaultSpec(seed=3, rules=(
+            FaultRule(site="worker.forward", action="crash",
+                      crash_mode="exit", at=(3,), max_fires=1),
+            FaultRule(site="shm.response.write", action="crash",
+                      crash_mode="exit", at=(1,), max_fires=1)))
         config = ServeConfig(max_batch=8, workers="process", num_workers=2,
-                             max_retries=4, trace_sample_rate=1.0)
+                             max_retries=4, trace_sample_rate=1.0,
+                             faults=storm)
         result = run_loadtest(model, x_test[:48], config, rate_rps=500.0,
-                              num_requests=48, scenario="kill-storm",
-                              kills=2, kill_interval_s=0.04,
-                              trace_out=str(trace_path), metrics_port=0)
+                              num_requests=48, trace_out=str(trace_path),
+                              metrics_port=0)
         assert result.failures == 0
-        assert result.chaos["kills"] >= 1 and result.chaos["recovered"]
+        assert result.chaos["worker_deaths"] >= 1 and result.chaos["recovered"]
         assert result.obs["scrapes"]["/healthz"] == 200
         document = json.loads(trace_path.read_text())
         events = validate_chrome_trace(document)

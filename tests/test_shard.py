@@ -18,6 +18,7 @@ import dataclasses
 import os
 import pickle
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro.shard import (
     PartitionError,
     PipelineStageError,
     ShardedPipeline,
+    StageDiedError,
     build_stage_payloads,
     plan_partition,
     run_pipelined,
@@ -350,6 +352,46 @@ class TestShardedPipeline:
         finally:
             pipeline.close()
         assert not any(segment_exists(name) for name in names)
+
+    def test_concurrent_starts_keep_each_stage_death_visible(
+            self, trained_setup, monkeypatch):
+        # The first fork holds its parent side open (before the sentinel's
+        # write end is closed) until a second thread forks too, or 1 s
+        # passes: a fork let in there inherits the first stage's sentinel
+        # write end, so that stage's death would never wake its watcher.
+        model, _, x_test = trained_setup
+        with BatchRunner(model, "ideal") as runner:
+            payloads = build_stage_payloads(runner.plan, 1).payloads
+        real_fork, forks = os.fork, []
+        second_fork = threading.Event()
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+                if len(forks) == 1:
+                    second_fork.wait(timeout=1.0)
+                else:
+                    second_fork.set()
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        pipelines = [ShardedPipeline(payloads, max_batch=8) for _ in range(2)]
+        starters = [threading.Thread(target=pipeline.start)
+                    for pipeline in pipelines]
+        try:
+            for starter in starters:
+                starter.start()
+            for starter in starters:
+                starter.join()
+            monkeypatch.undo()
+            first = next(p for p in pipelines if p.pids() == [forks[0]])
+            os.kill(forks[0], signal.SIGKILL)
+            with pytest.raises(StageDiedError):
+                first.submit(x_test[:8]).result(timeout=10)
+        finally:
+            for pipeline in pipelines:
+                pipeline.close()
 
     def test_submit_after_close_rejected(self, trained_setup):
         model, _, x_test = trained_setup
