@@ -42,27 +42,7 @@ from repro.circuits.opamp import OpAmpModel
 from repro.circuits.single_slope import SingleSlopeConverter
 from repro.circuits.transient import TransientRecorder, TransientResult
 from repro.core.config import ADCConfig
-from repro.formats.fp8 import BucketIndexer, refine_step_boundaries
-
-
-@dataclasses.dataclass
-class ADCConversionLUT:
-    """The whole charge → FP-code conversion compiled into one table.
-
-    With mismatch-free capacitor ladders (every channel identical) and a
-    noiseless comparator, the adaptive-range exponent search, residual
-    voltage, single-slope mantissa rounding and code decode are one monotone
-    step function of the integrated charge.  ``values[indexer(charge)]``
-    reproduces ``FPADC.convert`` bit-for-bit; ``saturated`` / ``underflow``
-    flag the ranks whose codes clip, for the macro's statistics counters.
-    Saturation is exactly the top rank and underflow exactly rank 0 (the
-    build asserts it), so counters can compare ranks instead of gathering.
-    """
-
-    indexer: BucketIndexer
-    values: np.ndarray
-    saturated: np.ndarray
-    underflow: np.ndarray
+from repro.formats.fp8 import StepTable, refine_step_boundaries
 
 
 @dataclasses.dataclass
@@ -218,7 +198,7 @@ class FPADC:
         self.config = config
         self.channels = channels
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self._conversion_lut: Optional[ADCConversionLUT] = None
+        self._conversion_lut: Optional[StepTable] = None
         self.controller = AdaptiveRangeController(config, channels=channels, rng=self._rng)
         self.slope_converter = SingleSlopeConverter(
             bits=config.mantissa_bits,
@@ -350,8 +330,19 @@ class FPADC:
     # ------------------------------------------------------------------
     # Compiled charge -> code-value lookup table
     # ------------------------------------------------------------------
-    def conversion_lut(self) -> Optional[ADCConversionLUT]:
-        """Compile the full conversion into an :class:`ADCConversionLUT`.
+    def conversion_lut(self) -> Optional[StepTable]:
+        """Compile the full charge → code-value conversion into one table.
+
+        With mismatch-free capacitor ladders (every channel identical) and
+        a noiseless comparator, the adaptive-range exponent search,
+        residual voltage, single-slope mantissa rounding and code decode
+        are one monotone step function of the integrated charge:
+        ``lut(charge)``, a :class:`~repro.formats.fp8.StepTable`,
+        reproduces ``convert(...).value`` bit-for-bit.  Saturation is
+        exactly a charge at or above ``lut.bounds[-1]`` and underflow
+        exactly a zero value (the build asserts both), so counters test
+        the input and the value instead of gathering flags.  Compiled
+        plans pull ``lut.bounds`` back to the current domain.
 
         Valid only when the conversion is deterministic, identical across
         channels and monotone in charge: no comparator noise, no capacitor
@@ -369,7 +360,7 @@ class FPADC:
             self._conversion_lut = self._build_conversion_lut()
         return self._conversion_lut
 
-    def _build_conversion_lut(self) -> ADCConversionLUT:
+    def _build_conversion_lut(self) -> StepTable:
         cfg = self.config
         exponent_levels, levels = cfg.exponent_levels, cfg.mantissa_levels
         # All channels are identical here, so channel 0 parameterises the
@@ -428,14 +419,11 @@ class FPADC:
         values = np.where(underflow, 0.0, values)
         ranks = np.arange(values.size)
         if not (np.array_equal(saturated, ranks == ranks[-1])
-                and np.array_equal(underflow, ranks == 0)):
-            raise AssertionError("ADC flags are not exactly the top / zero rank")
-        return ADCConversionLUT(
-            indexer=BucketIndexer(bounds),
-            values=values,
-            saturated=saturated,
-            underflow=underflow,
-        )
+                and np.array_equal(underflow, ranks == 0)
+                and np.array_equal(values == 0.0, ranks == 0)):
+            raise AssertionError(
+                "ADC flags are not exactly the top / zero-valued rank")
+        return StepTable(bounds, values)
 
     def transition_charges(self) -> Optional[np.ndarray]:
         """Exact charge at every output-code transition, ascending.
@@ -450,7 +438,7 @@ class FPADC:
         lut = self.conversion_lut()
         if lut is None:
             return None
-        return np.asarray(lut.indexer.bounds, dtype=np.float64).copy()
+        return lut.bounds.copy()
 
     def transfer_curve(self, num_points: int = 512) -> np.ndarray:
         """``(current, value)`` samples across the full input range."""

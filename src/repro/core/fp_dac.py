@@ -27,7 +27,7 @@ from repro.circuits.opamp import OpAmpModel
 from repro.circuits.pga import ProgrammableGainAmplifier
 from repro.circuits.reference import ResistorStringReference
 from repro.core.config import DACConfig, hardware_activation_format
-from repro.formats.fp8 import BucketIndexer, refine_step_boundaries
+from repro.formats.fp8 import StepTable, refine_step_boundaries
 
 #: Static-mismatch state shared between DACs with identical configurations.
 #: The reference ladder's INL and the PGA's gain errors are drawn once at
@@ -149,7 +149,7 @@ class FPDAC:
         # (and the PGA's) is static per config, so the pair is shared between
         # identically-configured DACs instead of re-drawn per instance.
         self.reference, self.pga = _static_chain(config)
-        self._voltage_lut: Optional[Tuple[BucketIndexer, np.ndarray]] = None
+        self._voltage_lut: Optional[StepTable] = None
 
     # ------------------------------------------------------------------
     # Scalar / vector conversion from code fields
@@ -230,18 +230,21 @@ class FPDAC:
     # ------------------------------------------------------------------
     # Compiled code-value -> voltage lookup table
     # ------------------------------------------------------------------
-    def voltage_lut(self) -> Optional[Tuple[BucketIndexer, np.ndarray]]:
+    def voltage_lut(self) -> Optional[StepTable]:
         """Compile the full code-value → output-voltage transfer into a LUT.
 
         There are only ``2^(e+m)`` non-zero FP input codes (128 for FP8), so
         with a noiseless output stage the whole encode (frexp field split,
         mantissa rounding, zero flush, saturation) followed by the analog
         reconstruction (reference tap, PGA gain incl. static mismatch)
-        collapses into ``volts[indexer(value)]`` — bit-identical to
-        :meth:`convert_value` for every non-negative code value, including
-        the round-to-nearest-even ties on binade boundaries, which the
-        boundary refinement resolves exactly.  Returns ``None`` when
-        per-conversion output noise makes the transfer stochastic.
+        collapses into one :class:`~repro.formats.fp8.StepTable`,
+        ``lut(value)`` — bit-identical to :meth:`convert_value` for every
+        non-negative code value, including the round-to-nearest-even ties
+        on binade boundaries, which the boundary refinement resolves
+        exactly.  Its ``bounds`` are shared per format; its ``values``
+        (zero, then one voltage per code) carry this DAC's mismatch.
+        Returns ``None`` when per-conversion output noise makes the
+        transfer stochastic.
         """
         if self.config.output_noise_rms > 0:
             return None
@@ -252,7 +255,7 @@ class FPDAC:
             volts = self.convert_fields(exponents, mantissas)
             bounds = _voltage_lut_bounds(self.config.exponent_levels, levels)
             table = np.concatenate([[0.0], volts])  # bucket 0 = exact zero
-            self._voltage_lut = (BucketIndexer(bounds), table)
+            self._voltage_lut = StepTable(bounds, table)
         return self._voltage_lut
 
     def ideal_voltage(self, value: np.ndarray) -> np.ndarray:

@@ -246,8 +246,7 @@ class AFPRMacro:
         lut = self.dac.voltage_lut() if exact_lut else None
         if lut is None:
             return self.dac.convert_value(code_values)
-        indexer, volts = lut
-        return volts[indexer(code_values)]
+        return lut(code_values)
 
     def _current_to_output(self, adc_values: np.ndarray, voltage_sum: np.ndarray) -> np.ndarray:
         """Convert read-out code values of physical columns to real MAC values."""

@@ -14,13 +14,15 @@ context)``:
   and the ADC's charge→code conversion baked into lookup tables
   (:meth:`~repro.core.fp_dac.FPDAC.voltage_lut`,
   :meth:`~repro.core.fp_adc.FPADC.conversion_lut`) whose bucket bounds are
-  pulled back so the DAC ranks ``|x|`` and the ADC the matmul's currents;
+  pulled back so each is one :class:`~repro.formats.fp8.StepTable`
+  gather from the raw input: ``|x|`` to DAC codes, the matmul's currents
+  to ADC read-outs;
 * compiled tiles run in the **code domain**: activations are encoded
   into FP8 activation codes (sign + the DAC's 7-bit exponent/mantissa
   rank, plus the zero-detect level, stored as uint16) and
   :meth:`RowCodec.voltages` — the DAC — turns them into voltages with one
   table gather.  Each tile's quantiser (flush-to-zero, RNE rounding,
-  saturation — the DAC bucket indexer) is composed with its
+  saturation — the DAC's code table) is composed with its
   reference-ladder/PGA voltage reconstruction and the crossbar input clip
   into one signed code→voltage table (and a code→raw-voltage twin for
   offset mapping) at compile time.  A row range whose tiles share one
@@ -36,14 +38,14 @@ context)``:
 * planned execution is **allocation-free** after the first forward: a
   per-plan :class:`PlanArena` grows reusable scratch slabs for the code
   maps, the DAC gathers and patch expansion, the crossbar matmul, the ADC
-  ranking and gather and the blocked-row path (which writes block slices
-  into one arena output instead of recursively concatenating), reused
-  across batches.  No slab outlives the op that took it, so slabs are
-  named by their role inside an op (tile ``t<j>``, row range ``r<start>``,
-  the conv's ``conv`` map and voltages), never by their layer: every
-  layer draws from one namespace and the arena holds, per role, the
-  largest layer's need — 28.5 MB instead of 107.5 MB after one batch-64
-  ResNet-lite forward with all ten layers mapped;
+  read-outs and the blocked-row path (which writes block slices into one
+  arena output instead of recursively concatenating), reused across
+  batches (only the step tables' sparse fix-ups allocate).
+  No slab outlives the op that took it, so slabs are named by their role
+  inside an op (tile ``t<j>``, row range ``r<start>``, the conv's
+  ``conv`` map and voltages), never by their layer: every layer draws
+  from one namespace and the arena holds, per role, the largest layer's
+  need;
 * fake-quant adapters get LUT-compiled quantisers
   (:func:`repro.formats.quantizer.compile_quantizer`);
 * an analog plan **calibrates through its own op program**, in one
@@ -99,7 +101,7 @@ from repro.core.mapping import MappedLayer, conv_output_size, patch_index
 from repro.exec import blas
 from repro.exec.backend import ExecutionBackend, ExecutionContext
 from repro.exec.backends import AnalogBackend, FakeQuantBackend
-from repro.formats.fp8 import BucketIndexer, pull_back_bounds, round_to_format
+from repro.formats.fp8 import StepTable, pull_back_bounds, round_to_format
 from repro.formats.quantizer import compile_quantizer
 from repro.nn.cim_backend import CIMExecutionAdapter, MapLayer
 from repro.nn.layers import Layer, Linear
@@ -251,25 +253,25 @@ class TileNotCompilable(Exception):
 class RowCodec:
     """Layer-boundary FP8 encoder and DAC of one row range.
 
-    Composes the DAC's quantiser (the exact bucket indexer over the float
-    lattice) with the sign split into one uint16 code per activation:
-    ``code = rank(|x|)`` for non-negative ``x`` and ``code = levels + rank``
-    for negative ``x``, ranked against the DAC's bounds pulled back through
-    ``/ scale`` (see :class:`CompiledTile`).  The fused signed
-    code→voltage tables (:attr:`volts_pos` / :attr:`volts_neg`, raw twins
-    for offset mapping) then turn a code directly into the voltage the
-    generic path would have produced for the matching sign pass — zero
-    voltage for the opposite sign, exactly like ``clip(±x, 0)`` ranking to
-    the zero bucket.  :meth:`voltages` is the DAC: it gathers the row
-    voltages once, and every column tile of the row range consumes them.
-    A conv layer hands it the code map of the un-expanded input plus a
-    :func:`~repro.core.mapping.patch_index`, so the table gathers run on
-    k*k times fewer elements and the voltages, not the codes, are
-    expanded into patches.
+    Composes the DAC's quantiser with the sign split into one uint16 code
+    per activation: ``code = rank(|x|)`` for non-negative ``x`` and ``code
+    = levels + rank`` for negative ``x``, the rank read off ``|x|`` by the
+    tile's :attr:`CompiledTile.act_codes` table.  An input with no
+    negative element (every ReLU-fed layer) skips ``abs`` and the sign
+    passes.  The fused signed code→voltage tables (:attr:`volts_pos` /
+    :attr:`volts_neg`, raw twins for offset mapping) then turn a code
+    directly into the voltage the generic path would have produced for the
+    matching sign pass — zero voltage for the opposite sign, exactly like
+    ``clip(±x, 0)`` ranking to the zero bucket.  :meth:`voltages` is the
+    DAC: it gathers the row voltages once, and every column tile of the
+    row range consumes them.  A conv layer hands it the code map of the
+    un-expanded input plus a :func:`~repro.core.mapping.patch_index`, so
+    the table gathers run on k*k times fewer elements and the voltages,
+    not the codes, are expanded into patches.
     """
 
     def __init__(self, tile: "CompiledTile") -> None:
-        self.indexer = tile.act_indexer
+        self.table = tile.act_codes
         #: Number of magnitude levels (zero + the DAC's non-zero codes).
         self.levels = int(tile.dac_volts.shape[0])
         #: Offset mapping: the tiles also need pre-clip voltage row sums.
@@ -286,7 +288,7 @@ class RowCodec:
 
     def matches(self, tile: "CompiledTile") -> bool:
         """Whether ``tile`` can consume this codec's voltages bit-identically."""
-        return (np.array_equal(tile.act_indexer.bounds, self.indexer.bounds)
+        return (np.array_equal(tile.act_codes.bounds, self.table.bounds)
                 and np.array_equal(tile.dac_volts, self.volts_pos[:self.levels])
                 and np.array_equal(tile.dac_volts_raw, self.raw_pos[:self.levels])
                 and self.raw == (not tile.differential))
@@ -301,23 +303,27 @@ class RowCodec:
         the rank either sign pass would compute, and the opposite pass's
         zero-clip collapses to the zero entries of the signed tables.
         ``out`` (any uint16 view of ``acts``' shape, e.g. the interior of a
-        padded map) receives the codes instead of arena scratch.
+        padded map) receives the codes instead of arena scratch; they are
+        encoded contiguous and copied there once.
         """
         shape = acts.shape
-        mag = arena.take(key + ":mag", shape)
-        np.abs(acts, out=mag)
-        rank = self.indexer(
-            mag, out=arena.take(key + ":rank", shape, np.int64),
-            work=arena.take(key + ":work", shape),
-            work_int=arena.take(key + ":wint", shape, np.int64))
-        codes = arena.take(key + ":codes", shape, np.uint16) if out is None else out
-        np.copyto(codes, rank, casting="unsafe")
-        negative = arena.take(key + ":neg", shape, bool)
-        np.less(acts, 0.0, out=negative)
-        offset = arena.take(key + ":off", shape, np.uint16)
-        np.multiply(negative, np.uint16(self.levels), out=offset, casting="unsafe")
-        codes += offset
-        return codes
+        codes = arena.take(key + ":codes", shape, np.uint16)
+        work = arena.take(key + ":cell", shape, np.int64)
+        flags = arena.take(key + ":flag", shape, bool)
+        if not acts.size or acts.min() >= 0:  # no sign bit to set
+            self.table(acts, out=codes, work=work, flags=flags)
+        else:
+            mag = arena.take(key + ":mag", shape)
+            np.abs(acts, out=mag)
+            self.table(mag, out=codes, work=work, flags=flags)
+            np.less(acts, 0.0, out=flags)
+            offset = arena.take(key + ":off", shape, np.uint16)
+            np.multiply(flags, np.uint16(self.levels), out=offset, casting="unsafe")
+            codes += offset
+        if out is None:
+            return codes
+        out[...] = codes
+        return out
 
     def voltages(self, codes: np.ndarray, index: Optional[np.ndarray],
                  arena: PlanArena, key: str, profile: StageProfile) -> tuple:
@@ -405,15 +411,17 @@ class CompiledTile:
 
     * DAC: one gather through the fused signed code→voltage table of a
       :class:`RowCodec` instead of frexp field extraction plus per-gain PGA
-      passes,
+      passes, on codes from :attr:`act_codes`, a
+      :class:`~repro.formats.fp8.StepTable` from ``|x|`` to the DAC code,
     * crossbar: the packed contiguous conductance block, read noise drawn
       from the *same* device generator in the same order and shape,
-    * ADC: ``values[rank(I)]`` on the matmul's currents instead of the
-      adaptive-range search, residual-voltage gathers and single-slope
-      rounding,
+    * ADC: :attr:`adc`, a step table from the matmul's currents to the
+      read-out currents, instead of the adaptive-range search,
+      residual-voltage gathers and single-slope rounding,
 
-    and updates ``macro.stats`` exactly like the generic path (saturations
-    and underflows counted from the top and bottom ranks).  All scratch
+    and updates ``macro.stats`` exactly like the generic path: saturations
+    are the currents at or above the top bound, underflows the zero
+    read-outs.  All scratch
     comes from the plan's :class:`PlanArena`; the blocked-row path writes
     block slices into one arena output instead of recursively concatenating.
     Construction raises :class:`TileNotCompilable` when the configuration
@@ -463,26 +471,31 @@ class CompiledTile:
         # (b) LUT-fused conversion kernels.  The generic path ranks
         # min(|x| / scale, clamp) and min(max(I, 0) * T_int, clamp); both
         # transforms fold into the bounds (the clamps never change a rank).
-        dac_indexer, dac_volts = dac_lut
+        dac_bounds = dac_lut.bounds
         scale = macro.activation_scale
-        self.act_indexer = BucketIndexer(pull_back_bounds(
-            dac_indexer.bounds, lambda y: y / scale, dac_indexer.bounds * scale))
+        self.act_codes = StepTable(
+            pull_back_bounds(dac_bounds, lambda y: y / scale, dac_bounds * scale),
+            np.arange(dac_bounds.size + 1, dtype=np.uint16))
+        # Fold the code-value → current reconstruction constant into the
+        # values (the reference multiplies elementwise by the same scalar).
         t_int = config.adc.integration_time
-        self.current_indexer = BucketIndexer(pull_back_bounds(
-            adc_lut.indexer.bounds, lambda i: i * t_int,
-            adc_lut.indexer.bounds / t_int))
+        charge_bounds = adc_lut.bounds
+        adc_values = adc_lut.values * macro.adc.value_to_current(1.0)
+        if np.count_nonzero(adc_values == 0.0) != 1:
+            raise TileNotCompilable("a non-zero ADC code reads zero current")
+        self.adc = StepTable(
+            pull_back_bounds(charge_bounds, lambda i: i * t_int,
+                             charge_bounds / t_int),
+            adc_values)
+        self.adc_top = float(self.adc.bounds[-1])
         # Fold the crossbar's input clip into the table: voltages are
         # per-code constants, so clipping the 129 entries equals clipping
         # every converted element.  Offset mapping also needs the *raw*
         # table — the generic path's common-mode voltage sum is taken
         # before the crossbar clip.
         v_max = macro.crossbar.config.v_input_max
-        self.dac_volts = np.clip(dac_volts, -v_max, v_max)
-        self.dac_volts_raw = dac_volts
-        # Fold the code-value → current reconstruction constant into the
-        # table (the reference multiplies elementwise by the same scalar).
-        self.adc_values = adc_lut.values * macro.adc.value_to_current(1.0)
-        self.adc_top_rank = adc_lut.values.size - 1
+        self.dac_volts = np.clip(dac_lut.values, -v_max, v_max)
+        self.dac_volts_raw = dac_lut.values
         # Output scale chain, exactly as _current_to_output derives it.
         g_span = macro.device.g_max - macro.device.g_min
         if self.differential:
@@ -527,20 +540,21 @@ class CompiledTile:
         tock = time.perf_counter()
         profile.crossbar_s += tock - tick
 
-        rank = self.current_indexer(
-            currents, out=arena.take(key + ":crank", shape, np.int64),
-            work=arena.take(key + ":cwork", shape),
-            work_int=arena.take(key + ":cwint", shape, np.int64))
-        # The currents are dead once ranked; the readout reuses their slab.
-        measured = np.take(self.adc_values, rank, out=currents, mode="clip")
+        # The read-out current of every column, straight off the currents'
+        # bits; it lands on the cell indices, each read before it is
+        # overwritten.
+        cells = arena.take(key + ":cell", shape, np.int64)
+        flags = arena.take(key + ":flags", shape, bool)
+        measured = self.adc(currents, out=cells.view(np.float64), work=cells,
+                            flags=flags)
 
         stats = self.macro.stats
         stats.conversions += shape[0]
         stats.mac_operations += shape[0] * 2 * self.in_features * self.out_features
-        flags = arena.take(key + ":flags", shape, bool)
-        np.equal(rank, self.adc_top_rank, out=flags)
+        np.greater_equal(currents, self.adc_top, out=flags)
         stats.adc_saturations += int(np.count_nonzero(flags))
-        stats.adc_underflows += rank.size - int(np.count_nonzero(rank))
+        np.equal(measured, 0.0, out=flags)
+        stats.adc_underflows += int(np.count_nonzero(flags))
 
         if self.differential:
             np.subtract(measured[..., 0::2], measured[..., 1::2], out=out_block)
@@ -1230,7 +1244,7 @@ def build_plan(model: Model, backend: ExecutionBackend,
 #: pickled plan layout (or anything the fingerprint cannot see) changes in
 #: a way that makes old entries wrong to reuse; the version is folded into
 #: every fingerprint, so a bump invalidates the whole cache at once.
-PLAN_CACHE_VERSION = 7
+PLAN_CACHE_VERSION = 8
 
 
 def _model_descriptor(model: Model) -> list:

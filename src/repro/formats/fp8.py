@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -334,8 +333,7 @@ def refine_step_boundaries(candidates: np.ndarray,
     ``r`` meaning "past ``r`` transitions".  Candidates whose neighbourhood
     shows no bucket change (empty buckets, duplicated thresholds) are
     dropped.  This is what lets per-element FP8 encode / ADC decode math be
-    replaced by one :class:`BucketIndexer` ranking + ``take`` without losing
-    bit identity.
+    replaced by one :class:`StepTable` lookup without losing bit identity.
     """
     candidates = np.unique(np.asarray(candidates, dtype=np.float64))
     if candidates.size == 0:
@@ -395,107 +393,157 @@ def pull_back_bounds(bounds: np.ndarray,
     raise AssertionError("boundary pull-back did not converge")
 
 
-class BucketIndexer:
-    """Rank values against exact step boundaries in O(1) per element.
+#: Resolution of :class:`StepTable`'s log grid: ``2**GRID_BITS`` cells per
+#: binade, coarsened only where :data:`MAX_TABLE_CELLS` demands it.
+GRID_BITS = 12
+
+#: Most cells one :class:`StepTable` holds (512 KiB of float64 entries):
+#: ``k = 4`` still spans every float64 binade from the smallest subnormal.
+MAX_TABLE_CELLS = 1 << 16
+
+
+class StepTable:
+    """A monotone step function ``values[searchsorted(bounds, v, "right")]``
+    read off the float's bits with one gather.
 
     ``np.searchsorted`` is exact but costs a branchy binary search per
-    element.  This indexer lays a uniform grid anchored at 0 whose cell
-    step is the largest power of two not above the smallest boundary gap,
-    so each cell holds at most one boundary.  Scaling by a power of two is
-    exact, so the float-clipped, truncated cell of ``v`` is exactly
-    ``floor(v / step)``; its rank is the precomputed rank of the cell's
-    left edge plus one comparison against the cell's inner boundary (NaN,
-    which no comparison passes, when it has none) — seven vectorised
-    passes.
+    element.  Every converter this package models — the FP-DAC's encode,
+    the FP-ADC's range adaptation plus single-slope count, an FP format's
+    rounding — is a step function on a log scale, and the int64 view of a
+    positive float64 is its exponent followed by its mantissa, growing
+    with its value.  So the cell of ``v`` is ``(max(bits(v), base) - base)
+    >> (52 - k)``, a log grid of ``2^k`` cells per binade (``k`` is
+    :data:`GRID_BITS`, lowered to keep within :data:`MAX_TABLE_CELLS`):
+    three integer passes, no float multiply, no subnormal slow-down.  One
+    ``np.take(table, cell, mode="clip")`` reads a table whose cells hold
+    either the value of every float in the cell or a sentinel (NaN in
+    float tables, ``0xFFFF`` in uint16 ones).  Cell 0 takes everything
+    below the first bound's cell, zeros and every negative included.  Only
+    the elements on a sentinel — in a cell a bound splits (about ``bounds
+    per binade / 2^k`` of them) or in the last cell, which catches values
+    over twice the top bound, +inf and NaN — are redone with
+    ``np.searchsorted``.
 
-    Bounds must be positive, finite and strictly increasing.  The rank of
-    every float64 equals ``searchsorted(bounds, v, side="right")``: zero,
-    subnormals and +inf (rank ``len(bounds)``) included.  Negatives and NaN
-    rank 0.  Grids larger than ``max_cells`` (huge dynamic ranges, e.g.
-    FP16) fall back to plain ``searchsorted`` — still exact, just slower.
+    Bounds must be positive, finite and strictly increasing, and ``values``
+    (float64 without NaN, or uint16 below ``0xFFFF``) one longer.  Every
+    float64 maps to ``values[searchsorted(bounds, v, side="right")]``,
+    zero, subnormals and +inf included; negatives and NaN map to
+    ``values[0]``.  The grid is built on first use, in O(cells) from the
+    bounds' own cells, and is not pickled.
     """
 
-    def __init__(self, bounds: np.ndarray, max_cells: int = 1 << 20) -> None:
+    def __init__(self, bounds: np.ndarray, values: np.ndarray) -> None:
         self.bounds = np.asarray(bounds, dtype=np.float64)
-        if (self.bounds.size == 0 or not np.all(np.isfinite(self.bounds))
+        self.values = np.asarray(values)
+        if (self.bounds.ndim != 1 or self.bounds.size == 0
+                or not np.all(np.isfinite(self.bounds))
                 or self.bounds[0] <= 0 or np.any(np.diff(self.bounds) <= 0)):
             raise ValueError(
                 "bounds must be positive, finite and strictly increasing")
-        top = float(self.bounds[-1])
-        gap = float(np.min(np.diff(self.bounds))) if self.bounds.size > 1 else top
-        # Step 2**exp <= gap.  Sizing the grid from frexp exponents cannot
-        # overflow, and a normal step keeps 1 / step finite.  The last cell
-        # starts above the top bound: rank len(bounds), no inner boundary.
-        exp = math.frexp(gap)[1] - 1
-        cells = max_cells + 1
-        if exp >= -1023 and math.frexp(top)[1] - exp <= max_cells.bit_length():
-            cells = int(math.ldexp(top, -exp)) + 2
-        self._cells, self._inv_step = 0, 0.0
-        self._base: Optional[np.ndarray] = None
-        if cells <= max_cells:
-            self._cells, self._inv_step = cells, math.ldexp(1.0, -exp)
-            edges = np.ldexp(np.arange(cells, dtype=np.float64), exp)
-            self._base = np.searchsorted(self.bounds, edges, side="right")
-            following = np.append(self._base[1:], self.bounds.size)
-            self._inner = np.where(
-                following > self._base,
-                self.bounds[np.minimum(self._base, self.bounds.size - 1)], np.nan)
+        sentinel = {np.float64: np.isnan, np.uint16: lambda v: v == 0xFFFF}.get(
+            self.values.dtype.type)
+        if (self.values.shape != (self.bounds.size + 1,) or sentinel is None
+                or np.any(sentinel(self.values))):
+            raise ValueError("need one more value than bounds, float64 "
+                             "without NaN or uint16 below 0xFFFF")
+
+    @functools.cached_property
+    def _grid(self) -> Tuple[int, int, np.ndarray]:
+        """``(base, shift, table)``: the cell is ``(max(bits, base) - base)
+        >> shift``."""
+        bits = self.bounds.view(np.int64)
+        # The clip cell opens the second binade above the top bound's (the
+        # infinities' at the latest), so values up to twice the top bound
+        # read a constant cell.
+        clip = min(int(bits[-1] >> 52) + 2, 0x7FF)
+        k = GRID_BITS
+        while k and ((clip - int(bits[0] >> 52)) << k) + 2 > MAX_TABLE_CELLS:
+            k -= 1
+        shift = 52 - k
+        # Cell 0 ends where the first bound's cell starts.  Only a bound in
+        # the very first cell of the bit space pins the base at 0, where
+        # its cell takes everything below it too.
+        first = max(int(bits[0] >> shift) - 1, 0)
+        cell = (bits >> shift) - first
+        cells = (clip << k) - first + 1
+        inside = bits > (bits >> shift) << shift  # bound past its cell's start
+        split = np.bincount(cell[inside], minlength=cells)
+        table = self.values[np.cumsum(np.bincount(cell, minlength=cells)) - split]
+        sentinel = np.nan if table.dtype == np.float64 else 0xFFFF
+        table[split > 0] = sentinel
+        table[-1] = sentinel
+        return first << shift, shift, table
 
     @property
-    def has_coarse_grid(self) -> bool:
-        """Whether the O(1) coarse grid compiled (vs. the ``searchsorted``
-        fallback for huge dynamic ranges) — callers deciding whether a
-        LUT path will actually be fast can probe this."""
-        return self._base is not None
+    def cells(self) -> int:
+        """How many cells the grid holds (see :data:`MAX_TABLE_CELLS`)."""
+        return self._grid[2].size
 
     def __call__(self, v: np.ndarray,
                  out: Optional[np.ndarray] = None,
                  work: Optional[np.ndarray] = None,
-                 work_int: Optional[np.ndarray] = None) -> np.ndarray:
-        """Rank of each element: how many boundaries are ≤ it.
+                 flags: Optional[np.ndarray] = None) -> np.ndarray:
+        """The step function's value at each element of ``v``.
 
-        ``out`` (int64), ``work`` (float64) and ``work_int`` (int64) are
-        optional preallocated buffers of ``v``'s shape; when all three are
-        given the ranking runs without allocating (the execution-plan arena
-        passes its scratch slabs here).  The result is written into ``out``
-        and returned; the allocating path runs the same kernel on fresh
-        buffers.
+        ``out`` (the values' dtype, any strides), ``work`` (int64) and
+        ``flags`` (bool) are optional buffers of ``v``'s shape; given all
+        three, only the fix-up allocates.  ``out`` may be ``work`` viewed
+        as float64: the gather reads each cell before it writes that
+        element.  Returns ``out``.
         """
         v = np.asarray(v, dtype=np.float64)
-        if self._base is None:
-            return np.where(np.isnan(v), 0,
-                            np.searchsorted(self.bounds, v, side="right"))
-        if out is None or work is None or work_int is None:
-            out = np.empty(v.shape, dtype=np.int64)
-            work = np.empty(v.shape, dtype=np.float64)
-            work_int = np.empty(v.shape, dtype=np.int64)
-        # Values past the grid, +inf and overflowed products are capped at
-        # the last cell.  Negatives (-inf included) and NaN are not clipped
-        # from below: they cast to a negative index, INT64_MIN (x86-64) or
-        # 0 (NaN on AArch64), which np.take's mode="clip" sends to cell 0,
-        # and fail its (positive or NaN) inner boundary.  A cell without a
-        # boundary holds NaN, which every comparison fails.  A one-sided
-        # minimum is cheaper than a two-sided clip, and mode="clip" also
-        # skips np.take's internal buffering.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(v, self._inv_step, out=work)
-            np.minimum(work, self._cells - 1, out=work)
-            np.copyto(out, work, casting="unsafe")
-            np.take(self._inner, out, out=work, mode="clip")
-            np.take(self._base, out, out=work_int, mode="clip")
-            np.greater_equal(v, work, out=out)
-        out += work_int
+        base, shift, table = self._grid
+        out = np.empty(v.shape, table.dtype) if out is None else out
+        work = np.empty(v.shape, np.int64) if work is None else work
+        flags = np.empty(v.shape, bool) if flags is None else flags
+        # Raising the bits to the base sends negatives (negative int64) to
+        # cell 0 and keeps np.take's clip branch off that side: clipping a
+        # negative index is a mispredicted branch, and zeros are common.
+        np.maximum(v.view(np.int64), base, out=work)
+        np.subtract(work, base, out=work)
+        np.right_shift(work, shift, out=work)
+        np.take(table, work, out=out, mode="clip")
+        self._fix_up(v, out, flags)
         return out
+
+    def _fix_up(self, v: np.ndarray, out: np.ndarray, flags: np.ndarray) -> int:
+        """Redo the elements whose cell held the sentinel with
+        ``searchsorted``; returns how many there were."""
+        if out.dtype == np.float64:
+            np.isnan(out, out=flags)
+        else:
+            np.equal(out, 0xFFFF, out=flags)
+        miss = np.flatnonzero(flags)
+        if miss.size:
+            if v.flags.c_contiguous and out.flags.c_contiguous:
+                v, out, at = v.reshape(-1), out.reshape(-1), miss
+            else:
+                at = np.unravel_index(miss, v.shape)
+            # numpy sorts NaN last: a NaN lands past the appended NaN
+            # bound, on the appended values[0].
+            bounds, values = self._fix_up_tables
+            out[at] = values[np.searchsorted(bounds, v[at], side="right")]
+        return int(miss.size)
+
+    @functools.cached_property
+    def _fix_up_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Bounds and values, each with one more entry for NaN."""
+        return (np.append(self.bounds, np.nan),
+                np.append(self.values, self.values[:1]))
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items()
+                if not key.startswith("_")}
 
 
 @functools.lru_cache(maxsize=None)
-def quantization_lut(fmt: FloatFormat) -> Tuple[BucketIndexer, np.ndarray]:
-    """Compile ``fmt.quantize`` into ``(indexer, values)`` tables.
+def quantization_lut(fmt: FloatFormat) -> StepTable:
+    """Compile ``fmt.quantize`` into a :class:`StepTable` of magnitudes.
 
-    ``values[indexer(|x|)]`` equals ``|fmt.quantize(x)|`` bit-for-bit for
-    every finite ``x`` (round to nearest even).  Only signed, saturating
-    formats compile; the tables are cached per format instance
-    (``FloatFormat`` is frozen and hashable).
+    ``table(|x|)`` equals ``|fmt.quantize(x)|`` bit-for-bit for every
+    finite ``x`` (round to nearest even).  Only signed, saturating formats
+    compile; the table is cached per format instance (``FloatFormat`` is
+    frozen and hashable).
     """
     if not (fmt.signed and fmt.saturate):
         raise ValueError("only signed, saturating formats compile to a LUT")
@@ -523,16 +571,16 @@ def quantization_lut(fmt: FloatFormat) -> Tuple[BucketIndexer, np.ndarray]:
     bounds = refine_step_boundaries(candidates, classify)
     if bounds.size != values.size - 1:
         raise AssertionError("quantisation LUT has empty buckets")
-    return BucketIndexer(bounds), values
+    return StepTable(bounds, values)
 
 
 @functools.lru_cache(maxsize=None)
 def _rounding_constants(fmt: FloatFormat) -> tuple:
-    """Veltkamp splitter, order keys of ``min_normal`` / ``max_value``
-    (see :func:`round_to_format`) and the subnormal-step constant."""
-    keys = 2 * np.array([fmt.min_normal, fmt.max_value]).view(np.uint64) - np.uint64(1)
+    """Veltkamp splitter, order key of ``min_normal`` (see
+    :func:`round_to_format`) and the subnormal-step constant."""
+    key = 2 * np.array([fmt.min_normal]).view(np.uint64)[0] - np.uint64(1)
     m = fmt.mantissa_bits
-    return (2.0 ** (52 - m) + 1.0, keys[0], keys[1],
+    return (2.0 ** (52 - m) + 1.0, key,
             1.5 * 2.0 ** (52 + fmt.min_exponent - m))
 
 
@@ -545,20 +593,22 @@ def round_to_format(fmt: FloatFormat, v: np.ndarray,
     magnitudes from ``min_normal`` to ``max_value`` to ``m + 1``
     significant bits, ties to even; ``g + (x - g)`` (not ``g - (g - x)``)
     also turns ``-0`` into the reference's ``+0``.  The rare other inputs
-    are found first by a min and a max over their order keys — the bits
-    with the sign shifted out, minus one, which wraps both zeros to the
-    top: larger magnitudes (and infinities) are clipped to ``±max_value``
-    before the split, and nonzero ones below ``min_normal`` are re-rounded
+    are found first.  Larger magnitudes (and infinities) are caught by the
+    float max and min, which zeros never trip, and clipped to
+    ``±max_value`` before the split; a NaN, which fails every comparison,
+    clips too (and stays NaN).  Nonzero magnitudes below ``min_normal``
+    are found by the min over order keys — the bits with the sign shifted
+    out, minus one, which wraps both zeros to the top — and re-rounded
     onto the subnormal step as ``(x + M) - M``, ``M = 1.5 * 2^(52 +
     min_exponent - m)``, then flushed to signed zero if the format has no
-    subnormals.  NaN propagates.  Exact under IEEE binary64
-    round-to-nearest-even without fused multiply-add, which numpy's
-    elementwise ufuncs guarantee.  ``out`` (may be ``v``, rounding in
-    place) and ``work`` are optional C-contiguous float64 buffers.
+    subnormals.  Exact under IEEE binary64 round-to-nearest-even without
+    fused multiply-add, which numpy's elementwise ufuncs guarantee.
+    ``out`` (may be ``v``, rounding in place) and ``work`` are optional
+    C-contiguous float64 buffers.
     """
     if not (fmt.signed and fmt.saturate):
         raise ValueError("only signed, saturating formats round exactly here")
-    splitter, small_key, large_key, magic = _rounding_constants(fmt)
+    splitter, small_key, magic = _rounding_constants(fmt)
     v = np.asarray(v, dtype=np.float64)
     out = np.empty(v.shape) if out is None else out
     work = np.empty(v.shape) if work is None else work
@@ -569,7 +619,7 @@ def round_to_format(fmt: FloatFormat, v: np.ndarray,
         if keys.min() < small_key:
             small = np.flatnonzero(keys < small_key)
             small_values = v.reshape(-1)[small]
-        if keys.max() > large_key:
+        if not (v.max() <= fmt.max_value and v.min() >= -fmt.max_value):
             v = np.clip(v, -fmt.max_value, fmt.max_value, out=out)
     np.multiply(v, splitter, out=work)
     np.subtract(v, work, out=out)

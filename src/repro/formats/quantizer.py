@@ -225,30 +225,21 @@ class LUTFloatQuantizer(FloatQuantizer):
     """A :class:`FloatQuantizer` whose rounding runs through a compiled LUT.
 
     ``compile_quantizer`` swaps calibrated quantisers for this class inside
-    execution plans: the per-element FP encode collapses to one bucket
-    ranking plus a table gather (:func:`repro.formats.fp8.quantization_lut`),
-    bit-identical to the generic ``fmt.quantize`` path.  The compiled
-    ``(indexer, values)`` pair is cached on the instance after the first
-    batch — the quantiser sits on the per-layer fake-quant hot path, where
-    even the format-keyed cache lookup shows up — and is dropped on
-    pickling (process workers rebuild it from the shared format cache).
+    execution plans: the per-element FP encode collapses to one step-table
+    lookup (:func:`repro.formats.fp8.quantization_lut`), bit-identical to
+    the generic ``fmt.quantize`` path.  The compiled
+    :class:`~repro.formats.fp8.StepTable` is cached on the instance after
+    the first batch — the quantiser sits on the per-layer fake-quant hot
+    path, where even the format-keyed cache lookup shows up; it pickles
+    without its grid.
     """
 
     def _fake_quant(self, x: np.ndarray, scale: float) -> np.ndarray:
-        tables = self.__dict__.get("_tables")
-        if tables is None:
-            tables = self.__dict__["_tables"] = quantization_lut(self.fmt)
-        indexer, values = tables
+        table = self.__dict__.get("_table")
+        if table is None:
+            table = self.__dict__["_table"] = quantization_lut(self.fmt)
         y = x / scale
-        return np.sign(y) * values[indexer(np.abs(y))] * scale
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_tables", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        return np.sign(y) * table(np.abs(y)) * scale
 
 
 def compile_quantizer(quantizer: TensorQuantizer) -> TensorQuantizer:

@@ -38,7 +38,8 @@ from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, ReLU
 from repro.nn.model import Model, Sequential
 from repro.serve.loadgen import ARRIVAL_PROCESSES, run_loadtest
 from repro.serve.metrics import METRICS
-from repro.serve.service import ServeConfig
+from repro.serve.recovery import InvalidSetting
+from repro.serve.service import ServeConfig, check_settings
 
 
 def parse_class_map(text: str, flag: str) -> Dict[str, float]:
@@ -261,10 +262,33 @@ def _config_from_args(args: argparse.Namespace) -> ServeConfig:
     )
 
 
+#: The flags not spelled like their ``ServeConfig`` field.
+_FLAGS = {"workers": "--worker-mode", "faults": "--fault-spec",
+          "dispatch_timeout_s": "--dispatch-timeout-ms",
+          "heartbeat_timeout_s": "--heartbeat-timeout-ms"}
+
+
+def _flag(field: str) -> str:
+    return _FLAGS.get(field, "--" + field.replace("_", "-"))
+
+
+def _flag_spelling(field: str, condition: str) -> str:
+    """``workers`` + ``='process'`` -> ``--worker-mode process``."""
+    return _flag(field) + " " + condition.lstrip("= ").strip("'")
+
+
 def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]:
-    """Execute one serving subcommand; returns (report, exit code)."""
-    model, x_train, x_test = demo_workload(seed=args.seed)
+    """Execute one serving subcommand; returns (report, exit code).
+
+    The settings the service would reject are checked before the demo
+    model trains; a bad one exits with one line naming its flag.
+    """
     config = _config_from_args(args)
+    try:
+        check_settings(config, spell=_flag_spelling)
+    except InvalidSetting as exc:
+        raise SystemExit(f"{_flag(exc.field)}: {exc}") from None
+    model, x_train, x_test = demo_workload(seed=args.seed)
     if args.backend != "ideal":
         # Quantising / analog backends want a calibration batch.
         config = dataclasses.replace(

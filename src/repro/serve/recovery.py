@@ -65,6 +65,14 @@ RECOVERY_FIELDS = (
 )
 
 
+class InvalidSetting(ValueError):
+    """A ``ServeConfig`` setting that cannot work; :attr:`field` names it."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 class RecoveryPolicy:
     """Every recovery decision of one serving run, as plain synchronous calls."""
 
@@ -72,7 +80,7 @@ class RecoveryPolicy:
         for name, ok, valid in RECOVERY_FIELDS:
             value = getattr(config, name)
             if not ok(value):
-                raise ValueError(f"{name} {value!r} must be {valid}")
+                raise InvalidSetting(name, f"{name} {value!r} must be {valid}")
         self.config = config
         #: Whether admission consults :meth:`shed_reason` at all.
         self.sheds = (config.shed_alive_fraction is not None

@@ -38,9 +38,11 @@ from __future__ import annotations
 import asyncio
 import copy
 import dataclasses
+import operator
 import pickle
+import re
 import warnings
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +76,7 @@ from repro.serve.recovery import (
     HEARTBEAT_INTERVAL_S,
     HUNG,
     REQUEST,
+    InvalidSetting,
     RecoveryPolicy,
 )
 from repro.serve.scheduler import (
@@ -91,20 +94,44 @@ from repro.serve.workers import (
 
 
 #: Fault-rule checks: (the rule is invalid when, what is wrong and the fix).
+#: A fix naming a setting writes it ``{field:condition}``; see
+#: :func:`check_settings`.
 FAULT_RULE_CHECKS = (
     (lambda rule, mode: rule.site not in SITES,
      "is not a known site; name one of " + ", ".join(SITES)),
     (lambda rule, mode: mode == "thread" and rule.site != "respawn",
      "never fires on thread workers (only 'respawn' does); serve with "
-     "workers='process' to inject it"),
+     "{workers:='process'} to inject it"),
     (lambda rule, mode: mode == "process" and rule.site == "pipeline.edge.write",
-     "fires only between pipeline stages; set pipeline_stages >= 2"),
+     "fires only between pipeline stages; set {pipeline_stages: >= 2}"),
     (lambda rule, mode: (rule.action == "crash" and rule.crash_mode == "exit"
                          and rule.site not in WORKER_SITES),
      "runs in the serving process, where crash_mode 'exit' would exit the "
      "service; use crash_mode 'raise', or exit at a worker-process site ("
      + ", ".join(WORKER_SITES) + ")"),
 )
+
+
+def check_settings(config: "ServeConfig",
+                   spell: Callable[[str, str], str] = operator.add
+                   ) -> RecoveryPolicy:
+    """Raise :class:`~repro.serve.recovery.InvalidSetting` for the first
+    fault rule that cannot fire (:data:`FAULT_RULE_CHECKS`) or recovery
+    field out of range (:data:`~repro.serve.recovery.RECOVERY_FIELDS`);
+    returns the run's :class:`~repro.serve.recovery.RecoveryPolicy`.
+
+    Needs no model, so a caller can check before it builds one.  A fix
+    that names a setting is written ``spell(field, condition)``, by
+    default ``field + condition`` (``workers='process'``).
+    """
+    mode = "pipeline" if config.pipeline_stages > 1 else config.workers
+    for rule in (config.faults.rules if config.faults else ()):
+        for invalid, problem in FAULT_RULE_CHECKS:
+            if invalid(rule, mode):
+                fix = re.sub(r"\{(\w+):([^}]*)\}",
+                             lambda m: spell(m[1], m[2]), problem)
+                raise InvalidSetting("faults", f"fault site {rule.site!r} {fix}")
+    return RecoveryPolicy(config)
 
 
 class ServiceClosedError(RuntimeError):
@@ -312,12 +339,8 @@ class InferenceService:
                     f"priority class {name!r} max_wait_ms must be >= 0")
         self._worker_mode = ("pipeline" if self.config.pipeline_stages > 1
                              else self.config.workers)
-        for rule in (self.config.faults.rules if self.config.faults else ()):
-            for invalid, problem in FAULT_RULE_CHECKS:
-                if invalid(rule, self._worker_mode):
-                    raise ValueError(f"fault site {rule.site!r} {problem}")
-        # Validates the recovery fields; start() builds a fresh one per run.
-        self._policy = RecoveryPolicy(self.config)
+        # start() builds a fresh policy per run.
+        self._policy = check_settings(self.config)
         self.metrics = ServiceMetrics(
             energy_per_conversion_j=energy_per_conversion(self.config.context.macro_config)
         )

@@ -57,8 +57,10 @@ from repro.formats.fp8 import (
     E4M3,
     E5M2,
     FP16,
-    BucketIndexer,
+    GRID_BITS,
+    MAX_TABLE_CELLS,
     FloatFormat,
+    StepTable,
     quantization_lut,
     refine_step_boundaries,
     round_to_format,
@@ -102,46 +104,79 @@ def contract_rank(bounds: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(v) | (v < 0), 0, rank)
 
 
-def both_call_paths(indexer: BucketIndexer, v: np.ndarray):
-    """The allocating ranking and the arena-buffered one."""
-    out = np.full(v.shape, -7, dtype=np.int64)
-    buffered = indexer(v, out=out, work=np.empty(v.shape),
-                       work_int=np.empty(v.shape, dtype=np.int64))
+def contract_lookup(table: StepTable, v: np.ndarray) -> np.ndarray:
+    """The documented lookup: ``values[contract_rank(bounds, v)]``."""
+    return table.values[contract_rank(table.bounds, v)]
+
+
+def both_call_paths(table: StepTable, v: np.ndarray):
+    """The allocating lookup and the arena-buffered one."""
+    out = np.full(v.shape, 7, dtype=table.values.dtype)
+    buffered = table(v, out=out, work=np.empty(v.shape, dtype=np.int64),
+                     flags=np.empty(v.shape, dtype=bool))
     assert buffered is out
-    return indexer(v), buffered
+    return table(v), buffered
+
+
+def float_and_code_tables(bounds: np.ndarray, seed: int = 0):
+    """A float table of random values and a uint16 table of ranks."""
+    values = np.random.default_rng(seed).standard_normal(bounds.size + 1)
+    return [StepTable(bounds, values),
+            StepTable(bounds, np.arange(bounds.size + 1, dtype=np.uint16))]
+
+
+def grid_edges(bounds: np.ndarray) -> np.ndarray:
+    """The cell edges next to every bound, on the grid the docstring
+    promises: ``2**k`` cells per binade, ``k`` the largest up to
+    ``GRID_BITS`` whose range (up to the clip cell, two binades above the
+    top bound's) fits ``MAX_TABLE_CELLS``."""
+    bits = bounds.view(np.int64)
+    clip = min(int(bits[-1] >> 52) + 2, 0x7FF)
+    k = GRID_BITS
+    while k and ((clip - int(bits[0] >> 52)) << k) + 2 > MAX_TABLE_CELLS:
+        k -= 1
+    shift = 52 - k
+    cells = (bits >> shift)[:, None] + np.arange(-1, 3)
+    edges = np.concatenate([(cells << shift).ravel(), [clip << 52]])
+    return edges[edges < 0x7FF << 52].view(np.float64)
+
+
+def equal_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values down to the bit pattern, for float and uint16 tables."""
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.int64) if a.dtype == np.float64 else a,
+        b.view(np.int64) if b.dtype == np.float64 else b)
 
 
 class TestBucketIndexer:
+    """Bucket indexing through :class:`StepTable`: the log grid on the
+    float's bits, the constant / sentinel cells and the ``searchsorted``
+    fix-up must reproduce ``values[searchsorted(bounds, v, "right")]``."""
+
     def test_matches_searchsorted_everywhere(self):
         rng = np.random.default_rng(0)
         bounds = np.sort(rng.uniform(0.1, 10.0, size=40))
-        indexer = BucketIndexer(bounds)
         values = np.concatenate([
             rng.uniform(0.0, 11.0, size=10000),
             bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf),
             [0.0, bounds[-1]],
         ])
-        for ranks in both_call_paths(indexer, values):
-            assert np.array_equal(
-                ranks, np.searchsorted(bounds, values, side="right"))
+        for table in float_and_code_tables(bounds):
+            expected = table.values[np.searchsorted(bounds, values, side="right")]
+            for result in both_call_paths(table, values):
+                assert equal_bits(result, expected)
 
     @pytest.mark.parametrize("bounds", [
         np.sort(np.random.default_rng(1).uniform(0.1, 10.0, size=40)),
         np.array([3.0]),
         np.array([2.0 ** -1020, 2.0 ** -1019, 3.0 * 2.0 ** -1019]),  # near subnormals
-        np.array([1e-9, 1e-9 + 2.0 ** -45, 4e-9]),  # gap far below the bounds
-        np.array([0.25, 0.5, 0.75, 1.0]),  # bounds on grid edges
-        FPDAC(DACConfig()).voltage_lut()[0].bounds,
-        FPADC(ADCConfig(exponent_bits=3, mantissa_bits=4)).conversion_lut().indexer.bounds,
+        np.array([1e-9, 1e-9 + 2.0 ** -45, 4e-9]),  # two bounds in one cell
+        np.array([0.25, 0.5, 0.75, 1.0]),  # bounds on cell edges
+        FPDAC(DACConfig()).voltage_lut().bounds,
+        FPADC(ADCConfig(exponent_bits=3, mantissa_bits=4)).conversion_lut().bounds,
     ])
     def test_documented_contract_both_call_paths(self, bounds):
-        indexer = BucketIndexer(bounds)
-        assert indexer.has_coarse_grid
-        # The grid the docstring promises: a power-of-two step not above
-        # the smallest gap, anchored at 0, one cell past the top bound.
-        gap = np.min(np.diff(bounds)) if bounds.size > 1 else bounds[0]
-        step = 2.0 ** np.floor(np.log2(gap))
-        edges = np.arange(int(bounds[-1] / step) + 3) * step
+        edges = grid_edges(bounds)
         tiny = np.finfo(np.float64).tiny
         huge = np.finfo(np.float64).max
         specials = np.array([0.0, -0.0, 5e-324, tiny, np.nextafter(tiny, 0.0),
@@ -153,23 +188,25 @@ class TestBucketIndexer:
             edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
             specials,
         ])
-        expected = contract_rank(bounds, values)
-        assert expected[-3] == bounds.size and expected[-1] == 0  # inf, NaN
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            allocated, buffered = both_call_paths(indexer, values)
-        assert np.array_equal(allocated, expected)
-        assert np.array_equal(buffered, expected)
+        for table in float_and_code_tables(bounds):
+            expected = contract_lookup(table, values)
+            assert expected[-3] == table.values[-1]  # +inf
+            assert expected[-1] == table.values[0]   # NaN
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                allocated, buffered = both_call_paths(table, values)
+            assert equal_bits(allocated, expected)
+            assert equal_bits(buffered, expected)
+            assert table.cells <= MAX_TABLE_CELLS
 
     @pytest.mark.parametrize("bounds", [
         np.array([0.25, 0.5, 0.75, 1.0]),
-        FPADC(ADCConfig(exponent_bits=3, mantissa_bits=4)).conversion_lut().indexer.bounds,
+        FPADC(ADCConfig(exponent_bits=3, mantissa_bits=4)).conversion_lut().bounds,
     ])
     def test_values_off_the_grid_rank_like_searchsorted(self, bounds):
-        # The grid index is capped only from above: negatives, -inf and
-        # NaN reach np.take as negative (or, on AArch64, zero) indices,
-        # which mode="clip" sends to cell 0.
-        indexer = BucketIndexer(bounds)
+        # Negatives (-0.0 and -NaN included) are raised to cell 0; +inf,
+        # NaN and values over twice the top bound land in the clip cell,
+        # whose fix-up reads values[0] for NaN.
         top = bounds[-1]
         values = np.concatenate([
             [-0.0, -1e300, -np.inf, np.nan, np.inf, np.nextafter(top, np.inf),
@@ -178,29 +215,32 @@ class TestBucketIndexer:
             -bounds, np.nextafter(-bounds, 0.0),
         ])
         assert np.all((values[9:209] > -1.0) & (values[9:209] <= 0.0))
-        expected = contract_rank(bounds, values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            allocated, buffered = both_call_paths(indexer, values)
-        assert np.array_equal(allocated, expected)
-        assert np.array_equal(buffered, expected)
-        assert np.all(expected[:4] == 0) and np.all(expected[4:9] == bounds.size)
+        for table in float_and_code_tables(bounds):
+            expected = contract_lookup(table, values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                allocated, buffered = both_call_paths(table, values)
+            assert equal_bits(allocated, expected)
+            assert equal_bits(buffered, expected)
+            assert np.all(expected[:4] == table.values[0])
+            assert np.all(expected[4:9] == table.values[-1])
 
     def test_fallback_for_huge_dynamic_range(self):
+        # 2,000 binades compile on a coarser grid within the cell cap.
         bounds = np.array([1e-300, 1.0, 1e300])
         v = np.array([0.0, -0.0, 1e-300, 0.5, 2.0, 1e300, np.inf, 5e-324,
                       -1.0, -np.inf, np.nan])
-        with warnings.catch_warnings():
-            # A naive span / step overflows here.
-            warnings.simplefilter("error")
-            indexer = BucketIndexer(bounds)
-            ranks = indexer(v)
-        assert not indexer.has_coarse_grid  # grid infeasible -> searchsorted
-        assert np.array_equal(ranks, contract_rank(bounds, v))
+        for table in float_and_code_tables(bounds):
+            with warnings.catch_warnings():
+                # A naive span / step overflows here.
+                warnings.simplefilter("error")
+                looked_up = table(v)
+            assert table.cells <= MAX_TABLE_CELLS
+            assert equal_bits(looked_up, contract_lookup(table, v))
 
     def test_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
-            BucketIndexer(np.array([2.0, 1.0]))
+            StepTable(np.array([2.0, 1.0]), np.zeros(3))
 
     @pytest.mark.parametrize("bounds", [
         np.array([0.0, 1.0]), np.array([-1.0, 1.0]), np.array([1.0, np.inf]),
@@ -208,7 +248,63 @@ class TestBucketIndexer:
     ])
     def test_rejects_non_positive_infinite_or_empty_bounds(self, bounds):
         with pytest.raises(ValueError):
-            BucketIndexer(bounds)
+            StepTable(bounds, np.zeros(bounds.size + 1))
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(2), np.array([0.0, 1.0, np.nan]),
+        np.array([0, 1, 0xFFFF], dtype=np.uint16), np.arange(3, dtype=np.int32),
+    ])
+    def test_rejects_values_that_cannot_hold_a_sentinel(self, values):
+        with pytest.raises(ValueError):
+            StepTable(np.array([1.0, 2.0]), values)
+
+    def test_pickle_drops_and_rebuilds_the_grid(self):
+        table = StepTable(np.array([1.0, 2.0, 3.0]), np.arange(4.0))
+        v = np.linspace(-1.0, 4.0, 101)
+        expected = table(v)
+        clone = pickle.loads(pickle.dumps(table))
+        assert "_grid" in table.__dict__ and "_grid" not in clone.__dict__
+        assert equal_bits(clone(v), expected)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+        count=st.integers(min_value=1, max_value=300),
+        lowest=st.integers(min_value=-1074, max_value=1000),
+        binades=st.integers(min_value=1, max_value=600),
+        clusters=st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_bounds_and_bit_patterns(self, seed, count, lowest,
+                                            binades, clusters):
+        """Property: random increasing positive bounds over 1-600 binades,
+        subnormal ones included, with clusters of adjacent floats inside
+        one cell, against random float64 bit patterns."""
+        rng = np.random.default_rng(seed)
+        top = min(lowest + binades, 1023)
+        exponents = rng.integers(lowest, top, size=count, endpoint=True)
+        bounds = np.ldexp(rng.uniform(1.0, 2.0, size=count), exponents)
+        anchors = rng.choice(bounds, size=clusters)
+        steps = rng.integers(1, 5, size=(clusters, 4)).cumsum(axis=1)
+        cluster_bits = anchors.view(np.int64)[:, None] + steps
+        bounds = np.concatenate([bounds, cluster_bits.view(np.float64).ravel()])
+        bounds = np.unique(bounds[(bounds > 0) & np.isfinite(bounds)])
+        patterns = rng.integers(-2 ** 63, 2 ** 63 - 1, size=4000,
+                                dtype=np.int64, endpoint=True).view(np.float64)
+        with np.errstate(over="ignore"):
+            near = np.ldexp(rng.uniform(1.0, 2.0, size=2000),
+                            rng.integers(lowest - 1, top + 2, size=2000))
+        values = np.concatenate([
+            patterns, bounds, np.nextafter(bounds, -np.inf),
+            np.nextafter(bounds, np.inf), -bounds, near,
+        ])
+        for table in float_and_code_tables(bounds, seed):
+            expected = contract_lookup(table, values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                allocated, buffered = both_call_paths(table, values)
+            assert equal_bits(allocated, expected)
+            assert equal_bits(buffered, expected)
+            assert table.cells <= MAX_TABLE_CELLS
 
 
 class TestRefineStepBoundaries:
@@ -236,8 +332,8 @@ class TestQuantizeViaLUT:
                                      hardware_activation_format(2, 5),
                                      hardware_activation_format(3, 4)])
     def test_bit_identical_to_quantize(self, fmt):
-        indexer, values = quantization_lut(fmt)
-        bounds = indexer.bounds
+        table = quantization_lut(fmt)
+        bounds, values = table.bounds, table.values
         rng = np.random.default_rng(3)
         x = np.concatenate([
             rng.standard_normal(20000) * 10,
@@ -249,7 +345,7 @@ class TestQuantizeViaLUT:
         ])
         with np.errstate(over="ignore"):  # 5e-324 overflows the reference's
             reference = fmt.quantize(x)   # mag/step divide; outcome is exact
-            fast = np.sign(x) * values[indexer(np.abs(x))]
+            fast = np.sign(x) * table(np.abs(x))
         assert bitwise_equal(reference, fast)
 
     def test_compile_quantizer_swaps_float_and_keeps_int(self):
@@ -275,17 +371,16 @@ class TestDACVoltageLUT:
     ])
     def test_bit_identical_to_convert_value(self, config):
         dac = FPDAC(config)
-        indexer, table = dac.voltage_lut()
+        lut = dac.voltage_lut()
         rng = np.random.default_rng(4)
         values = np.concatenate([
             rng.uniform(0.0, config.max_code_value * 1.2, size=20000),
             rng.uniform(0.0, 1.2, size=5000),  # flush-to-zero region
-            indexer.bounds, np.nextafter(indexer.bounds, 0.0),
+            lut.bounds, np.nextafter(lut.bounds, 0.0),
             [0.0, config.max_code_value],
         ])
         reference = dac.convert_value(np.clip(values, 0.0, config.max_code_value))
-        fast = table[indexer(np.minimum(values, indexer.bounds[-1]))]
-        assert bitwise_equal(reference, fast)
+        assert bitwise_equal(reference, lut(values))
 
     def test_stochastic_output_stage_declines(self):
         assert FPDAC(DACConfig(output_noise_rms=1e-4)).voltage_lut() is None
@@ -297,9 +392,9 @@ class TestDACVoltageLUT:
         configs = [DACConfig(pga_gain_error_sigma=0.005, seed=1),
                    DACConfig(pga_gain_error_sigma=0.02, seed=2)]
         dacs = [FPDAC(config) for config in configs]
-        (index_a, volts_a), (index_b, volts_b) = (dac.voltage_lut() for dac in dacs)
-        assert np.shares_memory(index_a.bounds, index_b.bounds)
-        assert not np.array_equal(volts_a, volts_b)
+        lut_a, lut_b = (dac.voltage_lut() for dac in dacs)
+        assert np.shares_memory(lut_a.bounds, lut_b.bounds)
+        assert not np.array_equal(lut_a.values, lut_b.values)
         levels, exponents = configs[0].mantissa_levels, configs[0].exponent_levels
         codes = np.array([(1.0 + m / levels) * 2.0 ** e
                           for e in range(exponents) for m in range(levels)])
@@ -310,10 +405,9 @@ class TestDACVoltageLUT:
             np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
             [1.0 - 0.5 / levels, np.nextafter(1.0 - 0.5 / levels, 0.0)],
         ])
-        for dac, (indexer, table) in zip(dacs, ((index_a, volts_a), (index_b, volts_b))):
+        for dac, lut in zip(dacs, (lut_a, lut_b)):
             reference = dac.convert_value(np.clip(values, 0.0, top))
-            fast = table[indexer(np.minimum(values, indexer.bounds[-1]))]
-            assert bitwise_equal(reference, fast)
+            assert bitwise_equal(reference, lut(values))
 
     def test_static_mismatch_shared_between_identical_configs(self):
         config = DACConfig(reference_mismatch_sigma=0.01, seed=9)
@@ -323,6 +417,8 @@ class TestDACVoltageLUT:
 
 
 class TestADCConversionLUT:
+    """``FPADC.conversion_lut``: the charge → code-value step table."""
+
     @pytest.mark.parametrize("config", [
         ADCConfig(),
         ADCConfig(exponent_bits=3, mantissa_bits=4),
@@ -336,17 +432,20 @@ class TestADCConversionLUT:
         currents = np.concatenate([
             rng.uniform(-0.1 * fs, 1.3 * fs, size=20000),  # incl. overflow
             rng.uniform(0.0, 0.02 * fs, size=5000),        # underflow region
-            lut.indexer.bounds / config.integration_time,
-            np.nextafter(lut.indexer.bounds, 0.0) / config.integration_time,
+            lut.bounds / config.integration_time,
+            np.nextafter(lut.bounds, 0.0) / config.integration_time,
             [0.0, fs, 2.0 * fs],
         ]).reshape(-1, 1)
         currents = np.tile(currents, (1, 4))
         reference = adc.convert(currents)
         charge = np.clip(currents, 0.0, None) * config.integration_time
-        rank = lut.indexer(charge)  # +inf charge ranks top: no clamp needed
-        assert bitwise_equal(reference.value, lut.values[rank])
-        assert np.array_equal(reference.saturated, lut.saturated[rank])
-        assert np.array_equal(reference.underflow, lut.underflow[rank])
+        value = lut(charge)
+        assert bitwise_equal(reference.value, value)
+        # The counters' tests: saturated == at or above the top bound,
+        # underflow == a zero read-out.
+        assert np.array_equal(reference.saturated, charge >= lut.bounds[-1])
+        assert np.array_equal(reference.underflow, value == 0.0)
+        assert reference.saturated.any() and reference.underflow.any()
 
     @pytest.mark.parametrize("config", [
         ADCConfig(comparator_noise=1e-4),
@@ -397,41 +496,63 @@ class TestRawDomainBounds:
         macro.set_activation_scale(a_max)
         macro.set_adc_full_scale_current(full_scale)
         tile = CompiledTile(macro, StageProfile())
-        assert tile.current_indexer.has_coarse_grid
-        assert tile.act_indexer.has_coarse_grid
 
-        # Current domain: rank(I) == adc.indexer(min(max(I, 0) * T, max_charge)).
+        # Current domain: adc(I) == adc(min(max(I, 0) * T, max_charge))
+        # times the value-to-current constant.
         adc = macro.adc.conversion_lut()
-        currents = self.probes(tile.current_indexer.bounds, full_scale, rng)
+        currents = self.probes(tile.adc.bounds, full_scale, rng)
         charge = np.clip(currents, 0.0, None) * integration_time
         with np.errstate(over="ignore"):
-            expected = adc.indexer(np.minimum(charge, adc.indexer.bounds[-1]))
-        rank = tile.current_indexer(currents)
-        assert np.array_equal(rank, expected)
-        # Threshold flag counts == the old bool-table gathers.
-        assert np.array_equal(rank == tile.adc_top_rank, adc.saturated[rank])
-        assert np.array_equal(rank == 0, adc.underflow[rank])
-        assert np.count_nonzero(rank == tile.adc_top_rank) > 0
-        assert np.count_nonzero(rank == 0) > 0
+            rank = contract_rank(adc.bounds, np.minimum(charge, adc.bounds[-1]))
+        measured = tile.adc(currents)
+        assert bitwise_equal(
+            measured, adc.values[rank] * macro.adc.value_to_current(1.0))
+        # The counters' tests == the top and the bottom charge rank.
+        saturated = currents >= tile.adc_top
+        assert np.array_equal(saturated, rank == adc.bounds.size)
+        assert np.array_equal(measured == 0.0, rank == 0)
+        assert np.count_nonzero(saturated) > 0
+        assert np.count_nonzero(measured == 0.0) > 0
 
-        # Activation domain: rank(|x|) == dac(min(|x| / scale, clamp)).
-        dac_indexer = macro.dac.voltage_lut()[0]
-        acts = self.probes(tile.act_indexer.bounds, a_max, rng)
+        # Activation domain: code(|x|) == rank in dac(min(|x| / scale, clamp)).
+        dac = macro.dac.voltage_lut()
+        acts = self.probes(tile.act_codes.bounds, a_max, rng)
         with np.errstate(over="ignore"):
-            expected = dac_indexer(np.minimum(
-                np.abs(acts) / macro.activation_scale, dac_indexer.bounds[-1]))
-        assert np.array_equal(tile.act_indexer(np.abs(acts)), expected)
+            expected = contract_rank(dac.bounds, np.minimum(
+                np.abs(acts) / macro.activation_scale, dac.bounds[-1]))
+        assert np.array_equal(tile.act_codes(np.abs(acts)), expected)
 
     @pytest.mark.parametrize("make_config", [e2m5_macro_config, e3m4_macro_config])
-    def test_every_plan_indexer_keeps_a_coarse_grid(self, make_config):
-        _, host = programmed_macro_pair(
-            config=make_config(device_statistics=quiet_stats()))
-        tile = CompiledTile(host, StageProfile())
-        fmt = host.config.activation_format
-        indexers = [tile.current_indexer, tile.act_indexer,
-                    host.dac.voltage_lut()[0], host.adc.conversion_lut().indexer,
-                    quantization_lut(fmt)[0]]
-        assert all(indexer.has_coarse_grid for indexer in indexers)
+    def test_plan_fix_up_under_two_percent(self, make_config, monkeypatch):
+        # Counted work, not wall time: of the elements a ResNet-lite plan's
+        # converter tables look up, at most 2 % reach the searchsorted
+        # fix-up, and no table outgrows the cell cap.
+        dataset = SyntheticImageDataset(DatasetConfig(num_classes=10, image_size=16,
+                                                      seed=0))
+        images, _ = dataset.generate(96)
+        model = build_resnet_lite(stage_widths=(8, 16, 32), seed=0)
+        context = ExecutionContext(
+            calibration=images[:32], seed=0, max_mapped_layers=None,
+            macro_config=make_config(device_statistics=quiet_stats()))
+        counted = []
+        fix_up = StepTable._fix_up
+
+        def counting_fix_up(table, v, out, flags):
+            missed = fix_up(table, v, out, flags)
+            counted.append((missed, v.size))
+            return missed
+
+        with ModelPlan(model, AnalogBackend(), context) as plan:
+            monkeypatch.setattr(StepTable, "_fix_up", counting_fix_up)
+            plan.forward(images[32:])
+            tiles = [tile for layer in compiled_layers(plan)
+                     for tile in layer.tiles]
+        missed, converted = np.sum(counted, axis=0)
+        assert len(tiles) == 10 and all(isinstance(t, CompiledTile) for t in tiles)
+        assert converted >= 64 * 16 * 16 * 8
+        assert missed <= 0.02 * converted
+        tables = {id(t): t for tile in tiles for t in (tile.adc, tile.act_codes)}
+        assert all(t.cells <= MAX_TABLE_CELLS for t in tables.values())
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +614,7 @@ class TestCompiledTile:
             dac=DACConfig(pga_gain_error_sigma=0.05, seed=3),
         )
         generic, compiled_host = programmed_macro_pair(config=config)
-        dac_table = compiled_host.dac.voltage_lut()[1]
+        dac_table = compiled_host.dac.voltage_lut().values
         assert np.max(dac_table) > config.dac.v_full_scale  # clip engages
         tile = CompiledTile(compiled_host, StageProfile())
         rng = np.random.default_rng(17)
@@ -666,6 +787,31 @@ class TestFP16GridQuantize:
         fast = round_to_format(fmt, x)
         assert bitwise_equal(reference, fast)
 
+    @pytest.mark.parametrize("fmt", ROUNDING_FORMATS)
+    def test_zeros_limits_infinities_and_nan_in_every_mix(self, fmt, monkeypatch):
+        # Zeros and ±max_value need no clip pass (routing-adder partials
+        # are full of zeros); ±inf and NaN take it, alone or mixed.
+        clips = []
+        clip = np.clip
+
+        def counting_clip(*args, **kwargs):
+            clips.append(1)
+            return clip(*args, **kwargs)
+
+        monkeypatch.setattr(np, "clip", counting_clip)
+        specials = [0.0, -0.0, fmt.max_value, -fmt.max_value,
+                    np.inf, -np.inf, np.nan]
+        normal = [1.0, -0.75, 0.3 * fmt.min_normal]
+        for mask in range(1 << len(specials)):
+            picked = [v for i, v in enumerate(specials) if mask >> i & 1]
+            for x in (np.array(picked), np.array(normal + picked)):
+                with np.errstate(over="ignore"):
+                    reference = fmt.quantize(x)
+                del clips[:]
+                assert bitwise_equal(reference, round_to_format(fmt, x))
+                off_limits = mask >> 4 != 0  # inf, -inf or NaN picked
+                assert len(clips) == int(off_limits and x.size > 0)
+
 
 class TestRowCodec:
     def test_encode_matches_generic_sign_split_ranking(self):
@@ -682,11 +828,11 @@ class TestRowCodec:
         codes = codec.encode(acts, PlanArena(), "t")
         # The generic path ranks each sign pass separately; the signed code
         # composes both: rank of |x| plus the sign in the table offset.
-        dac_indexer = host.dac.voltage_lut()[0]
-        scale, clamp = host.activation_scale, dac_indexer.bounds[-1]
-        pos_rank = dac_indexer(np.minimum(
+        dac_bounds = host.dac.voltage_lut().bounds
+        scale, clamp = host.activation_scale, dac_bounds[-1]
+        pos_rank = contract_rank(dac_bounds, np.minimum(
             np.clip(acts, 0.0, None) / scale, clamp))
-        neg_rank = dac_indexer(np.minimum(
+        neg_rank = contract_rank(dac_bounds, np.minimum(
             np.clip(-acts, 0.0, None) / scale, clamp))
         volts = np.concatenate([tile.dac_volts, np.zeros(codec.levels)])
         assert bitwise_equal(codec.volts_pos[codes], volts[pos_rank])
@@ -695,6 +841,24 @@ class TestRowCodec:
         # Sign flag: any code >= levels on a row == any negative element.
         assert np.array_equal(np.any(codes >= codec.levels, axis=1),
                               np.any(acts < 0, axis=1))
+
+    def test_non_negative_input_skips_the_sign_passes(self):
+        # A ReLU-fed input (-0.0 included) is looked up as it is: the same
+        # codes as the signed path, and no |x| or sign-offset slab.
+        _, host = programmed_macro_pair()
+        codec = RowCodec(CompiledTile(host, StageProfile()))
+        rng = np.random.default_rng(22)
+        acts = np.maximum(rng.standard_normal((8, host.in_features)), 0.0)
+        acts[0, :3] = [-0.0, 0.0, 1e3]
+        signed = acts.copy()
+        signed[1, 0] = -1.0  # one negative sends the batch down the signed path
+        arena = PlanArena()
+        codes = codec.encode(acts, arena, "t").copy()
+        assert not [name for name, _ in arena._slabs if name in ("t:mag", "t:off")]
+        signed_codes = codec.encode(signed, PlanArena(), "t")
+        assert np.array_equal(codes[1:, 1:], signed_codes[1:, 1:])
+        assert np.array_equal(codes[0], signed_codes[0])
+        assert signed_codes[1, 0] >= codec.levels > codes.max()
 
     @given(
         differential=st.booleans(),

@@ -45,6 +45,7 @@ from repro.serve.batcher import (
 )
 from repro.faults import FaultRule, FaultSpec
 from repro.serve import loadgen, recovery
+from repro.serve import cli as serve_cli
 from repro.serve.cli import build_serve_parser, main as serve_main, parse_class_map
 from repro.serve.loadgen import assign_priorities, run_loadtest
 from repro.serve.recovery import (
@@ -793,3 +794,28 @@ class TestCliWiring:
                            '{"seed": 0, "rules": [{"site": "respawn", '
                            '"action": "delay", "at": [0]}]}']) == 1
         assert "CHAOS FAIL: pool not recovered" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--max-retries", "-1"], "--max-retries: max_retries -1 must be >= 0"),
+        (["--fault-spec", '{"seed": 0, "rules": [{"site": "worker.forward", '
+          '"action": "crash", "at": [0]}]}'],
+         "--fault-spec: fault site 'worker.forward' never fires on thread "
+         "workers (only 'respawn' does); serve with --worker-mode process "
+         "to inject it"),
+        (["--worker-mode", "process", "--fault-spec",
+          '{"seed": 0, "rules": [{"site": "pipeline.edge.write", '
+          '"action": "corrupt", "at": [0]}]}'],
+         "--fault-spec: fault site 'pipeline.edge.write' fires only between "
+         "pipeline stages; set --pipeline-stages >= 2"),
+    ])
+    def test_bad_flag_exits_before_training(self, monkeypatch, flags, line):
+        # The service's own checks run on the flags first: a setting it
+        # would reject costs no training run and exits with one line that
+        # names the flag, not a traceback.
+        def no_training(**kwargs):
+            raise AssertionError("demo_workload ran for a bad flag")
+
+        monkeypatch.setattr(serve_cli, "demo_workload", no_training)
+        with pytest.raises(SystemExit) as exited:
+            serve_main(["loadtest", *flags])
+        assert str(exited.value.code) == line
